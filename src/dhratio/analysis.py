@@ -9,17 +9,18 @@ Four instruments:
   * the height bound kappa of the off-line branch inside the strip,
     measured two independent ways (curve apex vs. digamma-equation
     root);
-  * zero accounting: argument-principle winding counts over rectangle
-    boundaries, Newton refinement with a derivative oracle, critical-
-    line scanning through the real rotated form, and an exhaustive
-    cell survey combining them;
+  * zero accounting: argument-principle winding counts over grids of
+    cells that share their edge samples, Newton refinement with a
+    derivative oracle, critical-line scanning through the real rotated
+    form, and an exhaustive cell survey combining them;
   * audits that attach measured numbers to a fixed list of externally
     numbered claims, reporting values only and never a verdict.
 
-Everything is a pure function of its inputs and EvalSettings.  Cell
-surveys and band traces expose `worker_map` hooks so a caller may run
-disjoint pieces in parallel; merges are deterministic (sorted by t,
-then sigma), so the output is identical for any worker count.
+Everything is a pure function of its inputs and EvalSettings.  Surveys
+(over bands of cell rows) and band traces expose `worker_map` hooks so
+a caller may run disjoint pieces in parallel; merges are deterministic
+(sorted by t, then sigma), so the output is identical for any worker
+count.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .errors import (
     DomainError,
     UndersampledError,
 )
-from .specfun import ComplexPoint, EvalSettings, digamma, lgamma
+from .specfun import ComplexPoint, EvalSettings, _settings, digamma, lgamma
 from .xratio import dlogabsx_dt, dsigma_logabsx, gamma_modulus_dt, logabsx_many
 
 __all__ = [
@@ -507,7 +508,7 @@ def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, 
     grid bands in parallel; chaining is always a single deterministic
     pass, so output does not depend on the banding.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     win = _as_rect(window)
     if not step > 0.0:
         raise DomainError("step must be positive")
@@ -590,7 +591,7 @@ def kappa_detail(settings: EvalSettings | None = None) -> KappaResult:
     flat, so the fit rather than a raw vertex maximum supplies the
     trace value.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     root = _kappa_cached(cfg)
 
     polys = trace_unit_curve(Rect(0.0, 1.0, 0.8, 1.6), 0.004, cfg)
@@ -641,42 +642,94 @@ class _GuardHit(Exception):
 _EDGE_CAP = 4096
 
 
-def _winding_count(rect: Rect, samples_per_side: int, cfg: EvalSettings) -> int:
-    corners = [
-        complex(rect.sigma_min, rect.t_min),
-        complex(rect.sigma_max, rect.t_min),
-        complex(rect.sigma_max, rect.t_max),
-        complex(rect.sigma_min, rect.t_max),
-    ]
-    pts = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        lam = np.arange(samples_per_side) / samples_per_side
-        pts.append(a + (b - a) * lam)
-    pts = np.concatenate(pts)
-    vals, _ = f_batch(pts, cfg)
-    if np.abs(vals).min() < _BOUNDARY_GUARD:
-        raise _GuardHit
+def _phase_changes(paths, cfg: EvalSettings) -> np.ndarray:
+    """Phase change of f along each sampled polyline.
 
-    cap = 4 * _EDGE_CAP
+    `paths` holds (points, values) pairs.  Every round bisects each phase
+    step of pi/2 or more on every path, with one f_batch call for all of
+    them, until no such step is left; the steps of a path then sum to its
+    phase change.  Raises _GuardHit when a sample comes within the
+    boundary guard of a zero and UndersampledError when a path outgrows
+    _EDGE_CAP samples or the rounds run out.
+    """
+    paths = list(paths)
+    totals = np.empty(len(paths))
+    pending = range(len(paths))
     for _ in range(24):
-        nxt = np.roll(vals, -1)
-        dphi = np.angle(nxt / vals)
-        bad = np.abs(dphi) >= 0.5 * math.pi
-        if not bad.any():
-            total = float(dphi.sum())
-            return int(round(total / (2.0 * math.pi)))
-        if len(pts) + int(bad.sum()) > cap:
-            raise UndersampledError(
-                f"phase steps unresolved with {len(pts)} boundary samples"
-            )
-        mids = 0.5 * (pts[bad] + np.roll(pts, -1)[bad])
-        mvals, _ = f_batch(mids, cfg)
+        bad_steps = {}
+        for k in pending:
+            vals = paths[k][1]
+            dphi = np.angle(vals[1:] / vals[:-1])
+            bad = np.nonzero(np.abs(dphi) >= 0.5 * math.pi)[0]
+            if len(bad) == 0:
+                totals[k] = float(dphi.sum())
+                continue
+            if len(vals) + len(bad) > _EDGE_CAP:
+                raise UndersampledError(
+                    f"phase steps unresolved with {len(vals)} boundary samples"
+                )
+            bad_steps[k] = bad
+        if not bad_steps:
+            return totals
+        mids = [0.5 * (paths[k][0][b] + paths[k][0][b + 1]) for k, b in bad_steps.items()]
+        mvals, _ = f_batch(np.concatenate(mids), cfg)
         if np.abs(mvals).min() < _BOUNDARY_GUARD:
             raise _GuardHit
-        where = np.nonzero(bad)[0] + 1
-        pts = np.insert(pts, where, mids)
-        vals = np.insert(vals, where, mvals)
+        pieces = np.split(mvals, np.cumsum([len(m) for m in mids])[:-1])
+        for (k, b), mp, mv in zip(bad_steps.items(), mids, pieces):
+            pts, vals = paths[k]
+            paths[k] = (np.insert(pts, b + 1, mp), np.insert(vals, b + 1, mv))
+        pending = list(bad_steps)
     raise UndersampledError("phase refinement did not settle within its budget")
+
+
+def _grid_counts(s_cuts, t_cuts, samples: int, cfg: EvalSettings) -> np.ndarray:
+    """Winding counts of every cell of the grid s_cuts x t_cuts.
+
+    Every edge of the grid is sampled once, with `samples` steps in one
+    canonical direction (horizontal edges toward larger sigma, vertical
+    ones toward larger t), and all samples go through one f_batch call.
+    Each edge's phase change comes from _phase_changes, and a cell adds
+    its bottom and right edges and subtracts its top and left ones, so
+    neighbouring cells reuse a shared edge in reverse.  Returns an int
+    array of shape (rows, columns), row j spanning t_cuts[j..j+1].
+    Raises _GuardHit when a sample comes within the boundary guard of a
+    zero.
+    """
+    s_cuts = np.asarray(s_cuts, dtype=np.float64)
+    t_cuts = np.asarray(t_cuts, dtype=np.float64)
+    n_col, n_row = len(s_cuts) - 1, len(t_cuts) - 1
+    lam = np.arange(samples) / samples
+    # one line of sigmas across the grid, corners included exactly once
+    line = np.append((s_cuts[:-1, None] + np.diff(s_cuts)[:, None] * lam).ravel(), s_cuts[-1])
+    rise = (t_cuts[:-1, None] + np.diff(t_cuts)[:, None] * lam)[:, 1:]
+    h_pts = line[None, :] + 1j * t_cuts[:, None]
+    v_pts = s_cuts[None, :, None] + 1j * rise[:, None, :]
+    vals, _ = f_batch(np.concatenate((h_pts.ravel(), v_pts.ravel())), cfg)
+    if np.abs(vals).min() < _BOUNDARY_GUARD:
+        raise _GuardHit
+    h_vals = vals[: h_pts.size].reshape(h_pts.shape)
+    v_vals = vals[h_pts.size :].reshape(v_pts.shape)
+
+    paths = []
+    for j in range(n_row + 1):
+        for i in range(n_col):
+            cut = slice(i * samples, (i + 1) * samples + 1)
+            paths.append((h_pts[j, cut], h_vals[j, cut]))
+    for j in range(n_row):
+        for i in range(n_col + 1):
+            c = i * samples
+            paths.append(
+                (
+                    np.concatenate(([h_pts[j, c]], v_pts[j, i], [h_pts[j + 1, c]])),
+                    np.concatenate(([h_vals[j, c]], v_vals[j, i], [h_vals[j + 1, c]])),
+                )
+            )
+    phases = _phase_changes(paths, cfg)
+    horiz = phases[: (n_row + 1) * n_col].reshape(n_row + 1, n_col)
+    vert = phases[(n_row + 1) * n_col :].reshape(n_row, n_col + 1)
+    total = horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1]
+    return np.rint(total / (2.0 * math.pi)).astype(int)
 
 
 def count_zeros_rect(
@@ -687,25 +740,25 @@ def count_zeros_rect(
 ) -> int:
     """Number of zeros inside a rectangle by boundary winding.
 
-    The boundary image's phase is tracked with adaptive sampling until
-    every step is below pi/2; the winding number then counts interior
-    zeros exactly (the function is entire).  If a boundary sample comes
-    within 1e-8 of a zero the rectangle is inflated by half a sample
-    step and retried, up to `max_retries` times, before
-    BoundaryZeroError is raised.
+    The rectangle is a one-cell grid for `_grid_counts`: each side is
+    sampled `samples_per_side` times and its phase is tracked with
+    adaptive bisection until every step is below pi/2; the winding
+    number then counts interior zeros exactly (the function is entire).
+    If a boundary sample comes within 1e-8 of a zero the rectangle is
+    inflated by half a sample step and retried, up to `max_retries`
+    times, before BoundaryZeroError is raised.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     r = _as_rect(rect)
     if samples_per_side < 4:
         raise DomainError("samples_per_side must be at least 4")
     pad_unit = 0.5 * min(r.width, r.height) / samples_per_side
     for attempt in range(max_retries + 1):
         pad = attempt * pad_unit
-        grown = Rect(
-            r.sigma_min - pad, r.sigma_max + pad, r.t_min - pad, r.t_max + pad
-        )
+        s_cuts = (r.sigma_min - pad, r.sigma_max + pad)
+        t_cuts = (r.t_min - pad, r.t_max + pad)
         try:
-            return _winding_count(grown, samples_per_side, cfg)
+            return int(_grid_counts(s_cuts, t_cuts, samples_per_side, cfg)[0, 0])
         except _GuardHit:
             continue
     raise BoundaryZeroError(
@@ -773,7 +826,7 @@ def refine_zero(seed, settings: EvalSettings | None = None, trust_radius: float 
     itself (sign change of the rotated real form), so line zeros carry
     sigma = 1/2 exactly.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     s0 = seed.z if isinstance(seed, ComplexPoint) else complex(seed)
     if not (math.isfinite(s0.real) and math.isfinite(s0.imag)):
         raise DomainError("seed must be finite")
@@ -824,7 +877,7 @@ def scan_critical_line(
     together than the grid spacing can be missed; halve the step to
     confirm stability of the record set.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     if not (t0 < t1 and step > 0.0):
         raise DomainError("need t0 < t1 and a positive step")
     ts = _axis(t0, t1, step, snap_line=False)
@@ -873,12 +926,13 @@ def scan_critical_line(
 _T_OFFSETS = (0.0, 0.04, 0.09, 0.13)
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.59)
 _SURVEY_SAMPLES = 12
+_BAND_ROWS = 8
 
 
-def _build_cells(rect: Rect, cell_size: float, t_offset: float) -> list[Rect]:
-    """Tile a rectangle with cells of roughly `cell_size`, keeping the
-    interior cuts off the critical line and shifting the t-cuts by the
-    retry offset."""
+def _tiling(rect: Rect, cell_size: float, t_offset: float):
+    """Cuts (s_cuts, t_cuts) tiling a rectangle with cells of roughly
+    `cell_size`, keeping the interior cuts off the critical line and
+    shifting the t-cuts by the retry offset."""
     s_cuts = [rect.sigma_min]
     n_s = max(1, int(round(rect.width / cell_size)))
     for k in range(1, n_s):
@@ -894,23 +948,7 @@ def _build_cells(rect: Rect, cell_size: float, t_offset: float) -> list[Rect]:
         t_cuts.append(pos)
         pos += cell_size
     t_cuts.append(rect.t_max)
-
-    cells = []
-    for j in range(len(t_cuts) - 1):
-        for i in range(len(s_cuts) - 1):
-            cells.append(Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1]))
-    return cells
-
-
-def _split_cell(cell: Rect, frac: float) -> list[Rect]:
-    sm = cell.sigma_min + frac * cell.width
-    tm = cell.t_min + frac * cell.height
-    return [
-        Rect(cell.sigma_min, sm, cell.t_min, tm),
-        Rect(sm, cell.sigma_max, cell.t_min, tm),
-        Rect(cell.sigma_min, sm, tm, cell.t_max),
-        Rect(sm, cell.sigma_max, tm, cell.t_max),
-    ]
+    return s_cuts, t_cuts
 
 
 def _localize(cell: Rect, count: int, cfg: EvalSettings, depth: int = 0) -> list[ZeroRecord]:
@@ -932,26 +970,37 @@ def _localize(cell: Rect, count: int, cfg: EvalSettings, depth: int = 0) -> list
             pass
 
     for frac in _SPLIT_FRACTIONS:
-        subs = _split_cell(cell, frac)
+        s_cuts = (cell.sigma_min, cell.sigma_min + frac * cell.width, cell.sigma_max)
+        t_cuts = (cell.t_min, cell.t_min + frac * cell.height, cell.t_max)
         try:
-            counts = [count_zeros_rect(sc, _SURVEY_SAMPLES, cfg, max_retries=0) for sc in subs]
-        except BoundaryZeroError:
+            counts = _grid_counts(s_cuts, t_cuts, _SURVEY_SAMPLES, cfg)
+        except _GuardHit:
             continue
-        if sum(counts) != count:
+        if counts.sum() != count:
             continue
         found: list[ZeroRecord] = []
-        for sc, c in zip(subs, counts):
-            found.extend(_localize(sc, c, cfg, depth + 1))
+        for (j, i), c in np.ndenumerate(counts):
+            sub = Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1])
+            found.extend(_localize(sub, int(c), cfg, depth + 1))
         return found
     raise ConvergenceError(f"could not split {cell} cleanly around its zeros")
 
 
-def _survey_cell_task(args):
-    cell, cfg = args
-    count = count_zeros_rect(cell, _SURVEY_SAMPLES, cfg, max_retries=0)
-    if count == 0:
-        return 0, []
-    return count, _localize(cell, count, cfg)
+def _survey_band_task(args):
+    s_cuts, t_cuts, cfg = args
+    try:
+        counts = _grid_counts(s_cuts, t_cuts, _SURVEY_SAMPLES, cfg)
+    except _GuardHit:
+        raise BoundaryZeroError(
+            f"a zero sits within {_BOUNDARY_GUARD} of a cell boundary "
+            f"in t [{t_cuts[0]}, {t_cuts[-1]}]"
+        ) from None
+    records: list[ZeroRecord] = []
+    for (j, i), c in np.ndenumerate(counts):
+        if c:
+            cell = Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1])
+            records.extend(_localize(cell, int(c), cfg))
+    return int(counts.sum()), records
 
 
 def survey_zeros(
@@ -962,22 +1011,32 @@ def survey_zeros(
 ) -> list[ZeroRecord]:
     """Every zero in a rectangle, by exhaustive cell subdivision.
 
-    The rectangle is tiled into cells of side about `cell_size`; each
-    cell's winding count localizes its zeros by deterministic
-    subdivision (left-bottom first) and Newton refinement.  If any cell
-    boundary passes too close to a zero, the whole t-partition is
-    shifted and the survey retried, so tilings never double-count.
-    The record list is merged sorted by (t, sigma) and is identical
-    for any `worker_map` (parallelism hook).
+    The rectangle is tiled into cells of side about `cell_size`, grouped
+    into bands of _BAND_ROWS cell rows; the layout depends on the
+    rectangle alone.  Each band samples every cell edge once, in one
+    f_batch call, and gets all its cells' winding counts from
+    `_grid_counts`; each cell's count then localizes its zeros by
+    deterministic subdivision (left-bottom first) and Newton refinement.
+    If any cell boundary passes too close to a zero, or if the 1e-6
+    dedupe of the refined records leaves fewer zeros than the winding
+    total (two cells' Newton runs landed on one zero), the whole
+    t-partition is shifted and the survey retried, so a survey never
+    double-counts and never returns short.  The record list is merged
+    sorted by (t, sigma) and is identical for any `worker_map`
+    (parallelism hook; it maps over the bands).
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     r = _as_rect(rect)
     mapper = map if worker_map is None else worker_map
     last_error: Exception | None = None
     for offset in _T_OFFSETS:
-        cells = _build_cells(r, cell_size, offset)
+        s_cuts, t_cuts = _tiling(r, cell_size, offset)
+        bands = [
+            (s_cuts, t_cuts[lo : lo + _BAND_ROWS + 1], cfg)
+            for lo in range(0, len(t_cuts) - 1, _BAND_ROWS)
+        ]
         try:
-            results = list(mapper(_survey_cell_task, [(c, cfg) for c in cells]))
+            results = list(mapper(_survey_band_task, bands))
         except BoundaryZeroError as exc:
             last_error = exc
             continue
@@ -993,7 +1052,16 @@ def survey_zeros(
             if deduped and abs(rec.location.z - deduped[-1].location.z) < 1e-6:
                 continue
             deduped.append(rec)
-        return deduped
+        if len(deduped) == total:
+            return deduped
+        last_error = ConvergenceError(
+            f"winding counted {total} zeros but only {len(deduped)} distinct ones "
+            f"were refined at tiling offset {offset}"
+        )
+    if isinstance(last_error, ConvergenceError):
+        raise ConvergenceError(
+            f"no tiling offset of {r} refined every counted zero"
+        ) from last_error
     raise BoundaryZeroError(
         f"every tiling offset left a zero on a cell boundary of {r}"
     ) from last_error
@@ -1017,7 +1085,7 @@ def limit_probe(
     the limiting behavior is observable next to the direct evaluation
     of |X| at the zero itself.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     if direction not in ("along_t", "along_sigma"):
         raise DomainError(f"direction must be along_t or along_sigma, got {direction!r}")
     if not zero.residual < 1e-8:
@@ -1052,7 +1120,7 @@ def audit_claims(
     is adjudicated; the verdict_note of each report states what was
     measured, never what it means.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     kap = _kappa_cached(cfg)
     offline = [z for z in zeros if not z.on_line]
     online = [z for z in zeros if z.on_line]

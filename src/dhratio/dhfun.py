@@ -39,9 +39,12 @@ import numpy as np
 from .errors import AccuracyWarning, DomainError
 from .specfun import (
     ComplexPoint,
+    ELEMENT_BUDGET,
     EvalSettings,
-    _em_regular,
+    _dirichlet_sum,
+    _em_tail,
     _hurwitz_batch,
+    _settings,
     as_points,
     em_split_point,
     hurwitz_zeta,
@@ -156,33 +159,38 @@ def _phi1(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _f_direct(s: np.ndarray, cfg: EvalSettings):
+def _f_direct(s: np.ndarray, n_split: int, cfg: EvalSettings):
     """Hurwitz-combination route with the s = 1 pole pair deflated.
 
-    Valid for Re s > -1 (and exact at s = 1).  The pole parts
-    sum_r a_r x_r^(1-s)/(s-1), x_r = N + r/5, are combined into
-    -N^w sum_r a_r u_r phi1(w u_r) with w = 1 - s, u_r = log1p(r/(5N)),
-    which is finite and fully stable through w = 0.
+    Valid for Re s > -1 (and exact at s = 1).  The four residue blocks
+    and the 5^-s prefactor are one direct sum, 5^-s (n + r/5)^-s =
+    (5n + r)^-s, taken by `_dirichlet_sum` over m < 5N, 5 not dividing
+    m, with weights a(m mod 5).  The Euler-Maclaurin tails stay per
+    residue, each with 5^-s folded into its exponent, and the pole parts
+    5^-s sum_r a_r x_r^(1-s)/(s-1), x_r = N + r/5, are combined into
+    -N^w 5^-s sum_r a_r u_r phi1(w u_r) with w = 1 - s, u_r =
+    log1p(r/(5N)), which is finite and fully stable through w = 0.  No
+    power is ever formed on its own, so nothing overflows for large
+    Re s, where every term is at most 1.
     """
-    a = DEFAULT_TABLE.a
-    n_split = em_split_point(np.abs(s.imag).max(), s.real.min(), cfg)
-    regular = np.zeros_like(s)
-    reg_err = np.zeros(len(s))
-    for r in (1, 2, 3, 4):
-        reg, err = _em_regular(s, r / 5.0, n_split, cfg.bernoulli_order)
-        regular += a[r] * reg
-        reg_err += abs(a[r]) * err
+    a = DEFAULT_TABLE.array
+    residues = np.arange(1.0, 5.0)
+    m = (5.0 * np.arange(n_split)[:, None] + residues).ravel()
+    direct, scale = _dirichlet_sum(s, np.log(m), np.tile(a[1:], n_split))
 
-    w = 1.0 - s
-    pole = np.zeros_like(s)
-    for r in (1, 2, 3, 4):
-        u = math.log1p(r / (5.0 * n_split))
-        pole += (a[r] * u) * _phi1(w * u)
-    pole *= -np.exp(w * math.log(n_split))
+    r = residues[:, None]  # one row per residue class
+    bracket, omitted = _em_tail(s, n_split + r / 5.0, cfg.bernoulli_order)
+    xs = np.exp(-np.log(5.0 * n_split + r) * s)
+    tail = (a[1:, None] * xs * bracket).sum(axis=0)
+    tail_err = (np.abs(a[1:, None]) * np.abs(xs) * omitted).sum(axis=0)
 
-    scale = np.exp(-s * _LN5)
-    values = scale * (regular + pole)
-    errs = np.abs(scale) * (reg_err + 8.0 * _EPS * (np.abs(regular) + np.abs(pole)))
+    u = np.log1p(r / (5.0 * n_split))
+    pole = (a[1:, None] * u * _phi1((1.0 - s) * u)).sum(axis=0)
+    pole *= -np.exp((1.0 - s) * math.log(n_split) - s * _LN5)
+
+    regular = direct + tail
+    values = regular + pole
+    errs = tail_err + 8.0 * _EPS * (len(m) * scale + np.abs(regular) + np.abs(pole))
     return values, errs
 
 
@@ -206,31 +214,49 @@ def _f_reflected(s: np.ndarray, cfg: EvalSettings):
     return values, errs
 
 
-_BATCH_CHUNK = 4096
-
-
 def f_batch(s, settings: EvalSettings | None = None):
     """Vectorized f over any collection of points.
 
-    Returns (values, est_abs_errs) as numpy arrays.  Chooses the direct
-    deflated Hurwitz combination for Re s > -1 and the reflected form
-    for Re s <= -1.
+    Returns (values, est_abs_errs) as numpy arrays, in input order.
+    Chooses the direct deflated Hurwitz combination for Re s > -1 and
+    the reflected form for Re s <= -1.  The points are ordered by
+    (|t|, sigma), so those sharing a height, or its mirror -t, land in
+    the same chunk and the kernel builds their phase row once.  Each
+    chunk takes its own split N from its largest |t| and holds at most
+    ELEMENT_BUDGET / 4N points (4N columns for the fused direct block),
+    so the kernel's temporaries stay bounded at any height; the results
+    are scattered back to input order.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     arr, _ = as_points(s)
+    order = np.lexsort((arr.real, np.abs(arr.imag)))
+    pts = arr[order]
+    abs_t = np.abs(pts.imag)
+    # Both routes sum at real part >= -2 (Re s > -1 directly, Re(1 - s) >= 2
+    # reflected), where the split point depends on the height alone.
+    heights, at_height = np.unique(abs_t, return_inverse=True)
+    cols = np.array([4 * em_split_point(h, 0.0, cfg) for h in heights])
+    rows = np.maximum(1, ELEMENT_BUDGET // cols)[at_height]
+    # Chunk [lo, hi) fits when hi - lo <= rows[hi - 1], i.e. last[hi - 1] <= lo;
+    # `last` strictly increases because `rows` never grows along the order.
+    last = np.arange(1, len(pts) + 1) - rows
     values = np.empty_like(arr)
     errs = np.empty(len(arr))
-    for lo in range(0, len(arr), _BATCH_CHUNK):
-        chunk = arr[lo : lo + _BATCH_CHUNK]
+    lo = 0
+    while lo < len(pts):
+        hi = int(np.searchsorted(last, lo, side="right"))
+        chunk = pts[lo:hi]
         vals = np.empty_like(chunk)
         errc = np.empty(len(chunk))
         left = chunk.real <= -1.0
         if (~left).any():
-            vals[~left], errc[~left] = _f_direct(chunk[~left], cfg)
+            n_split = em_split_point(abs_t[hi - 1], 0.0, cfg)
+            vals[~left], errc[~left] = _f_direct(chunk[~left], n_split, cfg)
         if left.any():
             vals[left], errc[left] = _f_reflected(chunk[left], cfg)
-        values[lo : lo + _BATCH_CHUNK] = vals
-        errs[lo : lo + _BATCH_CHUNK] = errc
+        values[order[lo:hi]] = vals
+        errs[order[lo:hi]] = errc
+        lo = hi
     return values, errs
 
 
@@ -240,7 +266,7 @@ def f(s, settings: EvalSettings | None = None) -> FnValue:
     A warning is attached when the internal cancellation estimate says
     the result lost more than 1e6 * rel_tol of relative accuracy.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("f takes a single point; use f_batch for arrays")
@@ -318,7 +344,7 @@ def f_prime(s, settings: EvalSettings | None = None) -> ComplexPoint:
     where the direct zeta route loses digits) the same difference
     scheme is applied to f itself, which is entire.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("f_prime takes a single point")
@@ -358,7 +384,7 @@ def functional_eq_residual(s, settings: EvalSettings | None = None) -> float:
 
     Raises PoleError at s = 2, 4, 6, ... where X has poles.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("functional_eq_residual takes a single point")
@@ -394,7 +420,7 @@ def z_function(t, settings: EvalSettings | None = None):
     the critical line, so Z is real there; sign changes of Z are line
     zeros of f.  Scalar in, scalar out; arrays accepted.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     tarr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     was_scalar = np.asarray(t).ndim == 0
     if not np.all(np.isfinite(tarr)):
@@ -420,7 +446,7 @@ def pq(sigma: float, t: float, settings: EvalSettings | None = None):
     symmetry makes both products real, which is checked (relative
     1e-10) before the imaginary parts are discarded.
     """
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     sv = complex(float(sigma), float(t))
     pts = np.array([sv, sv.conjugate(), 1.0 - sv, 1.0 - sv.conjugate()])
     vals, _ = f_batch(pts, cfg)

@@ -9,6 +9,13 @@ complex plane:
     hurwitz_zeta(s,a) Euler-Maclaurin continuation of sum (n+a)^-s
     cpow(b, s)       b^s = exp(s ln b) for real b > 0
 
+Every direct Dirichlet block, here and in the series evaluator, goes
+through one kernel, `_dirichlet_sum`.  It writes m^-s = m^-sigma *
+e^{-it log m} and builds one real row per distinct sigma and one phase
+row per distinct |t|, so points that share a height (or a sigma column)
+share the transcendental work; a real multiply-reduce combines the rows
+per point.
+
 All four accept Python scalars (complex/float/int), `ComplexPoint`, or
 numpy arrays of points; scalar in, scalar out.  Accuracy is engineered
 for IEEE double precision:
@@ -280,42 +287,100 @@ def em_split_point(max_abs_t: float, min_re: float, settings: EvalSettings | Non
     return max(8, int(math.ceil(0.32 * max_abs_t)) + 8)
 
 
+# Cap on rows x columns per kernel block.  At most five float64 arrays of
+# this size live at once, so the kernel's temporaries stay near 5 MB
+# whatever the height (only its log and weight rows grow with N).
+ELEMENT_BUDGET = 1 << 17
+
+
+def _dirichlet_sum(s: np.ndarray, logs: np.ndarray, weights: np.ndarray):
+    """sum_m w_m exp(-s log_m) at every point of s.
+
+    Writes m^-s = m^-sigma * e^{-it log m}: one real row w_m m^-sigma per
+    distinct sigma and one phase row (cos, sin)(|t| log_m) per distinct
+    |t| (t and -t differ only in the sign of the sine part), combined per
+    point by a real multiply-reduce.  The reduction is an einsum, not
+    BLAS, so its summation order never depends on threads.  Points go
+    through in blocks of at most ELEMENT_BUDGET rows x columns (columns
+    too, for a single row wider than that), which bounds the temporaries
+    at any height.
+
+    Returns (sums, scale) with scale = max_m |w_m m^-sigma|, the largest
+    term, taken from the sigma rows.
+    """
+    n_cols = len(logs)
+    rows = max(1, ELEMENT_BUDGET // n_cols)
+    width = min(n_cols, ELEMENT_BUDGET)
+    sums = np.zeros(len(s), dtype=np.complex128)
+    scale = np.zeros(len(s))
+    for lo in range(0, len(s), rows):
+        block = s[lo : lo + rows]
+        sigmas, i_sigma = np.unique(block.real, return_inverse=True)
+        heights, i_height = np.unique(np.abs(block.imag), return_inverse=True)
+        sine_sign = np.where(block.imag < 0.0, 1.0, -1.0)
+        for c0 in range(0, n_cols, width):
+            lg = logs[c0 : c0 + width]
+            amp = np.multiply.outer(-sigmas, lg)
+            np.exp(amp, out=amp)
+            amp *= weights[c0 : c0 + width]
+            peak = np.abs(amp).max(axis=1)[i_sigma]
+            np.maximum(scale[lo : lo + rows], peak, out=scale[lo : lo + rows])
+            amp = amp[i_sigma]
+            sines = np.multiply.outer(heights, lg)
+            cosines = np.cos(sines)
+            np.sin(sines, out=sines)
+            sums.real[lo : lo + rows] += np.einsum("pm,pm->p", cosines[i_height], amp)
+            del cosines
+            sums.imag[lo : lo + rows] += sine_sign * np.einsum("pm,pm->p", sines[i_height], amp)
+    return sums, scale
+
+
+def _em_tail(s: np.ndarray, x, order: int):
+    """Euler-Maclaurin bracket at the split x = N + a.
+
+    Returns (bracket, omitted) with
+
+        bracket = 1/2 + sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1)
+
+    and omitted the size of the first dropped term; the tail of the sum
+    is x^-s * bracket, with x^-s left to the caller so it can fold other
+    powers into the same exponent.  x may be a column of several splits,
+    which broadcasts against the points to one row per split.
+    """
+    inv_x = 1.0 / np.asarray(x, dtype=np.float64)
+    inv_x2 = inv_x * inv_x
+    ser = 0.0
+    poch = s
+    fac = inv_x
+    for k in range(order // 2):
+        ser = ser + _EM_COEF[k] * poch * fac
+        poch = poch * (s + (2 * k + 1)) * (s + (2 * k + 2))
+        fac = fac * inv_x2
+    omitted = (
+        abs(_EM_COEF[order // 2]) * np.abs(poch) * fac
+        if order // 2 < len(_EM_COEF)
+        else np.zeros(np.shape(ser))
+    )
+    return 0.5 + ser, omitted
+
+
 def _em_regular(s: np.ndarray, a: float, n_split: int, order: int):
     """Pole-free part of the Euler-Maclaurin formula for zeta(s, a).
 
     Returns (regular, err_estimate) where
 
-        regular = sum_{n<N} (n+a)^-s  +  x^-s * (1/2 + tail),
-        tail    = sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1),
+        regular = sum_{n<N} (n+a)^-s  +  x^-s * bracket(s, x),
 
-    with x = N + a.  The full value is regular + x^(1-s)/(s-1).
+    with x = N + a; the direct block is `_dirichlet_sum` with unit
+    weights and the bracket is `_em_tail`.  The full value is
+    regular + x^(1-s)/(s-1).
     """
-    base = np.arange(n_split, dtype=np.float64) + a
-    logs = np.log(base)
-    terms = np.exp(-np.multiply.outer(s, logs))
-    direct = terms.sum(axis=1)
-    scale = np.abs(terms).max(axis=1)
-
+    logs = np.log(np.arange(n_split, dtype=np.float64) + a)
+    direct, scale = _dirichlet_sum(s, logs, np.ones(n_split))
     x = float(n_split) + a
-    lnx = math.log(x)
-    xs = np.exp(-s * lnx)
-    inv_x = 1.0 / x
-    inv_x2 = inv_x * inv_x
-
-    ser = np.zeros_like(s)
-    poch = s.copy()
-    fac = inv_x
-    for k in range(order // 2):
-        ser += _EM_COEF[k] * poch * fac
-        poch = poch * (s + (2 * k + 1)) * (s + (2 * k + 2))
-        fac *= inv_x2
-    omitted = (
-        abs(_EM_COEF[order // 2]) * np.abs(poch) * fac
-        if order // 2 < len(_EM_COEF)
-        else np.zeros(len(s))
-    )
-
-    regular = direct + xs * (0.5 + ser)
+    bracket, omitted = _em_tail(s, x, order)
+    xs = np.exp(-s * math.log(x))
+    regular = direct + xs * bracket
     err = np.abs(xs) * omitted + 8.0 * np.finfo(float).eps * n_split * scale
     return regular, err
 

@@ -19,6 +19,7 @@ from .errors import AccuracyWarning, PoleError
 from .specfun import (
     ComplexPoint,
     EvalSettings,
+    _settings,
     digamma,
     hurwitz_zeta,
     hurwitz_zeta_any,
@@ -352,7 +353,7 @@ _SUITES = {
 
 def run_suite(name: str, settings: EvalSettings | None = None, worker_map=None) -> SuiteResult:
     """Run one named invariant suite and return its check results."""
-    cfg = EvalSettings() if settings is None else settings
+    cfg = _settings(settings)
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
     return _SUITES[name](cfg, worker_map)

@@ -194,5 +194,5 @@ def test_criterion_10_parallel_determinism(tmp_path):
     assert cli_main(base + ["--jobs", "8", "--out", str(p8)]) == 0
     b1 = p1.read_bytes()
     assert b1 == p8.read_bytes()
-    assert b"False" not in b1
+    assert b",false," not in b1
     report(10, f"verify all passed twice; {len(b1)} output bytes identical")

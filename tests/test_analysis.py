@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from dhratio import analysis
 from dhratio.analysis import (
     CLAIM_IDS,
     ComplexPoint,
@@ -24,10 +26,12 @@ from dhratio.analysis import (
 )
 from dhratio.errors import (
     BoundaryZeroError,
+    ConvergenceError,
     DegenerateCellWarning,
     DivergedError,
     DomainError,
 )
+from dhratio.specfun import DEFAULT_SETTINGS
 from dhratio.xratio import logabsx_many
 
 KAPPA_REF = 1.2116357919123534
@@ -241,6 +245,64 @@ def test_survey_near_first_off_line_pair():
     sigmas = sorted(r.location.sigma for r in off)
     assert abs(sigmas[0] - (1.0 - OFF_LINE_ZEROS[0].real)) < 1e-6
     assert abs(sigmas[1] - OFF_LINE_ZEROS[0].real) < 1e-6
+
+
+def test_band_counts_match_single_cell_counts():
+    rect = Rect(0.0, 1.0, 84.0, 87.0)
+    s_cuts, t_cuts = analysis._tiling(rect, 0.25, 0.0)
+    samples = analysis._SURVEY_SAMPLES
+    counts = analysis._grid_counts(s_cuts, t_cuts, samples, DEFAULT_SETTINGS)
+    assert counts.shape == (len(t_cuts) - 1, len(s_cuts) - 1)
+    for (j, i), c in np.ndenumerate(counts):
+        cell = Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1])
+        assert c == count_zeros_rect(cell, samples, max_retries=0), f"cell {cell}"
+    assert counts.sum() == count_zeros_rect(rect, 64) > 0
+
+
+def test_survey_records_do_not_depend_on_worker_map():
+    rect = Rect(0.0, 1.0, 84.0, 87.0)  # 12 cell rows: two bands
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = survey_zeros(rect, worker_map=pool.map)
+    assert threaded == survey_zeros(rect)
+
+
+def test_survey_raises_when_dedupe_loses_a_zero(monkeypatch):
+    rect = Rect(0.0, 1.0, 85.0, 86.0)
+    honest = survey_zeros(rect)
+    assert len(honest) >= 2
+    real_localize = analysis._localize
+
+    def collapsing(cell, count, cfg, depth=0):
+        # every cell's Newton run lands on the same zero
+        return [honest[0]] * len(real_localize(cell, count, cfg, depth))
+
+    monkeypatch.setattr(analysis, "_localize", collapsing)
+    with pytest.raises(ConvergenceError):
+        survey_zeros(rect)
+
+
+def test_survey_retries_next_offset_after_a_lost_zero(monkeypatch):
+    rect = Rect(0.0, 1.0, 85.0, 86.0)
+    honest = survey_zeros(rect)
+    real_localize = analysis._localize
+    real_tiling = analysis._tiling
+    offsets = []
+
+    def tiling(r, cell_size, t_offset):
+        offsets.append(t_offset)
+        return real_tiling(r, cell_size, t_offset)
+
+    def collapsing_first(cell, count, cfg, depth=0):
+        found = real_localize(cell, count, cfg, depth)
+        return [honest[0]] * len(found) if len(offsets) == 1 else found
+
+    monkeypatch.setattr(analysis, "_tiling", tiling)
+    monkeypatch.setattr(analysis, "_localize", collapsing_first)
+    recs = survey_zeros(rect)
+    assert offsets[:2] == [0.0, 0.04]
+    assert len(recs) == len(honest)
+    for b in honest:
+        assert min(abs(a.location.z - b.location.z) for a in recs) < 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ in-tree oracle wherever the series converges.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,6 +138,45 @@ def test_series_error_estimate_is_honest():
     assert abs(coarse.value.z - fine.value.z) < coarse.est_abs_err
 
 
+@pytest.mark.parametrize("s", [445.0 + 3.0j, 60.0 + 10.0j])
+def test_large_real_part_matches_series(s):
+    # 5^-s is folded into every exponent, so no power overflows on the way
+    got = f(s)
+    want = f_series(s, 1000)
+    assert abs(got.value.z - want.value.z) <= 1e-15 * abs(want.value.z)
+
+
+def test_far_right_is_one():
+    assert f(1e4).value.z == 1.0
+    assert f(445.0).value.z == 1.0
+
+
+# ----------------------------------------------------------------------
+# batching
+# ----------------------------------------------------------------------
+
+
+def test_batch_memory_is_bounded_at_height():
+    rng = np.random.default_rng(20260822)
+    pts = rng.uniform(0.0, 1.0, 4096) + 1j * rng.uniform(1000.0, 1001.0, 4096)
+    tracemalloc.start()
+    try:
+        f_batch(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_batch_returns_input_order_across_heights():
+    # the batch is sorted by height and chunked; results come back in order
+    s = np.array([0.3 + 900.0j, 2.0 - 7.0j, 0.5 - 900.0j, 0.5 + 14.1j, 3.0 + 0.0j])
+    vals, _ = f_batch(s)
+    for k, sv in enumerate(s):
+        single = f(sv).value.z
+        assert abs(vals[k] - single) < 1e-12 * (1.0 + abs(single))
+
+
 # ----------------------------------------------------------------------
 # functional equation
 # ----------------------------------------------------------------------
@@ -207,8 +247,8 @@ def test_z_function_sign_change_brackets_zero():
 
 
 def test_z_function_array_matches_scalar():
-    # batches share one series split chosen from the batch maximum
-    # height, so agreement is to evaluation accuracy, not bitwise
+    # a batch shares one series split per chunk of nearby heights,
+    # so agreement is to evaluation accuracy, not bitwise
     t = np.array([2.0, 14.1, -14.1, 60.0])
     batch = z_function(t)
     for k, tv in enumerate(t):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dhratio import specfun
 from dhratio.errors import DomainError, PoleError
 from dhratio.specfun import (
     ComplexPoint,
@@ -193,6 +194,46 @@ def test_hurwitz_brute_force_at_re3():
         a = float(rng.uniform(0.05, 1.0))
         brute = np.exp(-s * np.log(n + a)).sum()
         assert abs(hurwitz_zeta(s, a) - brute) < 1e-10, f"s={s}, a={a}"
+
+
+def _brute_direct_sum(s, logs, weights):
+    terms = weights * np.exp(-np.multiply.outer(s, logs))
+    return terms.sum(axis=1), np.abs(terms).max(axis=1)
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(20260822)
+    n = np.arange(1.0, 1501.0)
+    fused = np.where(n % 5 == 0, 0.0, np.cos(n))  # any real weights, some zero
+    for t0 in (10.0, 1000.0):
+        sigmas = np.linspace(-0.5, 1.5, 9)
+        heights = np.concatenate((np.linspace(t0, t0 + 1.0, 6), -np.linspace(t0, t0 + 1.0, 6)))
+        grid = (sigmas[:, None] + 1j * heights).ravel()
+        scattered = rng.uniform(-0.5, 1.5, 60) + 1j * rng.choice([-1.0, 1.0], 60) * rng.uniform(
+            t0 - 1.0, t0 + 1.0, 60
+        )
+        for pts in (grid, scattered):
+            for weights in (np.ones(len(n)), fused):
+                yield pts, np.log(n), weights
+
+
+def test_dirichlet_kernel_matches_brute_force():
+    # shared sigma x t grids (with mirrored heights) and scattered points
+    for pts, logs, weights in _kernel_cases():
+        got, scale = specfun._dirichlet_sum(pts, logs, weights)
+        want, want_scale = _brute_direct_sum(pts, logs, weights)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert np.allclose(scale, want_scale, rtol=4e-16, atol=0.0)
+
+
+def test_dirichlet_kernel_blocks_rows_and_columns(monkeypatch):
+    # a budget below one row forces both the row and the column blocking
+    pts, logs, weights = next(_kernel_cases())
+    want, want_scale = _brute_direct_sum(pts, logs, weights)
+    monkeypatch.setattr(specfun, "ELEMENT_BUDGET", 256)
+    got, scale = specfun._dirichlet_sum(pts, logs, weights)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert np.allclose(scale, want_scale, rtol=4e-16, atol=0.0)
 
 
 @given(
