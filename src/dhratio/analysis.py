@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .dhfun import f, f_batch, f_prime, pq, z_function
+from .dhfun import _f_at, f_batch, pq, z_function
 from .errors import (
     BoundaryZeroError,
     ConvergenceError,
@@ -41,7 +41,7 @@ from .errors import (
     UndersampledError,
 )
 from .specfun import ComplexPoint, EvalSettings, _settings, digamma, lgamma
-from .xratio import dlogabsx_dt, dsigma_logabsx, gamma_modulus_dt, logabsx_many
+from .xratio import dlogabsx_dt, gamma_modulus_dt, logabsx_many
 
 __all__ = [
     "Rect",
@@ -237,35 +237,68 @@ def _axis(lo: float, hi: float, step: float, snap_line: bool) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# bracketed roots
+# ----------------------------------------------------------------------
+
+_ROOT_MAX_ROUNDS = 80
+
+
+def _ulp_toward(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p moved by one ulp toward q in each coordinate (real or complex)."""
+    re = np.nextafter(p.real, q.real)
+    return re + 1j * np.nextafter(p.imag, q.imag) if np.iscomplexobj(p) else re
+
+
+def _bracket_roots(func, a, b, fa, fb) -> np.ndarray:
+    """One sign-change root per bracket, all brackets in lockstep.
+
+    `func` maps an array of points (real, or complex along segments) to
+    real values; fa, fb at the endpoints a, b have opposite signs (> 0
+    against <= 0) or are zero.  Each round is one `func` call and one
+    Illinois false-position step per live bracket (Dowell & Jarratt, BIT
+    11, 1971): the secant point of a and the newest point b, halving the
+    value at a whenever a is kept, moved one ulp inward if it rounds onto
+    an endpoint.  A bracket bisects when the secant point leaves it or an
+    endpoint value is not finite, and stops on an exact 0 or once it is
+    at most 4 ulp wide in each coordinate.  Returns the midpoints.
+    """
+    a, b = np.array(a), np.array(b)
+    fa, fb = np.array(fa, dtype=np.float64), np.array(fb, dtype=np.float64)
+    b = np.where(fa == 0.0, a, b)
+    a = np.where(fb == 0.0, b, a)
+    for _ in range(_ROOT_MAX_ROUNDS):
+        wide = np.zeros(len(a), dtype=bool)
+        for part in (np.real, np.imag):
+            lo, hi = part(a), part(b)
+            wide |= np.abs(hi - lo) > 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        live = np.nonzero(wide)[0]
+        if len(live) == 0:
+            break
+        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = fbl / (fbl - fal)
+        x = bl + lam * (al - bl)
+        # a secant point that rounds onto an endpoint moves one ulp inward
+        x = np.where(x == bl, _ulp_toward(bl, al), np.where(x == al, _ulp_toward(al, bl), x))
+        inside = np.isfinite(fal) & np.isfinite(fbl) & (lam > 0.0) & (lam < 1.0)
+        x = np.where(inside, x, 0.5 * (al + bl))
+        fx = np.asarray(func(x), dtype=np.float64)
+        flip = (fx > 0.0) != (fbl > 0.0)  # the root lies between x and b
+        a[live] = np.where(fx == 0.0, x, np.where(flip, bl, al))
+        fa[live] = np.where(flip, fbl, 0.5 * fal)
+        b[live], fb[live] = x, fx
+    return 0.5 * (a + b)
+
+
+# ----------------------------------------------------------------------
 # marching squares
 # ----------------------------------------------------------------------
 
 
-def _refine_crossings(pa, pb, ha_pos, cfg: EvalSettings):
-    """Lockstep bisection of sign changes of h along straight edges.
-
-    pa, pb: complex endpoint arrays with opposite h signs; ha_pos is
-    the boolean sign (h > 0) at pa.  Runs until the interval collapses
-    in floating point, which pins each crossing to the last ulp.
-    """
-    pa = pa.copy()
-    pb = pb.copy()
-    active = np.ones(len(pa), dtype=bool)
-    for _ in range(60):
-        if not active.any():
-            break
-        mid = 0.5 * (pa[active] + pb[active])
-        stuck = (mid == pa[active]) | (mid == pb[active])
-        hm = _h_at(mid, cfg)
-        go_a = hm > 0.0
-        idx = np.nonzero(active)[0]
-        same_side = go_a == ha_pos[idx]
-        pa[idx[same_side]] = mid[same_side]
-        pb[idx[~same_side]] = mid[~same_side]
-        still = idx[~stuck]
-        active[:] = False
-        active[still] = True
-    return 0.5 * (pa + pb)
+def _refine_crossings(pa, pb, ha, hb, cfg: EvalSettings):
+    """Sign changes of h along the edges pa -> pb (h values ha, hb; +-inf
+    at a zero or pole of X), each pinned to 4 ulp by `_bracket_roots`."""
+    return _bracket_roots(partial(_h_at, cfg=cfg), pa, pb, ha, hb)
 
 
 _SINGULAR_SIGMAS = [float(v) for v in range(-99, 100) if v % 2 != 0 and v <= -1] + [
@@ -355,8 +388,8 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
     ts_all = _axis(window.t_min, window.t_max, step, snap_line=False)
     ts = ts_all[row_lo : row_hi + 1]
     grid_s, grid_t = np.meshgrid(sigmas, ts)
-    pts = (grid_s + 1j * grid_t).ravel()
-    h = _h_at(pts, cfg).reshape(grid_s.shape)
+    grid_pts = grid_s + 1j * grid_t
+    h = _h_at(grid_pts.ravel(), cfg).reshape(grid_s.shape)
     sb = h > 0.0
 
     # cells needing attention: any edge sign change
@@ -411,6 +444,7 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
             needed_edges.update(seg)
 
     # subdivide degenerate cells once, then flag them
+    subgrids = {}
     for j, i in sorted(degenerate):
         if not hot[j, i]:
             continue
@@ -423,7 +457,9 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
         sub_s = np.array([sigmas[i], 0.5 * (sigmas[i] + sigmas[i + 1]), sigmas[i + 1]])
         sub_t = np.array([ts[j], 0.5 * (ts[j] + ts[j + 1]), ts[j + 1]])
         gs, gt = np.meshgrid(sub_s, sub_t)
-        hsub = _h_at((gs + 1j * gt).ravel(), cfg).reshape(3, 3)
+        sub_pts = gs + 1j * gt
+        hsub = _h_at(sub_pts.ravel(), cfg).reshape(3, 3)
+        subgrids[(j, i)] = (sub_pts, hsub)
         sbs = hsub > 0.0
         for jj in range(2):
             for ii in range(2):
@@ -435,46 +471,20 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
 
     # refine every needed edge once
     edge_list = sorted(needed_edges)
-    pa, pb, ha = [], [], []
+    pa, pb, ha, hb = [], [], [], []
     for e in edge_list:
-        if e[0] == "h":
-            _, j, i = e
-            a = complex(sigmas[i], ts[j])
-            b = complex(sigmas[i + 1], ts[j])
-            pos = bool(sb[j, i])
-        elif e[0] == "v":
-            _, j, i = e
-            a = complex(sigmas[i], ts[j])
-            b = complex(sigmas[i], ts[j + 1])
-            pos = bool(sb[j, i])
-        else:
+        if e[0] == "s":
             _, j, i, (kind, jj, ii) = e
-            base_s = sigmas[i]
-            base_t = ts[j]
-            half_s = 0.5 * (sigmas[i + 1] - sigmas[i])
-            half_t = 0.5 * (ts[j + 1] - ts[j])
-            sub_s = [base_s, base_s + half_s, base_s + 2 * half_s]
-            sub_t = [base_t, base_t + half_t, base_t + 2 * half_t]
-            gs, gt = np.meshgrid(np.asarray(sub_s), np.asarray(sub_t))
-            hsub = _h_at((gs + 1j * gt).ravel(), cfg).reshape(3, 3)
-            sbs = hsub > 0.0
-            if kind == "h":
-                a = complex(sub_s[ii], sub_t[jj])
-                b = complex(sub_s[ii + 1], sub_t[jj])
-                pos = bool(sbs[jj, ii])
-            else:
-                a = complex(sub_s[ii], sub_t[jj])
-                b = complex(sub_s[ii], sub_t[jj + 1])
-                pos = bool(sbs[jj, ii])
-        pa.append(a)
-        pb.append(b)
-        ha.append(pos)
-    if edge_list:
-        refined = _refine_crossings(
-            np.array(pa), np.array(pb), np.array(ha, dtype=bool), cfg
-        )
-    else:
-        refined = np.array([])
+            pts, vals = subgrids[(j, i)]
+        else:
+            kind, jj, ii = e
+            pts, vals = grid_pts, h
+        jb, ib = (jj, ii + 1) if kind == "h" else (jj + 1, ii)
+        pa.append(pts[jj, ii])
+        pb.append(pts[jb, ib])
+        ha.append(vals[jj, ii])
+        hb.append(vals[jb, ib])
+    refined = _refine_crossings(np.array(pa), np.array(pb), np.array(ha), np.array(hb), cfg)
     global_segments = []
     vertex_of = {}
     for e, v in zip(edge_list, refined):
@@ -499,9 +509,9 @@ def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, 
     Classifies cells on the deflated field h = log|X| / (sigma - 1/2),
     using d(log|X|)/dsigma on the line itself, so the critical line --
     an exact component of the level set -- is removed analytically and
-    only the bounded branches remain.  Each crossing edge is bisected
-    to the floating-point limit, which puts every vertex v at
-    |log|X(v)|| < 1e-10.  Cells containing a zero or pole of X are
+    only the bounded branches remain.  Each crossing edge is refined by
+    bracketed false position to within 4 ulp, which puts every vertex v
+    at |log|X(v)|| < 1e-10.  Cells containing a zero or pole of X are
     subdivided once and flagged with DegenerateCellWarning.
 
     `worker_map` (a map-like callable) lets the caller run horizontal
@@ -559,21 +569,15 @@ def _trace_band_task(args):
 
 
 def _kappa_root(cfg: EvalSettings) -> float:
-    """Root of d(log|X|)/dsigma on the line, t > 0, by bisection."""
-    lo, hi = 0.0, 2.0
-    glo = dsigma_logabsx(0.5 + 0.0j, cfg)
-    ghi = dsigma_logabsx(0.5 + 1j * hi, cfg)
-    if not (glo > 0.0 > ghi):
+    """Root of d(log|X|)/dsigma on the line, t > 0, by `_bracket_roots`."""
+    ends = np.array([0.0, 2.0])
+    g = _dsigma_many(0.5 + 1j * ends, cfg)
+    if not (g[0] > 0.0 > g[1]):
         raise ConvergenceError("no sign change in the strip-crossing bracket (0, 2)")
-    for _ in range(200):
-        if hi - lo <= 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        if dsigma_logabsx(0.5 + 1j * mid, cfg) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    root = _bracket_roots(
+        lambda t: _dsigma_many(0.5 + 1j * t, cfg), ends[:1], ends[1:], g[:1], g[1:]
+    )
+    return float(root[0])
 
 
 @lru_cache(maxsize=8)
@@ -586,7 +590,7 @@ def kappa_detail(settings: EvalSettings | None = None) -> KappaResult:
 
     Primary: trace the level curve in the strip, zoom on the apex, and
     take the vertex of a parabola fitted through the apex vertices (no
-    symmetry assumption).  Cross-check: bisect d(log|X|)/dsigma = 0 on
+    symmetry assumption).  Cross-check: the root of d(log|X|)/dsigma on
     the line.  The two must agree to about 1e-6; the apex is extremely
     flat, so the fit rather than a raw vertex maximum supplies the
     trace value.
@@ -772,28 +776,19 @@ def count_zeros_rect(
 
 
 def _line_polish(t_seed: float, cfg: EvalSettings) -> float | None:
-    """Bisect the rotated real form to pin a line zero's height."""
+    """Pin a line zero's height by a sign change of the rotated real form.
+
+    Brackets of growing half-width around t_seed are tried, both ends in
+    one z_function call, until Z changes sign; `_bracket_roots` then
+    pins the root.  Returns None when no bracket up to 1e-3 changes sign.
+    """
+    z_of = partial(z_function, settings=cfg)
     delta = 1e-8 * max(1.0, abs(t_seed))
     while delta <= 1e-3:
-        a, b = t_seed - delta, t_seed + delta
-        za, zb = z_function(a, cfg), z_function(b, cfg)
-        if za == 0.0:
-            return a
-        if zb == 0.0:
-            return b
-        if (za > 0.0) != (zb > 0.0):
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if mid == a or mid == b:
-                    break
-                zm = z_function(mid, cfg)
-                if zm == 0.0:
-                    return mid
-                if (zm > 0.0) == (za > 0.0):
-                    a = mid
-                else:
-                    b = mid
-            return 0.5 * (a + b)
+        ends = np.array([t_seed - delta, t_seed + delta])
+        za, zb = z_of(ends)
+        if za == 0.0 or zb == 0.0 or (za > 0.0) != (zb > 0.0):
+            return float(_bracket_roots(z_of, ends[:1], ends[1:], [za], [zb])[0])
         delta *= 4.0
     return None
 
@@ -819,12 +814,13 @@ def _finish_record(loc: complex, iterations: int, cfg: EvalSettings) -> ZeroReco
 def refine_zero(seed, settings: EvalSettings | None = None, trust_radius: float = 0.5) -> ZeroRecord:
     """Newton refinement of a zero from a seed point.
 
-    Iterates s -> s - f(s)/f'(s) until |f| < newton_tol, raising
+    Iterates s -> s - f(s)/f'(s), both from one evaluation pass (with
+    `f`'s AccuracyWarning), until |f| < newton_tol, raising
     DivergedError if an iterate leaves the trust disk around the seed
     and ConvergenceError if the budget runs out.  A result that lands
     within 1e-6 of the critical line is re-polished along the line
-    itself (sign change of the rotated real form), so line zeros carry
-    sigma = 1/2 exactly.
+    itself (sign change of the rotated real form, pinned by
+    `_bracket_roots`), so line zeros carry sigma = 1/2 exactly.
     """
     cfg = _settings(settings)
     s0 = seed.z if isinstance(seed, ComplexPoint) else complex(seed)
@@ -834,21 +830,20 @@ def refine_zero(seed, settings: EvalSettings | None = None, trust_radius: float 
     s = s0
     iterations = 0
     for _ in range(cfg.newton_max_iter):
-        fv = f(s, cfg).value.z
+        value, fp = _f_at(s, cfg, True)
+        fv = value.value.z
         if abs(fv) < cfg.newton_tol:
             break
-        fp = f_prime(s, cfg).z
         if fp == 0:
             raise ConvergenceError(f"derivative vanished at {s}")
-        step = fv / fp
-        s = s - step
+        s = s - fv / fp
         iterations += 1
         if abs(s - s0) > trust_radius:
             raise DivergedError(
                 f"iterate {s} left the trust disk of radius {trust_radius} around {s0}"
             )
     else:
-        fv = f(s, cfg).value.z
+        fv = _f_at(s, cfg, False)[0].value.z
     if not abs(fv) < cfg.newton_tol:
         raise ConvergenceError(
             f"|f| = {abs(fv):.3g} after {iterations} iterations, above {cfg.newton_tol}"
@@ -871,51 +866,28 @@ def scan_critical_line(
 ) -> list[ZeroRecord]:
     """Line zeros from sign changes of the rotated real form.
 
-    Z is sampled on a grid of spacing `step`, each sign change is
-    bisected, and the root is finished through the standard record
-    path (so sigma = 1/2 exactly in every record).  Zeros closer
-    together than the grid spacing can be missed; halve the step to
-    confirm stability of the record set.
+    Z is sampled on a grid of spacing `step`; grid points where Z is 0
+    are roots, and all sign changes are pinned together by
+    `_bracket_roots`.  Each root becomes a record at sigma = 1/2 exactly
+    (0 Newton iterations).  Zeros closer together than the grid spacing
+    can be missed; halve the step to confirm stability of the record
+    set.
     """
     cfg = _settings(settings)
     if not (t0 < t1 and step > 0.0):
         raise DomainError("need t0 < t1 and a positive step")
     ts = _axis(t0, t1, step, snap_line=False)
-    zv = np.atleast_1d(z_function(ts, cfg))
-
-    roots = []
-    exact = np.nonzero(zv == 0.0)[0]
-    for i in exact:
-        roots.append(float(ts[i]))
+    z_of = partial(z_function, settings=cfg)
+    zv = z_of(ts)
     flip = (zv[:-1] * zv[1:]) < 0.0
-    lo = ts[:-1][flip].copy()
-    hi = ts[1:][flip].copy()
-    zlo = zv[:-1][flip].copy()
-    for _ in range(80):
-        if len(lo) == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        done = (mid == lo) | (mid == hi)
-        zm = np.atleast_1d(z_function(mid, cfg))
-        same = (zm > 0.0) == (zlo > 0.0)
-        lo = np.where(same, mid, lo)
-        zlo = np.where(same, zm, zlo)
-        hi = np.where(~same, mid, hi)
-        if done.all():
-            break
-    roots.extend(float(v) for v in 0.5 * (lo + hi))
-    roots.sort()
+    pinned = _bracket_roots(z_of, ts[:-1][flip], ts[1:][flip], zv[:-1][flip], zv[1:][flip])
+    roots = sorted(np.concatenate((ts[zv == 0.0], pinned)).tolist())
 
-    records = []
-    for t_root in roots:
-        rec = refine_zero(complex(0.5, t_root), cfg)
-        records.append(rec)
-    records.sort(key=lambda r: (r.location.t, r.location.sigma))
     deduped: list[ZeroRecord] = []
-    for rec in records:
-        if deduped and abs(rec.location.z - deduped[-1].location.z) < 1e-9:
+    for t_root in roots:
+        if deduped and abs(t_root - deduped[-1].location.t) < 1e-9:
             continue
-        deduped.append(rec)
+        deduped.append(_finish_record(complex(0.5, t_root), 0, cfg))
     return deduped
 
 

@@ -45,13 +45,13 @@ from .specfun import (
     _em_tail,
     _hurwitz_batch,
     _settings,
+    _sin_cos_pi,
     as_points,
+    digamma,
     em_split_point,
-    hurwitz_zeta,
     lgamma,
-    sin_pi,
 )
-from .xratio import x_of
+from .xratio import _x_many
 
 __all__ = [
     "CoefficientTable",
@@ -143,26 +143,37 @@ class FnValue:
 # ----------------------------------------------------------------------
 
 
-def _phi1(x: np.ndarray) -> np.ndarray:
-    """(e^x - 1)/x continued through x = 0, elementwise on complex input."""
+def _phi1(x: np.ndarray, deriv: bool = False):
+    """(e^x - 1)/x continued through x = 0, elementwise on complex input,
+    and its derivative (e^x - phi1)/x (None unless `deriv`); for
+    |x| < 1/4 both come from the same series."""
     out = np.empty_like(x)
+    dout = np.empty_like(x) if deriv else None
     small = np.abs(x) < 0.25
     xs = x[small]
     acc = np.zeros_like(xs)
-    term = np.ones_like(xs)
+    dacc = np.zeros_like(xs)
+    term = np.ones_like(xs)  # x^(k-1) / k!
     for k in range(1, 14):
         acc = acc + term
+        if deriv:
+            dacc = dacc + term * (k / (k + 1.0))
         term = term * xs / (k + 1.0)
     out[small] = acc
     xl = x[~small]
-    out[~small] = (np.exp(xl) - 1.0) / xl
-    return out
+    el = np.exp(xl)
+    out[~small] = (el - 1.0) / xl
+    if deriv:
+        dout[small] = dacc
+        dout[~small] = (el - out[~small]) / xl
+    return out, dout
 
 
-def _f_direct(s: np.ndarray, n_split: int, cfg: EvalSettings):
+def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     """Hurwitz-combination route with the s = 1 pole pair deflated.
 
-    Valid for Re s > -1 (and exact at s = 1).  The four residue blocks
+    Valid for Re s > -1 (and exact at s = 1), with the split N of the
+    largest |t|.  The four residue blocks
     and the 5^-s prefactor are one direct sum, 5^-s (n + r/5)^-s =
     (5n + r)^-s, taken by `_dirichlet_sum` over m < 5N, 5 not dividing
     m, with weights a(m mod 5).  The Euler-Maclaurin tails stay per
@@ -171,93 +182,142 @@ def _f_direct(s: np.ndarray, n_split: int, cfg: EvalSettings):
     -N^w 5^-s sum_r a_r u_r phi1(w u_r) with w = 1 - s, u_r =
     log1p(r/(5N)), which is finite and fully stable through w = 0.  No
     power is ever formed on its own, so nothing overflows for large
-    Re s, where every term is at most 1.
+    Re s, where every term is at most 1.  `deriv` adds f' in closed form.
     """
     a = DEFAULT_TABLE.array
+    n_split = em_split_point(np.abs(s.imag).max(), 0.0, cfg)
     residues = np.arange(1.0, 5.0)
     m = (5.0 * np.arange(n_split)[:, None] + residues).ravel()
-    direct, scale = _dirichlet_sum(s, np.log(m), np.tile(a[1:], n_split))
+    direct, ddirect, scale = _dirichlet_sum(s, np.log(m), np.tile(a[1:], n_split), deriv)
 
     r = residues[:, None]  # one row per residue class
-    bracket, omitted = _em_tail(s, n_split + r / 5.0, cfg.bernoulli_order)
-    xs = np.exp(-np.log(5.0 * n_split + r) * s)
-    tail = (a[1:, None] * xs * bracket).sum(axis=0)
-    tail_err = (np.abs(a[1:, None]) * np.abs(xs) * omitted).sum(axis=0)
+    coef = a[1:, None]
+    bracket, dbracket, omitted = _em_tail(s, n_split + r / 5.0, cfg.bernoulli_order, deriv)
+    log_x = np.log(5.0 * n_split + r)
+    xs = np.exp(-log_x * s)
+    tail = (coef * xs * bracket).sum(axis=0)
+    tail_err = (np.abs(coef) * np.abs(xs) * omitted).sum(axis=0)
 
     u = np.log1p(r / (5.0 * n_split))
-    pole = (a[1:, None] * u * _phi1((1.0 - s) * u)).sum(axis=0)
-    pole *= -np.exp((1.0 - s) * math.log(n_split) - s * _LN5)
+    phi, dphi = _phi1((1.0 - s) * u, deriv)
+    power = -np.exp((1.0 - s) * math.log(n_split) - s * _LN5)
+    residue_sum = (coef * u * phi).sum(axis=0)
+    pole = power * residue_sum
 
     regular = direct + tail
     values = regular + pole
     errs = tail_err + 8.0 * _EPS * (len(m) * scale + np.abs(regular) + np.abs(pole))
-    return values, errs
+    derivs = None
+    if deriv:
+        dtail = (coef * xs * (dbracket - log_x * bracket)).sum(axis=0)
+        dpole = power * (
+            -(math.log(n_split) + _LN5) * residue_sum - (coef * u * u * dphi).sum(axis=0)
+        )
+        derivs = ddirect + dtail + dpole
+    return values, derivs, errs
 
 
-def _f_reflected(s: np.ndarray, cfg: EvalSettings):
+def _f_reflected(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     """Reflected route for Re s <= -1, where Re (1-s) >= 2.
 
-    Exact integer reduction inside sin(pi z / 2) makes the trivial
-    zeros land on exact 0.0.
+    Exact integer reduction inside sin(pi z / 2) and cos(pi z / 2) makes
+    the trivial zeros land on exact 0.0 and keeps f' exact there; their
+    growth e^(pi |Im z| / 2) is folded into the prefactor's exponent.
+    With `deriv`, f' = E [(ln(10 pi) - ln 5 - psi(z)) sin - (pi/2) cos]
+    T(z) - E sin T'(z) for f = E sin T(z), T = sum_m S_m zeta(z, m/5).
     """
     z = 1.0 - s
     total = np.zeros_like(s)
+    dtotal = np.zeros_like(s)
     tot_err = np.zeros(len(s))
     for m in (1, 2, 3, 4):
-        val, err = _hurwitz_batch(z, m / 5.0, cfg)
+        val, dval, err = _hurwitz_batch(z, m / 5.0, cfg, deriv)
         total += _S_REFLECT[m - 1] * val
+        if deriv:
+            dtotal += _S_REFLECT[m - 1] * dval
         tot_err += abs(_S_REFLECT[m - 1]) * err
 
-    pref = 2.0 * np.exp(-s * _LN5 + lgamma(z) - z * _LN10PI) * sin_pi(0.5 * z)
+    half = 0.5 * z
+    sine, cosine = _sin_cos_pi(half)
+    expo = 2.0 * np.exp(-s * _LN5 + lgamma(z) - z * _LN10PI + np.pi * np.abs(half.imag))
+    pref = expo * sine
     values = pref * total
     errs = np.abs(pref) * tot_err + 8.0 * _EPS * np.abs(values)
-    return values, errs
+    derivs = None
+    if deriv:  # d/ds = -d/dz on T(z)
+        dlog = _LN10PI - _LN5 - np.atleast_1d(digamma(z))
+        derivs = expo * ((dlog * sine - 0.5 * np.pi * cosine) * total - sine * dtotal)
+    return values, derivs, errs
 
 
-def f_batch(s, settings: EvalSettings | None = None):
-    """Vectorized f over any collection of points.
+def _evaluate(arr: np.ndarray, cfg: EvalSettings, deriv: bool):
+    """f, and with `deriv` also f', at every point of a 1-D array.
 
-    Returns (values, est_abs_errs) as numpy arrays, in input order.
-    Chooses the direct deflated Hurwitz combination for Re s > -1 and
-    the reflected form for Re s <= -1.  The points are ordered by
-    (|t|, sigma), so those sharing a height, or its mirror -t, land in
-    the same chunk and the kernel builds their phase row once.  Each
-    chunk takes its own split N from its largest |t| and holds at most
-    ELEMENT_BUDGET / 4N points (4N columns for the fused direct block),
-    so the kernel's temporaries stay bounded at any height; the results
-    are scattered back to input order.
+    The one evaluation path, behind `f_batch`, `f`, `f_prime` and Newton:
+    the deflated Hurwitz combination for Re s > -1, the reflected form
+    for Re s <= -1.  The points are
+    ordered by (|t|, sigma), so those sharing a height, or its mirror
+    -t, land in the same chunk and the kernel builds their phase row
+    once.  A chunk holds at most ELEMENT_BUDGET / 4N points, N the split
+    of its largest |t| (4N columns for the fused direct block), so the
+    kernel's temporaries stay bounded at any height; the results are
+    scattered back to input order.
+
+    Returns (values, derivs or None, errs); DomainError where |f|
+    overflows float64.
     """
-    cfg = _settings(settings)
-    arr, _ = as_points(s)
     order = np.lexsort((arr.real, np.abs(arr.imag)))
     pts = arr[order]
-    abs_t = np.abs(pts.imag)
     # Both routes sum at real part >= -2 (Re s > -1 directly, Re(1 - s) >= 2
     # reflected), where the split point depends on the height alone.
-    heights, at_height = np.unique(abs_t, return_inverse=True)
+    heights, at_height = np.unique(np.abs(pts.imag), return_inverse=True)
     cols = np.array([4 * em_split_point(h, 0.0, cfg) for h in heights])
     rows = np.maximum(1, ELEMENT_BUDGET // cols)[at_height]
     # Chunk [lo, hi) fits when hi - lo <= rows[hi - 1], i.e. last[hi - 1] <= lo;
     # `last` strictly increases because `rows` never grows along the order.
     last = np.arange(1, len(pts) + 1) - rows
     values = np.empty_like(arr)
+    derivs = np.empty_like(arr) if deriv else None
     errs = np.empty(len(arr))
     lo = 0
-    while lo < len(pts):
-        hi = int(np.searchsorted(last, lo, side="right"))
-        chunk = pts[lo:hi]
-        vals = np.empty_like(chunk)
-        errc = np.empty(len(chunk))
-        left = chunk.real <= -1.0
-        if (~left).any():
-            n_split = em_split_point(abs_t[hi - 1], 0.0, cfg)
-            vals[~left], errc[~left] = _f_direct(chunk[~left], n_split, cfg)
-        if left.any():
-            vals[left], errc[left] = _f_reflected(chunk[left], cfg)
-        values[order[lo:hi]] = vals
-        errs[order[lo:hi]] = errc
-        lo = hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < len(pts):
+            hi = int(np.searchsorted(last, lo, side="right"))
+            left = pts[lo:hi].real <= -1.0
+            for mask, route in ((~left, _f_direct), (left, _f_reflected)):
+                if mask.any():
+                    where = order[lo:hi][mask]
+                    values[where], dvals, errs[where] = route(pts[lo:hi][mask], cfg, deriv)
+                    if deriv:
+                        derivs[where] = dvals
+            lo = hi
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"|f| overflows float64 at s = {complex(arr[bad][0])}")
+    return values, derivs, errs
+
+
+def f_batch(s, settings: EvalSettings | None = None):
+    """Vectorized f over any collection of points (see `_evaluate`).
+
+    Returns (values, est_abs_errs) as numpy arrays, in input order.
+    """
+    arr, _ = as_points(s)
+    values, _, errs = _evaluate(arr, _settings(settings), False)
     return values, errs
+
+
+def _f_at(s: complex, cfg: EvalSettings, deriv: bool):
+    """(FnValue, f' or None) at one point, warning like `f`."""
+    values, derivs, errs = _evaluate(np.array([s], dtype=np.complex128), cfg, deriv)
+    out = FnValue(ComplexPoint.from_complex(s), ComplexPoint.from_complex(values[0]), errs[0])
+    if out.est_abs_err > 1e6 * cfg.rel_tol * (abs(values[0]) + 1.0):
+        warnings.warn(
+            f"cancellation inflated the error estimate to {errs[0]:.3g} at s = {s}",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+    return out, (complex(derivs[0]) if deriv else None)
 
 
 def f(s, settings: EvalSettings | None = None) -> FnValue:
@@ -265,25 +325,12 @@ def f(s, settings: EvalSettings | None = None) -> FnValue:
 
     A warning is attached when the internal cancellation estimate says
     the result lost more than 1e6 * rel_tol of relative accuracy.
+    Raises DomainError where |f| overflows float64.
     """
-    cfg = _settings(settings)
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("f takes a single point; use f_batch for arrays")
-    values, errs = f_batch(arr, cfg)
-    value = complex(values[0])
-    err = float(errs[0])
-    if err > 1e6 * cfg.rel_tol * (abs(value) + 1.0):
-        warnings.warn(
-            f"cancellation inflated the error estimate to {err:.3g} at s = {value}",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return FnValue(
-        at=ComplexPoint.from_complex(complex(arr[0])),
-        value=ComplexPoint.from_complex(value),
-        est_abs_err=err,
-    )
+    return _f_at(complex(arr[0]), _settings(settings), False)[0]
 
 
 # ----------------------------------------------------------------------
@@ -326,52 +373,19 @@ def f_series(s, n_terms: int, settings: EvalSettings | None = None) -> FnValue:
 # ----------------------------------------------------------------------
 
 
-def _richardson(diff):
-    """One Richardson step on a central difference quotient callable."""
-
-    def at(h: float):
-        return (4.0 * diff(0.5 * h) - diff(h)) / 3.0
-
-    return at
-
-
 def f_prime(s, settings: EvalSettings | None = None) -> ComplexPoint:
-    """df/ds by the differentiated Hurwitz form.
+    """df/ds at a single point, from the same pass that evaluates f.
 
-    f'(s) = -ln(5) f(s) + 5^-s sum_r a_r d/ds zeta(s, r/5), the zeta
-    derivatives taken by central differences with one Richardson step.
-    Where that form is unusable (near s = 1, or in the left half-plane
-    where the direct zeta route loses digits) the same difference
-    scheme is applied to f itself, which is entire.
+    Every piece is differentiated in closed form: the direct block, the
+    Euler-Maclaurin tails, the deflated pole terms and, for Re s <= -1,
+    the reflected form, which stays exact at the trivial zeros.
     """
     cfg = _settings(settings)
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("f_prime takes a single point")
-    sv = complex(arr[0])
-    h = cfg.fd_step
-
-    if sv.real > -1.0 + 4.0 * h and abs(sv - 1.0) > 0.05:
-        a = DEFAULT_TABLE.a
-        deriv_sum = 0.0 + 0.0j
-        for r in (1, 2, 3, 4):
-
-            def quotient(step: float, _r=r):
-                hi = hurwitz_zeta(sv + step, _r / 5.0, cfg)
-                lo = hurwitz_zeta(sv - step, _r / 5.0, cfg)
-                return (hi - lo) / (2.0 * step)
-
-            deriv_sum += a[r] * _richardson(quotient)(h)
-        fv = f(sv, cfg).value.z
-        out = -_LN5 * fv + np.exp(-sv * _LN5) * deriv_sum
-    else:
-
-        def quotient(step: float):
-            vals, _ = f_batch(np.array([sv + step, sv - step]), cfg)
-            return (vals[0] - vals[1]) / (2.0 * step)
-
-        out = _richardson(quotient)(h)
-    return ComplexPoint.from_complex(complex(out))
+    _, derivs, _ = _evaluate(arr, cfg, True)
+    return ComplexPoint.from_complex(complex(derivs[0]))
 
 
 # ----------------------------------------------------------------------
@@ -379,20 +393,19 @@ def f_prime(s, settings: EvalSettings | None = None) -> ComplexPoint:
 # ----------------------------------------------------------------------
 
 
-def functional_eq_residual(s, settings: EvalSettings | None = None) -> float:
+def functional_eq_residual(s, settings: EvalSettings | None = None):
     """Relative size of f(s) - X(s) f(1-s): the library's master check.
 
-    Raises PoleError at s = 2, 4, 6, ... where X has poles.
+    Scalar in, float out; arrays in, arrays out (one f_batch call over s
+    and 1 - s).  Raises PoleError at s = 2, 4, 6, ... where X has poles.
     """
     cfg = _settings(settings)
-    arr, _ = as_points(s)
-    if len(arr) != 1:
-        raise DomainError("functional_eq_residual takes a single point")
-    sv = complex(arr[0])
-    xv = x_of(sv, cfg).value.z
-    vals, _ = f_batch(np.array([sv, 1.0 - sv]), cfg)
-    num = abs(vals[0] - xv * vals[1])
-    return float(num / (abs(vals[0]) + abs(vals[1]) + 1e-300))
+    arr, was_scalar = as_points(s)
+    xv, _ = _x_many(arr, cfg)
+    vals, _ = f_batch(np.concatenate((arr, 1.0 - arr)), cfg)
+    here, mirror = vals[: len(arr)], vals[len(arr) :]
+    res = np.abs(here - xv * mirror) / (np.abs(here) + np.abs(mirror) + 1e-300)
+    return float(res[0]) if was_scalar else res
 
 
 # ----------------------------------------------------------------------

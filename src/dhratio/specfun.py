@@ -293,25 +293,26 @@ def em_split_point(max_abs_t: float, min_re: float, settings: EvalSettings | Non
 ELEMENT_BUDGET = 1 << 17
 
 
-def _dirichlet_sum(s: np.ndarray, logs: np.ndarray, weights: np.ndarray):
-    """sum_m w_m exp(-s log_m) at every point of s.
+def _dirichlet_sum(s: np.ndarray, logs: np.ndarray, weights: np.ndarray, deriv: bool = False):
+    """sum_m w_m exp(-s log_m) at every point of s, and with `deriv` its
+    s-derivative sum_m -log_m w_m exp(-s log_m) from the same rows.
 
     Writes m^-s = m^-sigma * e^{-it log m}: one real row w_m m^-sigma per
     distinct sigma and one phase row (cos, sin)(|t| log_m) per distinct
     |t| (t and -t differ only in the sign of the sine part), combined per
-    point by a real multiply-reduce.  The reduction is an einsum, not
-    BLAS, so its summation order never depends on threads.  Points go
-    through in blocks of at most ELEMENT_BUDGET rows x columns (columns
-    too, for a single row wider than that), which bounds the temporaries
-    at any height.
+    point by einsums (never BLAS, so the summation order never depends on
+    threads); the derivative's -log_m enters the same reduction as a
+    third operand.  One gathered trig block lives at a time, in blocks of
+    at most ELEMENT_BUDGET rows x columns (columns too, for a single row
+    wider than that), which bounds the temporaries at any height.
 
-    Returns (sums, scale) with scale = max_m |w_m m^-sigma|, the largest
-    term, taken from the sigma rows.
+    Returns (sums, dsums or None, scale), scale = max_m |w_m m^-sigma|,
+    the largest term, taken from the sigma rows.
     """
     n_cols = len(logs)
     rows = max(1, ELEMENT_BUDGET // n_cols)
     width = min(n_cols, ELEMENT_BUDGET)
-    sums = np.zeros(len(s), dtype=np.complex128)
+    parts = np.zeros((1 + deriv, 2, len(s)))  # (sum, derivative) x (real, imaginary)
     scale = np.zeros(len(s))
     for lo in range(0, len(s), rows):
         block = s[lo : lo + rows]
@@ -326,68 +327,58 @@ def _dirichlet_sum(s: np.ndarray, logs: np.ndarray, weights: np.ndarray):
             peak = np.abs(amp).max(axis=1)[i_sigma]
             np.maximum(scale[lo : lo + rows], peak, out=scale[lo : lo + rows])
             amp = amp[i_sigma]
-            sines = np.multiply.outer(heights, lg)
-            cosines = np.cos(sines)
-            np.sin(sines, out=sines)
-            sums.real[lo : lo + rows] += np.einsum("pm,pm->p", cosines[i_height], amp)
-            del cosines
-            sums.imag[lo : lo + rows] += sine_sign * np.einsum("pm,pm->p", sines[i_height], amp)
-    return sums, scale
+            phases = np.multiply.outer(heights, lg)
+            for k, (trig, sign) in enumerate(((np.cos, 1.0), (np.sin, sine_sign))):
+                picked = trig(phases)[i_height]  # one trig row per point
+                parts[0, k, lo : lo + rows] += sign * np.einsum("pm,pm->p", picked, amp)
+                if deriv:
+                    parts[1, k, lo : lo + rows] -= sign * np.einsum("pm,pm,m->p", picked, amp, lg)
+                del picked
+    sums = parts[:, 0] + 1j * parts[:, 1]
+    return sums[0], (sums[1] if deriv else None), scale
 
 
-def _em_tail(s: np.ndarray, x, order: int):
+def _em_tail(s: np.ndarray, x, order: int, deriv: bool = False):
     """Euler-Maclaurin bracket at the split x = N + a.
 
-    Returns (bracket, omitted) with
+    Returns (bracket, dbracket, omitted) with
 
-        bracket = 1/2 + sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1)
+        bracket = 1/2 + sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1),
 
-    and omitted the size of the first dropped term; the tail of the sum
-    is x^-s * bracket, with x^-s left to the caller so it can fold other
+    dbracket its s-derivative (None unless `deriv`) and omitted the
+    size of the first dropped term; the tail of the sum is
+    x^-s * bracket, with x^-s left to the caller so it can fold other
     powers into the same exponent.  x may be a column of several splits,
     which broadcasts against the points to one row per split.
     """
     inv_x = 1.0 / np.asarray(x, dtype=np.float64)
     inv_x2 = inv_x * inv_x
-    ser = 0.0
-    poch = s
+    ser = dser = 0.0
+    poch, dpoch = s, 1.0
     fac = inv_x
     for k in range(order // 2):
         ser = ser + _EM_COEF[k] * poch * fac
-        poch = poch * (s + (2 * k + 1)) * (s + (2 * k + 2))
+        lo, hi = s + (2 * k + 1), s + (2 * k + 2)
+        if deriv:
+            dser = dser + _EM_COEF[k] * dpoch * fac
+            dpoch = dpoch * lo * hi + poch * (lo + hi)
+        poch = poch * lo * hi
         fac = fac * inv_x2
     omitted = (
         abs(_EM_COEF[order // 2]) * np.abs(poch) * fac
         if order // 2 < len(_EM_COEF)
         else np.zeros(np.shape(ser))
     )
-    return 0.5 + ser, omitted
+    return 0.5 + ser, (dser if deriv else None), omitted
 
 
-def _em_regular(s: np.ndarray, a: float, n_split: int, order: int):
-    """Pole-free part of the Euler-Maclaurin formula for zeta(s, a).
-
-    Returns (regular, err_estimate) where
-
-        regular = sum_{n<N} (n+a)^-s  +  x^-s * bracket(s, x),
-
-    with x = N + a; the direct block is `_dirichlet_sum` with unit
-    weights and the bracket is `_em_tail`.  The full value is
-    regular + x^(1-s)/(s-1).
-    """
-    logs = np.log(np.arange(n_split, dtype=np.float64) + a)
-    direct, scale = _dirichlet_sum(s, logs, np.ones(n_split))
-    x = float(n_split) + a
-    bracket, omitted = _em_tail(s, x, order)
-    xs = np.exp(-s * math.log(x))
-    regular = direct + xs * bracket
-    err = np.abs(xs) * omitted + 8.0 * np.finfo(float).eps * n_split * scale
-    return regular, err
-
-
-def _hurwitz_batch(s: np.ndarray, a: float, cfg: EvalSettings):
-    """zeta(s, a) on an array of points, none equal to 1."""
+def _hurwitz_batch(s: np.ndarray, a: float, cfg: EvalSettings, deriv: bool = False):
+    """zeta(s, a) on an array of points, none equal to 1, as (values,
+    derivs or None, errs): Euler-Maclaurin with x = N + a, the direct
+    block sum_{n<N} (n+a)^-s by `_dirichlet_sum`, the tail x^-s *
+    bracket(s, x) by `_em_tail` and the pole part x^(1-s)/(s-1)."""
     out = np.empty_like(s)
+    dout = np.empty_like(s) if deriv else None
     err = np.empty(len(s))
     neg = s.real < -2.0
     for mask in (~neg, neg):
@@ -395,12 +386,18 @@ def _hurwitz_batch(s: np.ndarray, a: float, cfg: EvalSettings):
             continue
         sub = s[mask]
         n_split = em_split_point(np.abs(sub.imag).max(), sub.real.min(), cfg)
-        reg, e = _em_regular(sub, a, n_split, cfg.bernoulli_order)
-        x = float(n_split) + a
-        pole = np.exp((1.0 - sub) * math.log(x)) / (sub - 1.0)
-        out[mask] = reg + pole
-        err[mask] = e
-    return out, err
+        logs = np.log(np.arange(n_split, dtype=np.float64) + a)
+        direct, ddirect, scale = _dirichlet_sum(sub, logs, np.ones(n_split), deriv)
+        log_x = math.log(float(n_split) + a)
+        bracket, dbracket, omitted = _em_tail(sub, float(n_split) + a, cfg.bernoulli_order, deriv)
+        xs = np.exp(-sub * log_x)
+        pole = np.exp((1.0 - sub) * log_x) / (sub - 1.0)
+        out[mask] = direct + xs * bracket + pole
+        err[mask] = np.abs(xs) * omitted + 8.0 * np.finfo(float).eps * n_split * scale
+        if deriv:
+            dtail = xs * (dbracket - log_x * bracket)
+            dout[mask] = ddirect + dtail - pole * (log_x + 1.0 / (sub - 1.0))
+    return out, dout, err
 
 
 def hurwitz_zeta_any(s, a: float, settings: EvalSettings | None = None):
@@ -411,7 +408,7 @@ def hurwitz_zeta_any(s, a: float, settings: EvalSettings | None = None):
     arr, was_scalar = as_points(s)
     if np.any(arr == 1.0):
         raise PoleError("Hurwitz zeta pole at s = 1")
-    out, _ = _hurwitz_batch(arr, float(a), cfg)
+    out, _, _ = _hurwitz_batch(arr, float(a), cfg)
     return _unpack(out, was_scalar)
 
 
@@ -442,20 +439,28 @@ def cpow(b: float, s):
     return _unpack(out, was_scalar)
 
 
-def sin_pi(w):
-    """sin(pi w) with exact argument reduction.
+def _sin_cos_pi(w: np.ndarray):
+    """e^(-pi |Im w|) (sin(pi w), cos(pi w)) with exact argument reduction.
 
-    The real part is reduced by the nearest integer, so the zeros at
-    real integer w are exact in floating point -- which is what makes
-    downstream evaluations vanish identically at trivial zeros instead
-    of inheriting sin(n*pi) rounding noise.
+    Reducing the real part by the nearest integer makes the sine's zeros
+    at real integers exact, so evaluations vanish identically at trivial
+    zeros; e^(pi |Im w|) is left to the caller's exponent.
     """
-    arr, was_scalar = as_points(w)
-    x, y = arr.real, arr.imag
+    x, y = w.real, w.imag
     n = np.round(x)
     r = x - n
     sign = 1.0 - 2.0 * np.mod(n, 2.0)
     sinx = sign * np.sin(np.pi * r)
     cosx = sign * np.cos(np.pi * r)
-    out = sinx * np.cosh(np.pi * y) + 1j * cosx * np.sinh(np.pi * y)
+    em1 = np.expm1(-2.0 * np.pi * np.abs(y))
+    cosh = 1.0 + 0.5 * em1  # cosh(pi y) e^(-pi |y|)
+    sinh = -0.5 * np.sign(y) * em1  # sinh(pi y) e^(-pi |y|)
+    return sinx * cosh + 1j * cosx * sinh, cosx * cosh - 1j * sinx * sinh
+
+
+def sin_pi(w):
+    """sin(pi w) with exact argument reduction (see `_sin_cos_pi`): the
+    zeros at real integer w are exact in floating point."""
+    arr, was_scalar = as_points(w)
+    out = _sin_cos_pi(arr)[0] * np.exp(np.pi * np.abs(arr.imag))
     return _unpack(out, was_scalar)

@@ -148,34 +148,45 @@ def _log_form(arr: np.ndarray, cfg: EvalSettings | None) -> np.ndarray:
     )
 
 
+def _x_many(arr: np.ndarray, cfg: EvalSettings | None):
+    """(X, L) on an array: PoleError at s = 2, 4, ...; X = 0 and L = -inf
+    at s = -1, -3, ...; DomainError where |X| overflows float64 (log|X|
+    = Re L stays finite there, and `logabsx_many` returns it)."""
+    pole = _pole_mask(arr)
+    if pole.any():
+        raise PoleError(f"X has a pole at s = {complex(arr[pole][0])}")
+    zero = _zero_mask(arr)
+    combos = np.full(len(arr), complex(-math.inf, math.nan))
+    combos[~zero] = _log_form(arr[~zero], cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.where(zero, 0.0, np.exp(combos))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(
+            f"|X| overflows float64 at s = {complex(arr[bad][0])} "
+            f"(log|X| = {combos[bad][0].real:.6g}; logabsx_many returns it)"
+        )
+    return values, combos
+
+
 def x_of(s, settings: EvalSettings | None = None) -> RatioValue:
     """Evaluate X at one point.
 
     Raises PoleError at s = 2, 4, 6, ...; returns a zero-flagged
-    record (value exactly 0) at s = -1, -3, -5, ...; log_abs is exact
-    in log space, so it stays finite wherever X itself would overflow.
+    record (value exactly 0) at s = -1, -3, -5, ...  Raises DomainError
+    where |X| overflows float64 (Re s below about -177 at small heights,
+    less far out higher up); `logabsx_many` returns the finite log|X|.
     """
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("x_of takes a single point; use logabsx_many for grids")
-    at = ComplexPoint.from_complex(complex(arr[0]))
-    if _pole_mask(arr)[0]:
-        raise PoleError(f"X has a pole at s = {at.z}")
-    if _zero_mask(arr)[0]:
-        return RatioValue(
-            at=at,
-            value=ComplexPoint(0.0, 0.0),
-            log_abs=-math.inf,
-            arg_cont=math.nan,
-            zero_flag=True,
-        )
-    combo = complex(_log_form(arr, settings)[0])
+    values, combos = _x_many(arr, settings)
     return RatioValue(
-        at=at,
-        value=ComplexPoint.from_complex(np.exp(combo)),
-        log_abs=combo.real,
-        arg_cont=combo.imag,
-        zero_flag=False,
+        at=ComplexPoint.from_complex(complex(arr[0])),
+        value=ComplexPoint.from_complex(complex(values[0])),
+        log_abs=float(combos[0].real),
+        arg_cont=float(combos[0].imag),
+        zero_flag=bool(_zero_mask(arr)[0]),
     )
 
 

@@ -24,6 +24,7 @@ from dhratio.analysis import (
     survey_zeros,
     trace_unit_curve,
 )
+from dhratio.dhfun import z_function
 from dhratio.errors import (
     BoundaryZeroError,
     ConvergenceError,
@@ -204,6 +205,70 @@ def test_refine_rejects_bad_seed():
 
 
 # ----------------------------------------------------------------------
+# bracketed roots
+# ----------------------------------------------------------------------
+
+
+def _plain_bisection(func, a, b, fa):
+    """Reference: scalar bisection until the interval collapses."""
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid
+        fm = float(func(np.array([mid]))[0])
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+
+
+def test_bracket_roots_agree_with_plain_bisection_on_z():
+    ts = np.linspace(0.0, 120.0, 2401)
+    zv = z_function(ts)
+    flip = zv[:-1] * zv[1:] < 0.0
+    a, b, za, zb = ts[:-1][flip], ts[1:][flip], zv[:-1][flip], zv[1:][flip]
+    roots = analysis._bracket_roots(z_function, a, b, za, zb)
+    assert len(roots) > 60
+    for k, root in enumerate(roots):
+        want = _plain_bisection(z_function, a[k], b[k], za[k])
+        assert abs(root - want) <= 4.0 * np.spacing(want), f"bracket [{a[k]}, {b[k]}]"
+
+
+def test_bracket_roots_exact_zeros():
+    calls = []
+
+    def line(x):
+        calls.append(x.copy())
+        return x - 0.5
+
+    # a zero endpoint is returned as is, without evaluating anything
+    got = analysis._bracket_roots(line, [0.5, 0.0], [1.0, 0.5], [0.0, -0.5], [0.5, 0.0])
+    assert list(got) == [0.5, 0.5] and calls == []
+    # a secant point that hits the root exactly stops there
+    got = analysis._bracket_roots(line, [0.0], [1.0], [-0.5], [0.5])
+    assert got[0] == 0.5 and len(calls) == 1
+
+
+def test_bracket_roots_bisect_past_an_infinite_endpoint():
+    calls = []
+
+    def pole_at_zero(x):
+        calls.append(x.copy())
+        return np.where(x == 0.0, -np.inf, x - 0.3)
+
+    got = analysis._bracket_roots(pole_at_zero, [0.0], [1.0], [-np.inf], [0.7])
+    assert calls[0][0] == 0.5 and calls[1][0] == 0.25  # bisection while a value is -inf
+    assert abs(got[0] - 0.3) <= 4.0 * np.spacing(0.3)
+    # complex endpoints: a root along a segment
+    seg = analysis._bracket_roots(
+        lambda z: z.real - 0.3, [0.0 + 2.0j], [1.0 + 2.0j], [-0.3], [0.7]
+    )
+    assert abs(seg[0] - (0.3 + 2.0j)) <= 4.0 * np.spacing(2.0)
+
+
+# ----------------------------------------------------------------------
 # line scan
 # ----------------------------------------------------------------------
 
@@ -236,6 +301,15 @@ def test_survey_matches_scan_on_quiet_stretch():
     for a, b in zip(recs, scan):
         assert abs(a.location.z - b.location.z) < 1e-9
     assert all(r.on_line for r in recs)
+
+
+def test_scan_matches_survey_line_zeros_to_120():
+    scan = scan_critical_line(0.0, 120.0, 0.05)
+    line = [r for r in survey_zeros(Rect(0.0, 1.0, 0.0, 120.0)) if r.on_line]
+    assert len(scan) == len(line) == 64
+    for a, b in zip(scan, line):
+        assert a.location.sigma == b.location.sigma == 0.5
+        assert abs(a.location.t - b.location.t) < 1e-9
 
 
 def test_survey_near_first_off_line_pair():

@@ -51,6 +51,14 @@ def test_eval_rejects_garbage_complex(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_eval_overflow_is_an_input_error(capsys):
+    status, _, err = run(["eval", "--format", "json", "--", "-400+5i"], capsys)
+    assert status == BAD_INPUT
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert "overflows float64" in payload["message"]
+
+
 def test_ratio_at_pole_is_an_input_error(capsys):
     status, _, err = run(["ratio", "2+0i", "--format", "json"], capsys)
     assert status == BAD_INPUT

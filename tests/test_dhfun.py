@@ -40,10 +40,22 @@ F_CASES = [
     (0.5 + 14.1j, 0.3688935188572358567753 - 0.531917903541121570473j),
 ]
 
+# f'(s) at 30 digits, at the float64 value of s (at t ~ 1000 the decimal
+# literal and its binary value differ enough to move f' by 1e-12); s = 1
+# as the mean of f' over a circle of radius 0.01 (f is entire)
+# (s, f'(s), relative tolerance)
 FPRIME_CASES = [
-    (0.3 + 2.0j, -0.2894500710801848764139 - 0.4399771197396943721025j, 1e-10),
-    (2.0 + 0.0j, 0.03264584820180466149086 + 0.0j, 1e-10),
-    (1.0 + 0.0j, 0.142009948954704204 + 0.0j, 1e-9),
+    (0.3 + 2.0j, -0.2894500710801848764139 - 0.4399771197396943721025j, 1e-12),
+    (2.0 + 0.0j, 0.03264584820180466149086 + 0.0j, 1e-12),
+    (1.0 + 0.0j, 0.1420099489546744488993445 + 0.0j, 1e-12),
+    # a line zero of the t ~ 1000 survey window; the phases t log m of the
+    # 6000-term direct sum carry float64 rounding of ~1e-12 each, and the
+    # measured error here is 1.25e-12
+    (0.5 + 1000.5653832066419j, 4.505980746347933657171818 - 1.739900154500558359324142j, 2e-12),
+    (0.9 + 5000.0j, 1.425025092261359228123017 - 2.104781385050104893307908j, 1e-12),
+    # reflected route, and the trivial zero s = -3
+    (-3.5 + 2.0j, 34.95349166642402595348678 + 28.55286747570001353766292j, 1e-12),
+    (-3.0 + 0.0j, -3.417881617340818510907019 + 0.0j, 1e-12),
 ]
 
 S1 = 0.8085171824566373855534 + 85.69934848537759217193j
@@ -182,14 +194,44 @@ def test_batch_returns_input_order_across_heights():
 # ----------------------------------------------------------------------
 
 
+FE_EXAMPLES = (0.3 + 2.0j, -4.2 + 31.0j, 7.5 - 12.0j, 0.5 + 45.0j, 1.0 + 0.0j, -3.0 + 0.0j)
+
+
 def test_functional_equation_residual_examples():
-    for s in (0.3 + 2.0j, -4.2 + 31.0j, 7.5 - 12.0j, 0.5 + 45.0j, 1.0 + 0.0j):
-        assert functional_eq_residual(s) < 1e-12, f"residual at {s}"
+    for s in FE_EXAMPLES:
+        res = functional_eq_residual(s)
+        assert isinstance(res, float) and res < 1e-12, f"residual at {s}"
+    # an array of points gives one residual per point
+    res = functional_eq_residual(np.array(FE_EXAMPLES))
+    assert res.shape == (len(FE_EXAMPLES),) and res.max() < 1e-12
 
 
 def test_functional_equation_pole_raises():
     with pytest.raises(PoleError):
         functional_eq_residual(4.0 + 0.0j)
+    with pytest.raises(PoleError):
+        functional_eq_residual(np.array([0.3 + 2.0j, 4.0 + 0.0j]))
+
+
+@pytest.mark.parametrize("s", [-400.0 + 5.0j, -200.0 + 5.0j])
+def test_overflow_is_a_typed_error_without_warnings(s):
+    # |f| ~ 1e351 at -200+5i: a true float64 overflow, reported as such
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows float64"):
+            f(s)
+        with pytest.raises(DomainError, match="overflows float64"):
+            f_batch(np.array([0.3 + 2.0j, s]))
+
+
+def test_reflected_route_grows_without_intermediate_overflow():
+    # sin(pi z/2) alone overflows beyond |t| ~ 452; f itself is ~3e6 here
+    s = -2.0 + 500.0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = f(s).value.z
+        assert 1e6 < abs(value) < 1e7
+        assert functional_eq_residual(s) < 1e-9
 
 
 @given(
@@ -218,10 +260,10 @@ def test_conjugate_symmetry_property(re, im):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("s, want, tol", FPRIME_CASES)
-def test_derivative_reference_values(s, want, tol):
+@pytest.mark.parametrize("s, want, rel_tol", FPRIME_CASES)
+def test_derivative_reference_values(s, want, rel_tol):
     got = f_prime(s)
-    assert abs(got.z - want) < tol, f"f'({s}) = {got.z}, want {want}"
+    assert abs(got.z - want) < rel_tol * abs(want), f"f'({s}) = {got.z}, want {want}"
 
 
 def test_derivative_matches_difference_quotient():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dhratio import specfun
+from dhratio import specfun, suites
 from dhratio.errors import DomainError, PoleError
 from dhratio.specfun import (
     ComplexPoint,
@@ -198,7 +198,7 @@ def test_hurwitz_brute_force_at_re3():
 
 def _brute_direct_sum(s, logs, weights):
     terms = weights * np.exp(-np.multiply.outer(s, logs))
-    return terms.sum(axis=1), np.abs(terms).max(axis=1)
+    return terms.sum(axis=1), (-logs * terms).sum(axis=1), np.abs(terms).max(axis=1)
 
 
 def _kernel_cases():
@@ -219,20 +219,25 @@ def _kernel_cases():
 
 def test_dirichlet_kernel_matches_brute_force():
     # shared sigma x t grids (with mirrored heights) and scattered points
+    # and its derivative sums from the same rows
     for pts, logs, weights in _kernel_cases():
-        got, scale = specfun._dirichlet_sum(pts, logs, weights)
-        want, want_scale = _brute_direct_sum(pts, logs, weights)
+        got, dgot, scale = specfun._dirichlet_sum(pts, logs, weights, deriv=True)
+        want, dwant, want_scale = _brute_direct_sum(pts, logs, weights)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert np.all(np.abs(dgot - dwant) <= 1e-13 * np.abs(dwant))
         assert np.allclose(scale, want_scale, rtol=4e-16, atol=0.0)
+        plain, dplain, _ = specfun._dirichlet_sum(pts, logs, weights)
+        assert dplain is None and np.array_equal(plain, got)
 
 
 def test_dirichlet_kernel_blocks_rows_and_columns(monkeypatch):
     # a budget below one row forces both the row and the column blocking
     pts, logs, weights = next(_kernel_cases())
-    want, want_scale = _brute_direct_sum(pts, logs, weights)
+    want, dwant, want_scale = _brute_direct_sum(pts, logs, weights)
     monkeypatch.setattr(specfun, "ELEMENT_BUDGET", 256)
-    got, scale = specfun._dirichlet_sum(pts, logs, weights)
+    got, dgot, scale = specfun._dirichlet_sum(pts, logs, weights, deriv=True)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert np.all(np.abs(dgot - dwant) <= 1e-13 * np.abs(dwant))
     assert np.allclose(scale, want_scale, rtol=4e-16, atol=0.0)
 
 
@@ -250,6 +255,19 @@ def test_hurwitz_recurrence_property(re, im, a):
     # a^{-s} can reach ~1e6 for small a and large re, so scale the budget
     scale = max(1.0, abs(rhs))
     assert abs(lhs - rhs) < 1e-10 * scale, f"recurrence defect at s={s}, a={a}"
+
+
+def test_hurwitz_recurrence_check_catches_a_broken_recurrence(monkeypatch):
+    # the suite's relative defect must still see a 1e-7 error in the a^-s step
+    real = suites.hurwitz_zeta_any
+
+    def broken(s, a, settings=None):
+        value = real(s, a, settings)
+        return value + 1e-7 * np.exp(-s * np.log(a - 1.0)) if a > 1.0 else value
+
+    monkeypatch.setattr(suites, "hurwitz_zeta_any", broken)
+    check = {c.name: c for c in suites.run_suite("specfun").checks}["hurwitz_recurrence"]
+    assert not check.passed and check.measured > 1e-8
 
 
 @given(

@@ -8,6 +8,7 @@ evaluation error.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ def test_zero_flag_and_pole_error():
     for p in (2.0, 6.0):
         with pytest.raises(PoleError):
             x_of(p + 0.0j)
+
+
+def test_x_overflow_is_a_typed_error_and_log_modulus_stays_finite():
+    # |X(-200+5i)| = e^824.3 overflows float64; log|X| does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows float64"):
+            x_of(-200.0 + 5.0j)
+        assert abs(logabsx_many(-200.0 + 5.0j) - 824.3026425215692) < 1e-9
 
 
 def test_logabsx_many_signals_by_infinity():
