@@ -39,7 +39,6 @@ import numpy as np
 from .errors import AccuracyWarning, DomainError
 from .specfun import (
     ComplexPoint,
-    ELEMENT_BUDGET,
     EvalSettings,
     _dirichlet_sum,
     _em_tail,
@@ -186,11 +185,11 @@ def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     """
     a = DEFAULT_TABLE.array
     n_split = em_split_point(np.abs(s.imag).max(), 0.0, cfg)
-    residues = np.arange(1.0, 5.0)
-    m = (5.0 * np.arange(n_split)[:, None] + residues).ravel()
-    direct, ddirect, scale = _dirichlet_sum(s, np.log(m), np.tile(a[1:], n_split), deriv)
+    direct, ddirect, scale = _dirichlet_sum(  # column k is m = 5 (k // 4) + k % 4 + 1
+        s, 4 * n_split, lambda k: (np.log(5 * (k // 4) + k % 4 + 1.0), a[k % 4 + 1]), deriv
+    )
 
-    r = residues[:, None]  # one row per residue class
+    r = np.arange(1.0, 5.0)[:, None]  # one row per residue class
     coef = a[1:, None]
     bracket, dbracket, omitted = _em_tail(s, n_split + r / 5.0, cfg.bernoulli_order, deriv)
     log_x = np.log(5.0 * n_split + r)
@@ -206,7 +205,7 @@ def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
 
     regular = direct + tail
     values = regular + pole
-    errs = tail_err + 8.0 * _EPS * (len(m) * scale + np.abs(regular) + np.abs(pole))
+    errs = tail_err + 8.0 * _EPS * (4 * n_split * scale + np.abs(regular) + np.abs(pole))
     derivs = None
     if deriv:
         dtail = (coef * xs * (dbracket - log_x * bracket)).sum(axis=0)
@@ -255,42 +254,32 @@ def _evaluate(arr: np.ndarray, cfg: EvalSettings, deriv: bool):
 
     The one evaluation path, behind `f_batch`, `f`, `f_prime` and Newton:
     the deflated Hurwitz combination for Re s > -1, the reflected form
-    for Re s <= -1.  The points are
-    ordered by (|t|, sigma), so those sharing a height, or its mirror
-    -t, land in the same chunk and the kernel builds their phase row
-    once.  A chunk holds at most ELEMENT_BUDGET / 4N points, N the split
-    of its largest |t| (4N columns for the fused direct block), so the
-    kernel's temporaries stay bounded at any height; the results are
-    scattered back to input order.
+    for Re s <= -1.  The points are ordered by (|t|, sigma) and cut into
+    runs that share the split N of their own height, so a point gets the
+    same N alone or in any batch; each run takes each route once (the
+    kernel shares its sigma and phase rows and bounds its own memory),
+    and the results are scattered back to input order.
 
     Returns (values, derivs or None, errs); DomainError where |f|
     overflows float64.
     """
     order = np.lexsort((arr.real, np.abs(arr.imag)))
-    pts = arr[order]
     # Both routes sum at real part >= -2 (Re s > -1 directly, Re(1 - s) >= 2
     # reflected), where the split point depends on the height alone.
-    heights, at_height = np.unique(np.abs(pts.imag), return_inverse=True)
-    cols = np.array([4 * em_split_point(h, 0.0, cfg) for h in heights])
-    rows = np.maximum(1, ELEMENT_BUDGET // cols)[at_height]
-    # Chunk [lo, hi) fits when hi - lo <= rows[hi - 1], i.e. last[hi - 1] <= lo;
-    # `last` strictly increases because `rows` never grows along the order.
-    last = np.arange(1, len(pts) + 1) - rows
+    heights, at_height = np.unique(np.abs(arr.imag[order]), return_inverse=True)
+    splits = np.array([em_split_point(h, 0.0, cfg) for h in heights])[at_height]
     values = np.empty_like(arr)
     derivs = np.empty_like(arr) if deriv else None
     errs = np.empty(len(arr))
-    lo = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while lo < len(pts):
-            hi = int(np.searchsorted(last, lo, side="right"))
-            left = pts[lo:hi].real <= -1.0
+        for run in np.split(order, np.flatnonzero(np.diff(splits)) + 1):
+            left = arr[run].real <= -1.0
             for mask, route in ((~left, _f_direct), (left, _f_reflected)):
                 if mask.any():
-                    where = order[lo:hi][mask]
-                    values[where], dvals, errs[where] = route(pts[lo:hi][mask], cfg, deriv)
+                    where = run[mask]
+                    values[where], dvals, errs[where] = route(arr[where], cfg, deriv)
                     if deriv:
                         derivs[where] = dvals
-            lo = hi
     bad = ~np.isfinite(values)
     if bad.any():
         raise DomainError(f"|f| overflows float64 at s = {complex(arr[bad][0])}")

@@ -23,11 +23,9 @@ for IEEE double precision:
     lgamma   ~1e-13 absolute in log space (|Im z| <= 300), so exp of the
              result tracks Gamma(z) to ~1e-13 relative
     digamma  ~1e-12 for |z| <= 500
-    hurwitz  ~1e-10 relative for Re s >= -2, |Im s| <= 300; toward
-             deeper negative Re s the alternating Euler-Maclaurin blocks
-             grow like (N+a)^{1+|Re s|} and double precision loses digits
-             no choice of split point can recover (callers that need the
-             left half-plane go through a reflection identity instead)
+    hurwitz  <= 4.5e-12 of max(1, |zeta|) for -2 <= Re s <= 5, |Im s| <= 1000,
+             2.2e-11 at 3000 (against mpmath); below Re s = -2 roundoff in
+             EM blocks of size (N+a)^{1+|Re s|} wins (callers reflect instead)
 
 The log-gamma branch is the principal one, continuous on the plane cut
 along the negative real axis; the imaginary part is accumulated by the
@@ -98,7 +96,7 @@ class EvalSettings:
 
     hurwitz_cutoff   minimum Euler-Maclaurin split point N; the effective
                      split adapts upward with the height, N_eff =
-                     max(hurwitz_cutoff, ceil(1.5 |Im s|))
+                     max(hurwitz_cutoff, ceil(0.673 |Im s|)) (em_split_point)
     bernoulli_order  highest Bernoulli index 2k used in tail series
     rel_tol          relative accuracy target for series truncation
     fd_step          step for finite-difference derivatives
@@ -272,67 +270,73 @@ def digamma(z, settings: EvalSettings | None = None):
 # ----------------------------------------------------------------------
 
 
+# Split per unit height.  At bernoulli_order 24 the first omitted tail term,
+# |B_26/26! s(s+1)...(s+24)| x^-25 with x >= N, is about (1/pi) (|t|/(2 pi N))^25
+# for |t| >> |sigma| + 24; it is below eps = 2^-52 from N = |t|/(2 pi eps^(1/25))
+# ~ 0.673 |t| on (Johansson, Numer. Algorithms 69, 2015; Edwards, Riemann's Zeta
+# Function, 1974, sec. 6.4).  Lower orders keep it: order 2 would need 26000 |t|.
+_SPLIT_PER_HEIGHT = 1.0 / (2.0 * math.pi * np.finfo(float).eps ** (1.0 / 25.0))
+
+
 def em_split_point(max_abs_t: float, min_re: float, settings: EvalSettings | None = None) -> int:
     """Euler-Maclaurin split point N for a batch of evaluation points.
 
-    For Re s >= -2 the split grows with the height so the Bernoulli tail
-    stays asymptotic: N = max(hurwitz_cutoff, ceil(1.5 |Im s|)).  For
-    deeper negative Re s the direct block grows like (N+a)^|Re s| and
+    For Re s >= -2 the split grows with the height just enough for the
+    first omitted Bernoulli term to drop below double-precision epsilon:
+    N = max(hurwitz_cutoff, ceil(0.673 |Im s|)) (see _SPLIT_PER_HEIGHT).
+    For deeper negative Re s the direct block grows like (N+a)^|Re s| and
     would drown the small function value in roundoff, so N is kept as
     small as the tail's convergence condition 2 pi N > |Im s| permits.
     """
     cfg = _settings(settings)
     if min_re >= -2.0:
-        return max(cfg.hurwitz_cutoff, int(math.ceil(1.5 * max_abs_t)))
+        return max(cfg.hurwitz_cutoff, int(math.ceil(_SPLIT_PER_HEIGHT * max_abs_t)))
     return max(8, int(math.ceil(0.32 * max_abs_t)) + 8)
 
 
-# Cap on rows x columns per kernel block.  At most five float64 arrays of
-# this size live at once, so the kernel's temporaries stay near 5 MB
-# whatever the height (only its log and weight rows grow with N).
+# Cap on elements per kernel block: the sigma and phase rows of a column
+# block share one, the two gathered per-point blocks share another, so the
+# kernel's temporaries stay near 3 MB whatever the height.
 ELEMENT_BUDGET = 1 << 17
 
 
-def _dirichlet_sum(s: np.ndarray, logs: np.ndarray, weights: np.ndarray, deriv: bool = False):
-    """sum_m w_m exp(-s log_m) at every point of s, and with `deriv` its
-    s-derivative sum_m -log_m w_m exp(-s log_m) from the same rows.
+def _dirichlet_sum(s: np.ndarray, n_cols: int, columns, deriv: bool = False):
+    """sum_{k < n_cols} w_k exp(-s log_k) at every point of s, and with
+    `deriv` sum_k -log_k w_k exp(-s log_k); columns(k) gives (log_k, w_k)
+    (w_k may be a scalar) for a block of column indices k.
 
-    Writes m^-s = m^-sigma * e^{-it log m}: one real row w_m m^-sigma per
-    distinct sigma and one phase row (cos, sin)(|t| log_m) per distinct
-    |t| (t and -t differ only in the sign of the sine part), combined per
-    point by einsums (never BLAS, so the summation order never depends on
-    threads); the derivative's -log_m enters the same reduction as a
-    third operand.  One gathered trig block lives at a time, in blocks of
-    at most ELEMENT_BUDGET rows x columns (columns too, for a single row
-    wider than that), which bounds the temporaries at any height.
+    Writes m^-s = m^-sigma * e^{-it log m}.  Each block of W = ELEMENT_BUDGET
+    // (#sigma + 2 #|t|) columns builds one real row w_m m^-sigma per
+    distinct sigma and one (cos, sin) row of |t| log_m per distinct |t|
+    (t and -t differ only in the sign of the sine part); the rows are
+    gathered per point, ELEMENT_BUDGET // 2W points at a time, and reduced
+    by einsums (never BLAS, so the summation order never depends on
+    threads), with the derivative's -log_m as a third operand.
 
     Returns (sums, dsums or None, scale), scale = max_m |w_m m^-sigma|,
     the largest term, taken from the sigma rows.
     """
-    n_cols = len(logs)
-    rows = max(1, ELEMENT_BUDGET // n_cols)
-    width = min(n_cols, ELEMENT_BUDGET)
+    sigmas, i_sigma = np.unique(s.real, return_inverse=True)
+    heights, i_height = np.unique(np.abs(s.imag), return_inverse=True)
+    sine_sign = np.where(s.imag < 0.0, 1.0, -1.0)
+    width = max(1, ELEMENT_BUDGET // (len(sigmas) + 2 * len(heights)))
+    rows = max(1, ELEMENT_BUDGET // (2 * width))
     parts = np.zeros((1 + deriv, 2, len(s)))  # (sum, derivative) x (real, imaginary)
     scale = np.zeros(len(s))
-    for lo in range(0, len(s), rows):
-        block = s[lo : lo + rows]
-        sigmas, i_sigma = np.unique(block.real, return_inverse=True)
-        heights, i_height = np.unique(np.abs(block.imag), return_inverse=True)
-        sine_sign = np.where(block.imag < 0.0, 1.0, -1.0)
-        for c0 in range(0, n_cols, width):
-            lg = logs[c0 : c0 + width]
-            amp = np.multiply.outer(-sigmas, lg)
-            np.exp(amp, out=amp)
-            amp *= weights[c0 : c0 + width]
-            peak = np.abs(amp).max(axis=1)[i_sigma]
-            np.maximum(scale[lo : lo + rows], peak, out=scale[lo : lo + rows])
-            amp = amp[i_sigma]
-            phases = np.multiply.outer(heights, lg)
-            for k, (trig, sign) in enumerate(((np.cos, 1.0), (np.sin, sine_sign))):
-                picked = trig(phases)[i_height]  # one trig row per point
-                parts[0, k, lo : lo + rows] += sign * np.einsum("pm,pm->p", picked, amp)
+    for c0 in range(0, n_cols, width):
+        lg, weights = columns(np.arange(c0, min(c0 + width, n_cols)))
+        amp = np.exp(np.multiply.outer(-sigmas, lg)) * weights
+        np.maximum(scale, np.abs(amp).max(axis=1)[i_sigma], out=scale)
+        phases = np.multiply.outer(heights, lg)
+        trig = (np.cos(phases), np.sin(phases, out=phases))  # cos reads phases first
+        for lo in range(0, len(s), rows):
+            block = slice(lo, lo + rows)
+            picked_amp = amp[i_sigma[block]]
+            for k, sign in enumerate((1.0, sine_sign[block])):
+                picked = trig[k][i_height[block]]  # one trig row per point
+                parts[0, k, block] += sign * np.einsum("pm,pm->p", picked, picked_amp)
                 if deriv:
-                    parts[1, k, lo : lo + rows] -= sign * np.einsum("pm,pm,m->p", picked, amp, lg)
+                    parts[1, k, block] -= sign * np.einsum("pm,pm,m->p", picked, picked_amp, lg)
                 del picked
     sums = parts[:, 0] + 1j * parts[:, 1]
     return sums[0], (sums[1] if deriv else None), scale
@@ -386,8 +390,9 @@ def _hurwitz_batch(s: np.ndarray, a: float, cfg: EvalSettings, deriv: bool = Fal
             continue
         sub = s[mask]
         n_split = em_split_point(np.abs(sub.imag).max(), sub.real.min(), cfg)
-        logs = np.log(np.arange(n_split, dtype=np.float64) + a)
-        direct, ddirect, scale = _dirichlet_sum(sub, logs, np.ones(n_split), deriv)
+        direct, ddirect, scale = _dirichlet_sum(
+            sub, n_split, lambda k: (np.log(k + a), 1.0), deriv
+        )
         log_x = math.log(float(n_split) + a)
         bracket, dbracket, omitted = _em_tail(sub, float(n_split) + a, cfg.bernoulli_order, deriv)
         xs = np.exp(-sub * log_x)
@@ -416,7 +421,8 @@ def hurwitz_zeta(s, a: float, settings: EvalSettings | None = None):
     """Analytic continuation of sum_{n>=0} (n+a)^-s for a in (0, 1].
 
     Euler-Maclaurin with split point N_eff = max(hurwitz_cutoff,
-    ceil(1.5 |Im s|)) and Bernoulli corrections up to index
+    ceil(0.673 |Im s|)) for the largest |Im s| of the call (see
+    em_split_point) and Bernoulli corrections up to index
     bernoulli_order.  Raises PoleError at s = 1 and DomainError for a
     outside (0, 1] (use hurwitz_zeta_any for shifted parameters).
     """

@@ -6,6 +6,7 @@ the library itself never depends on that package.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -217,28 +218,38 @@ def _kernel_cases():
                 yield pts, np.log(n), weights
 
 
+def _columns(logs, weights):
+    return lambda k: (logs[k], weights[k])
+
+
 def test_dirichlet_kernel_matches_brute_force():
     # shared sigma x t grids (with mirrored heights) and scattered points
     # and its derivative sums from the same rows
     for pts, logs, weights in _kernel_cases():
-        got, dgot, scale = specfun._dirichlet_sum(pts, logs, weights, deriv=True)
+        got, dgot, scale = specfun._dirichlet_sum(
+            pts, len(logs), _columns(logs, weights), deriv=True
+        )
         want, dwant, want_scale = _brute_direct_sum(pts, logs, weights)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         assert np.all(np.abs(dgot - dwant) <= 1e-13 * np.abs(dwant))
         assert np.allclose(scale, want_scale, rtol=4e-16, atol=0.0)
-        plain, dplain, _ = specfun._dirichlet_sum(pts, logs, weights)
+        plain, dplain, _ = specfun._dirichlet_sum(pts, len(logs), _columns(logs, weights))
         assert dplain is None and np.array_equal(plain, got)
 
 
 def test_dirichlet_kernel_blocks_rows_and_columns(monkeypatch):
-    # a budget below one row forces both the row and the column blocking
-    pts, logs, weights = next(_kernel_cases())
-    want, dwant, want_scale = _brute_direct_sum(pts, logs, weights)
+    # a budget below one row forces column and row blocking: 12 columns
+    # per block on the shared grid, and a single column per block for the
+    # scattered points, whose sigmas and heights are all distinct
     monkeypatch.setattr(specfun, "ELEMENT_BUDGET", 256)
-    got, dgot, scale = specfun._dirichlet_sum(pts, logs, weights, deriv=True)
-    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-    assert np.all(np.abs(dgot - dwant) <= 1e-13 * np.abs(dwant))
-    assert np.allclose(scale, want_scale, rtol=4e-16, atol=0.0)
+    for pts, logs, weights in itertools.islice(_kernel_cases(), 4):
+        want, dwant, want_scale = _brute_direct_sum(pts, logs, weights)
+        got, dgot, scale = specfun._dirichlet_sum(
+            pts, len(logs), _columns(logs, weights), deriv=True
+        )
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert np.all(np.abs(dgot - dwant) <= 1e-13 * np.abs(dwant))
+        assert np.allclose(scale, want_scale, rtol=4e-16, atol=0.0)
 
 
 @given(
@@ -318,8 +329,16 @@ def test_sin_pi_matches_cmath_off_axis():
 # ----------------------------------------------------------------------
 
 
-def test_em_split_point_scales_with_height():
+def test_em_split_point_bounds_the_omitted_term():
+    # at the chosen N (x = N + a with a -> 0, the worst case) the first
+    # Bernoulli term the tail drops is below 1e-15, largest at t = 30, just
+    # past where the height rule takes over from the cutoff; and N stays
+    # near the 0.673 |t| that bound needs
     cfg = EvalSettings()
-    low = em_split_point(1.0, 0.5, cfg)
-    high = em_split_point(200.0, 0.5, cfg)
-    assert high > low >= cfg.hurwitz_cutoff
+    for sigma in (-0.9, 0.5, 2.0):
+        for t in (0.0, 10.0, 30.0, 100.0, 1000.0, 1e4):
+            n = em_split_point(t, sigma, cfg)
+            s = np.array([complex(sigma, t)])
+            _, _, omitted = specfun._em_tail(s, float(n), cfg.bernoulli_order)
+            assert omitted[0] <= 1e-15, f"omitted {omitted[0]:.3g} at {sigma}+{t}i, N = {n}"
+            assert n <= max(cfg.hurwitz_cutoff, 0.68 * t + 1.0)
