@@ -9,18 +9,21 @@ Four instruments:
   * the height bound kappa of the off-line branch inside the strip,
     measured two independent ways (curve apex vs. digamma-equation
     root);
-  * zero accounting: argument-principle winding counts over grids of
-    cells that share their edge samples, Newton refinement with a
-    derivative oracle, critical-line scanning through the real rotated
-    form, and an exhaustive cell survey combining them;
+  * zero accounting: argument-principle winding counts over bands of
+    grid cells that share their edge samples, localization of every
+    counted cell together in rounds, lockstep Newton refinement (f and
+    f' from one evaluation pass per round), critical-line scanning
+    through the real rotated form, and an exhaustive cell survey
+    combining them;
   * audits that attach measured numbers to a fixed list of externally
     numbered claims, reporting values only and never a verdict.
 
-Everything is a pure function of its inputs and EvalSettings.  Surveys
-(over bands of cell rows) and band traces expose `worker_map` hooks so
-a caller may run disjoint pieces in parallel; merges are deterministic
-(sorted by t, then sigma), so the output is identical for any worker
-count.
+Everything is a pure function of its inputs and EvalSettings.  Survey
+winding counts (over bands of cell rows) and band traces expose
+`worker_map` hooks so a caller may run disjoint pieces in parallel; the
+localization batches depend on the window alone and merges are
+deterministic (sorted by t, then sigma), so the output is identical for
+any worker count.
 """
 from __future__ import annotations
 
@@ -30,8 +33,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dhfun import _f_at, f_batch, pq, z_function
+from .dhfun import _evaluate, f_batch, pq, z_function
 from .errors import (
     BoundaryZeroError,
     ConvergenceError,
@@ -41,7 +45,7 @@ from .errors import (
     UndersampledError,
 )
 from .specfun import ComplexPoint, EvalSettings, _settings, digamma, lgamma
-from .xratio import dlogabsx_dt, gamma_modulus_dt, logabsx_many
+from .xratio import _pole_mask, _zero_mask, dlogabsx_dt, gamma_modulus_dt, logabsx_many
 
 __all__ = [
     "Rect",
@@ -295,17 +299,6 @@ def _bracket_roots(func, a, b, fa, fb) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _refine_crossings(pa, pb, ha, hb, cfg: EvalSettings):
-    """Sign changes of h along the edges pa -> pb (h values ha, hb; +-inf
-    at a zero or pole of X), each pinned to 4 ulp by `_bracket_roots`."""
-    return _bracket_roots(partial(_h_at, cfg=cfg), pa, pb, ha, hb)
-
-
-_SINGULAR_SIGMAS = [float(v) for v in range(-99, 100) if v % 2 != 0 and v <= -1] + [
-    float(v) for v in range(2, 100, 2)
-]
-
-
 def _cell_segments(sb, j, i, center_pos):
     """Marching-squares segments for one cell as pairs of edge keys.
 
@@ -404,13 +397,11 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
     # degenerate cells: a zero or pole of X inside
     degenerate = set()
     if ts[0] <= 0.0 <= ts[-1]:
-        for sing in _SINGULAR_SIGMAS:
-            if sigmas[0] <= sing <= sigmas[-1]:
-                i = int(np.searchsorted(sigmas, sing, side="right") - 1)
-                j = int(np.searchsorted(ts, 0.0, side="right") - 1)
-                i = min(max(i, 0), len(sigmas) - 2)
-                j = min(max(j, 0), len(ts) - 2)
-                degenerate.add((j, i))
+        j = min(max(int(np.searchsorted(ts, 0.0, side="right") - 1), 0), len(ts) - 2)
+        ints = np.arange(math.ceil(sigmas[0]), math.floor(sigmas[-1]) + 1.0) + 0j
+        sing = ints[_pole_mask(ints) | _zero_mask(ints)].real
+        cols = np.clip(np.searchsorted(sigmas, sing, side="right") - 1, 0, len(sigmas) - 2)
+        degenerate = {(j, int(i)) for i in cols}
 
     cells = [tuple(map(int, c)) for c in zip(*np.nonzero(hot))]
     cells.sort()
@@ -484,7 +475,8 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
         pb.append(pts[jb, ib])
         ha.append(vals[jj, ii])
         hb.append(vals[jb, ib])
-    refined = _refine_crossings(np.array(pa), np.array(pb), np.array(ha), np.array(hb), cfg)
+    # sign changes of h (+-inf at a zero or pole of X), pinned to 4 ulp
+    refined = _bracket_roots(partial(_h_at, cfg=cfg), *map(np.array, (pa, pb, ha, hb)))
     global_segments = []
     vertex_of = {}
     for e, v in zip(edge_list, refined):
@@ -639,26 +631,24 @@ def kappa(settings: EvalSettings | None = None) -> float:
 # ----------------------------------------------------------------------
 
 
-class _GuardHit(Exception):
-    pass
-
-
 _EDGE_CAP = 4096
 
 
-def _phase_changes(paths, cfg: EvalSettings) -> np.ndarray:
-    """Phase change of f along each sampled polyline.
+def _phase_changes(points: np.ndarray, values: np.ndarray, cfg: EvalSettings) -> np.ndarray:
+    """Phase change of f along each sampled polyline, a row of `points`
+    with the f values in the same row of `values`.
 
-    `paths` holds (points, values) pairs.  Every round bisects each phase
-    step of pi/2 or more on every path, with one f_batch call for all of
-    them, until no such step is left; the steps of a path then sum to its
-    phase change.  Raises _GuardHit when a sample comes within the
+    The paths whose phase steps are all below pi/2 sum them at once.
+    Every round then bisects each step of pi/2 or more on every other
+    path, with one f_batch call for all of them, until no such step is
+    left.  Raises BoundaryZeroError when a sample comes within the
     boundary guard of a zero and UndersampledError when a path outgrows
     _EDGE_CAP samples or the rounds run out.
     """
-    paths = list(paths)
-    totals = np.empty(len(paths))
-    pending = range(len(paths))
+    dphi = np.angle(values[:, 1:] / values[:, :-1])
+    totals = dphi.sum(axis=1)
+    pending = np.flatnonzero((np.abs(dphi) >= 0.5 * math.pi).any(axis=1))
+    paths = {k: (points[k], values[k]) for k in pending}
     for _ in range(24):
         bad_steps = {}
         for k in pending:
@@ -678,7 +668,7 @@ def _phase_changes(paths, cfg: EvalSettings) -> np.ndarray:
         mids = [0.5 * (paths[k][0][b] + paths[k][0][b + 1]) for k, b in bad_steps.items()]
         mvals, _ = f_batch(np.concatenate(mids), cfg)
         if np.abs(mvals).min() < _BOUNDARY_GUARD:
-            raise _GuardHit
+            raise BoundaryZeroError(f"a zero sits within {_BOUNDARY_GUARD} of a sampled boundary")
         pieces = np.split(mvals, np.cumsum([len(m) for m in mids])[:-1])
         for (k, b), mp, mv in zip(bad_steps.items(), mids, pieces):
             pts, vals = paths[k]
@@ -697,8 +687,8 @@ def _grid_counts(s_cuts, t_cuts, samples: int, cfg: EvalSettings) -> np.ndarray:
     its bottom and right edges and subtracts its top and left ones, so
     neighbouring cells reuse a shared edge in reverse.  Returns an int
     array of shape (rows, columns), row j spanning t_cuts[j..j+1].
-    Raises _GuardHit when a sample comes within the boundary guard of a
-    zero.
+    Raises BoundaryZeroError when a sample comes within the boundary
+    guard of a zero.
     """
     s_cuts = np.asarray(s_cuts, dtype=np.float64)
     t_cuts = np.asarray(t_cuts, dtype=np.float64)
@@ -711,25 +701,20 @@ def _grid_counts(s_cuts, t_cuts, samples: int, cfg: EvalSettings) -> np.ndarray:
     v_pts = s_cuts[None, :, None] + 1j * rise[:, None, :]
     vals, _ = f_batch(np.concatenate((h_pts.ravel(), v_pts.ravel())), cfg)
     if np.abs(vals).min() < _BOUNDARY_GUARD:
-        raise _GuardHit
+        raise BoundaryZeroError(
+            f"a zero sits within {_BOUNDARY_GUARD} of a cell boundary "
+            f"in t [{t_cuts[0]}, {t_cuts[-1]}]"
+        )
     h_vals = vals[: h_pts.size].reshape(h_pts.shape)
     v_vals = vals[h_pts.size :].reshape(v_pts.shape)
 
-    paths = []
-    for j in range(n_row + 1):
-        for i in range(n_col):
-            cut = slice(i * samples, (i + 1) * samples + 1)
-            paths.append((h_pts[j, cut], h_vals[j, cut]))
-    for j in range(n_row):
-        for i in range(n_col + 1):
-            c = i * samples
-            paths.append(
-                (
-                    np.concatenate(([h_pts[j, c]], v_pts[j, i], [h_pts[j + 1, c]])),
-                    np.concatenate(([h_vals[j, c]], v_vals[j, i], [h_vals[j + 1, c]])),
-                )
-            )
-    phases = _phase_changes(paths, cfg)
+    rows = []  # one row of samples per edge, horizontal edges first
+    for h, v in ((h_pts, v_pts), (h_vals, v_vals)):
+        across = sliding_window_view(h, samples + 1, axis=1)[:, ::samples]
+        corner = h[:, ::samples, None]
+        up = np.concatenate((corner[:-1], v, corner[1:]), axis=2)
+        rows.append(np.concatenate((across.reshape(-1, samples + 1), up.reshape(-1, samples + 1))))
+    phases = _phase_changes(*rows, cfg)
     horiz = phases[: (n_row + 1) * n_col].reshape(n_row + 1, n_col)
     vert = phases[(n_row + 1) * n_col :].reshape(n_row, n_col + 1)
     total = horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1]
@@ -763,7 +748,7 @@ def count_zeros_rect(
         t_cuts = (r.t_min - pad, r.t_max + pad)
         try:
             return int(_grid_counts(s_cuts, t_cuts, samples_per_side, cfg)[0, 0])
-        except _GuardHit:
+        except BoundaryZeroError:
             continue
     raise BoundaryZeroError(
         f"a zero sits within {_BOUNDARY_GUARD} of the boundary of {r} after retries"
@@ -775,40 +760,92 @@ def count_zeros_rect(
 # ----------------------------------------------------------------------
 
 
-def _line_polish(t_seed: float, cfg: EvalSettings) -> float | None:
-    """Pin a line zero's height by a sign change of the rotated real form.
+def _line_polish(t_seeds: np.ndarray, cfg: EvalSettings) -> np.ndarray:
+    """Pin line zeros' heights by sign changes of the rotated real form.
 
-    Brackets of growing half-width around t_seed are tried, both ends in
-    one z_function call, until Z changes sign; `_bracket_roots` then
-    pins the root.  Returns None when no bracket up to 1e-3 changes sign.
+    Brackets of growing half-width around every seed are tried in
+    lockstep, both ends of every open bracket in one z_function call per
+    round, until Z changes sign; one `_bracket_roots` call pins them all.
+    NaN where no bracket up to 1e-3 changes sign.
     """
     z_of = partial(z_function, settings=cfg)
-    delta = 1e-8 * max(1.0, abs(t_seed))
-    while delta <= 1e-3:
-        ends = np.array([t_seed - delta, t_seed + delta])
-        za, zb = z_of(ends)
-        if za == 0.0 or zb == 0.0 or (za > 0.0) != (zb > 0.0):
-            return float(_bracket_roots(z_of, ends[:1], ends[1:], [za], [zb])[0])
-        delta *= 4.0
-    return None
+    delta = 1e-8 * np.maximum(1.0, np.abs(t_seeds))
+    ends, z_ends = np.empty((2, len(t_seeds))), np.empty((2, len(t_seeds)))
+    found = np.zeros(len(t_seeds), dtype=bool)
+    tried = np.flatnonzero(delta <= 1e-3)
+    while len(tried):
+        ends[:, tried] = t_seeds[tried] - delta[tried], t_seeds[tried] + delta[tried]
+        z_ends[:, tried] = z_of(ends[:, tried].ravel()).reshape(2, -1)
+        za, zb = z_ends[:, tried]
+        found[tried] = (za == 0.0) | (zb == 0.0) | ((za > 0.0) != (zb > 0.0))
+        delta[tried] *= 4.0
+        tried = tried[~found[tried] & (delta[tried] <= 1e-3)]
+    out = np.full(len(t_seeds), np.nan)
+    out[found] = _bracket_roots(z_of, *ends[:, found], *z_ends[:, found])
+    return out
 
 
-def _finish_record(loc: complex, iterations: int, cfg: EvalSettings) -> ZeroRecord:
-    location = ComplexPoint.from_complex(loc)
-    paired = location.mirror()
-    vals, _ = f_batch(np.array([loc, paired.z]), cfg)
-    abs_x = float(np.exp(logabsx_many(loc, cfg)))
+def _finish_records(locs, iterations, cfg: EvalSettings) -> list[ZeroRecord]:
+    """Records of refined zeros, from one f_batch call over the locations
+    and their mirrors and one logabsx_many call."""
+    locs = np.asarray(locs, dtype=np.complex128)
+    vals, _ = f_batch(np.concatenate((locs, 1.0 - locs)), cfg)
+    abs_x = np.exp(logabsx_many(locs, cfg))
     kap = _kappa_cached(cfg)
-    return ZeroRecord(
-        location=location,
-        residual=float(abs(vals[0])),
-        iterations=iterations,
-        paired_location=paired,
-        paired_residual=float(abs(vals[1])),
-        abs_x_here=abs_x,
-        on_line=abs(location.sigma - 0.5) < LINE_TOL,
-        within_kappa=abs(location.t) < kap,
-    )
+    return [
+        ZeroRecord(
+            location=loc,
+            residual=float(abs(vals[k])),
+            iterations=int(iterations[k]),
+            paired_location=loc.mirror(),
+            paired_residual=float(abs(vals[len(locs) + k])),
+            abs_x_here=float(abs_x[k]),
+            on_line=abs(loc.sigma - 0.5) < LINE_TOL,
+            within_kappa=abs(loc.t) < kap,
+        )
+        for k, loc in enumerate(map(ComplexPoint.from_complex, locs))
+    ]
+
+
+def _refine_many(seeds: np.ndarray, trust_radii: np.ndarray, cfg: EvalSettings):
+    """`refine_zero` for every seed at once: each Newton round is one
+    evaluation pass over the live iterates (f and f' together, with `f`'s
+    AccuracyWarning per point), and one `_line_polish` call re-polishes
+    every result within LINE_TOL of the line.  Returns (locations,
+    iterations, errors), errors[k] None or the error of seed k.
+    """
+    s = seeds.astype(np.complex128)
+    iterations = np.zeros(len(s), dtype=int)
+    errors: list[Exception | None] = [None] * len(s)
+    live = np.arange(len(s))
+    for _ in range(cfg.newton_max_iter):
+        if not len(live):
+            break
+        fv, fp, _ = _evaluate(s[live], cfg, True, warn=True)
+        step = ~(np.abs(fv) < cfg.newton_tol)
+        for k in live[step & (fp == 0)]:
+            errors[k] = ConvergenceError(f"derivative vanished at {complex(s[k])}")
+        step &= fp != 0
+        live = live[step]
+        s[live] -= fv[step] / fp[step]
+        iterations[live] += 1
+        gone = np.abs(s[live] - seeds[live]) > trust_radii[live]
+        for k in live[gone]:
+            errors[k] = DivergedError(
+                f"iterate {complex(s[k])} left the trust disk of radius "
+                f"{trust_radii[k]} around {complex(seeds[k])}"
+            )
+        live = live[~gone]
+    for k, v in zip(live, _evaluate(s[live], cfg, False, warn=True)[0]):  # budget spent
+        if not abs(v) < cfg.newton_tol:
+            errors[k] = ConvergenceError(
+                f"|f| = {abs(v):.3g} after {iterations[k]} iterations, above {cfg.newton_tol}"
+            )
+    ok = np.array([e is None for e in errors], dtype=bool)
+    near = np.flatnonzero(ok & (np.abs(s.real - 0.5) < LINE_TOL))
+    t_star = _line_polish(s.imag[near], cfg)
+    s[near[np.isfinite(t_star)]] = 0.5 + 1j * t_star[np.isfinite(t_star)]
+    return s, iterations, errors
 
 
 def refine_zero(seed, settings: EvalSettings | None = None, trust_radius: float = 0.5) -> ZeroRecord:
@@ -820,40 +857,17 @@ def refine_zero(seed, settings: EvalSettings | None = None, trust_radius: float 
     and ConvergenceError if the budget runs out.  A result that lands
     within 1e-6 of the critical line is re-polished along the line
     itself (sign change of the rotated real form, pinned by
-    `_bracket_roots`), so line zeros carry sigma = 1/2 exactly.
+    `_bracket_roots`), so line zeros carry sigma = 1/2 exactly.  This is
+    the one-seed case of the lockstep refinement that surveys run.
     """
     cfg = _settings(settings)
     s0 = seed.z if isinstance(seed, ComplexPoint) else complex(seed)
     if not (math.isfinite(s0.real) and math.isfinite(s0.imag)):
         raise DomainError("seed must be finite")
-
-    s = s0
-    iterations = 0
-    for _ in range(cfg.newton_max_iter):
-        value, fp = _f_at(s, cfg, True)
-        fv = value.value.z
-        if abs(fv) < cfg.newton_tol:
-            break
-        if fp == 0:
-            raise ConvergenceError(f"derivative vanished at {s}")
-        s = s - fv / fp
-        iterations += 1
-        if abs(s - s0) > trust_radius:
-            raise DivergedError(
-                f"iterate {s} left the trust disk of radius {trust_radius} around {s0}"
-            )
-    else:
-        fv = _f_at(s, cfg, False)[0].value.z
-    if not abs(fv) < cfg.newton_tol:
-        raise ConvergenceError(
-            f"|f| = {abs(fv):.3g} after {iterations} iterations, above {cfg.newton_tol}"
-        )
-
-    if abs(s.real - 0.5) < LINE_TOL:
-        t_star = _line_polish(s.imag, cfg)
-        if t_star is not None:
-            s = complex(0.5, t_star)
-    return _finish_record(s, iterations, cfg)
+    locs, iterations, errors = _refine_many(np.array([s0]), np.array([trust_radius]), cfg)
+    if errors[0] is not None:
+        raise errors[0]
+    return _finish_records(locs, iterations, cfg)[0]
 
 
 # ----------------------------------------------------------------------
@@ -883,12 +897,11 @@ def scan_critical_line(
     pinned = _bracket_roots(z_of, ts[:-1][flip], ts[1:][flip], zv[:-1][flip], zv[1:][flip])
     roots = sorted(np.concatenate((ts[zv == 0.0], pinned)).tolist())
 
-    deduped: list[ZeroRecord] = []
+    kept: list[float] = []
     for t_root in roots:
-        if deduped and abs(t_root - deduped[-1].location.t) < 1e-9:
-            continue
-        deduped.append(_finish_record(complex(0.5, t_root), 0, cfg))
-    return deduped
+        if not (kept and abs(t_root - kept[-1]) < 1e-9):
+            kept.append(t_root)
+    return _finish_records(0.5 + 1j * np.array(kept), np.zeros(len(kept), dtype=int), cfg)
 
 
 # ----------------------------------------------------------------------
@@ -923,56 +936,66 @@ def _tiling(rect: Rect, cell_size: float, t_offset: float):
     return s_cuts, t_cuts
 
 
-def _localize(cell: Rect, count: int, cfg: EvalSettings, depth: int = 0) -> list[ZeroRecord]:
-    if count == 0:
-        return []
-    if depth > 16:
-        raise ConvergenceError(f"zero localization stalled inside {cell}")
-    if count == 1:
-        seed = complex(
-            0.5 * (cell.sigma_min + cell.sigma_max), 0.5 * (cell.t_min + cell.t_max)
-        )
-        try:
-            rec = refine_zero(
-                seed, cfg, trust_radius=max(0.5, cell.width + cell.height)
+def _localize(cells, cfg: EvalSettings) -> list[ZeroRecord]:
+    """Records of the zeros of every (cell, count) pair, found in rounds.
+
+    Each round refines the centres of all count-1 cells in one lockstep
+    batch and keeps a result that lands inside its cell (1e-7 slack);
+    every other cell is split 2x2 at the first of _SPLIT_FRACTIONS whose
+    winding counts add up, and its nonzero parts make the next round,
+    down to depth 16.  The batches depend on the cells alone, and one
+    call finishes every record.
+    """
+    pending = [(cell, count, 0) for cell, count in cells if count]
+    locs, iterations = [], []
+    while pending:
+        ones = [cell for cell, count, _ in pending if count == 1]
+        seeds = [
+            complex(0.5 * (c.sigma_min + c.sigma_max), 0.5 * (c.t_min + c.t_max)) for c in ones
+        ]
+        radii = [max(0.5, c.width + c.height) for c in ones]
+        refined = iter(zip(*_refine_many(np.array(seeds), np.array(radii), cfg)))
+        parts = []
+        for cell, count, depth in pending:
+            if count == 1:
+                loc, its, error = next(refined)
+                if error is None and cell.contains(loc, slack=1e-7):
+                    locs.append(loc)
+                    iterations.append(its)
+                    continue
+            if depth >= 16:
+                raise ConvergenceError(f"zero localization stalled inside {cell}")
+            for frac in _SPLIT_FRACTIONS:
+                s_cuts = (cell.sigma_min, cell.sigma_min + frac * cell.width, cell.sigma_max)
+                t_cuts = (cell.t_min, cell.t_min + frac * cell.height, cell.t_max)
+                try:
+                    counts = _grid_counts(s_cuts, t_cuts, _SURVEY_SAMPLES, cfg)
+                except BoundaryZeroError:
+                    continue
+                if counts.sum() == count:
+                    break
+            else:
+                raise ConvergenceError(f"could not split {cell} cleanly around its zeros")
+            parts.extend(
+                (Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1]), int(c), depth + 1)
+                for (j, i), c in np.ndenumerate(counts)
+                if c
             )
-            if cell.contains(rec.location.z, slack=1e-7):
-                return [rec]
-        except (ConvergenceError, DivergedError):
-            pass
-
-    for frac in _SPLIT_FRACTIONS:
-        s_cuts = (cell.sigma_min, cell.sigma_min + frac * cell.width, cell.sigma_max)
-        t_cuts = (cell.t_min, cell.t_min + frac * cell.height, cell.t_max)
-        try:
-            counts = _grid_counts(s_cuts, t_cuts, _SURVEY_SAMPLES, cfg)
-        except _GuardHit:
-            continue
-        if counts.sum() != count:
-            continue
-        found: list[ZeroRecord] = []
-        for (j, i), c in np.ndenumerate(counts):
-            sub = Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1])
-            found.extend(_localize(sub, int(c), cfg, depth + 1))
-        return found
-    raise ConvergenceError(f"could not split {cell} cleanly around its zeros")
+        pending = parts
+    return _finish_records(locs, iterations, cfg)
 
 
-def _survey_band_task(args):
-    s_cuts, t_cuts, cfg = args
-    try:
-        counts = _grid_counts(s_cuts, t_cuts, _SURVEY_SAMPLES, cfg)
-    except _GuardHit:
-        raise BoundaryZeroError(
-            f"a zero sits within {_BOUNDARY_GUARD} of a cell boundary "
-            f"in t [{t_cuts[0]}, {t_cuts[-1]}]"
-        ) from None
-    records: list[ZeroRecord] = []
-    for (j, i), c in np.ndenumerate(counts):
-        if c:
-            cell = Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1])
-            records.extend(_localize(cell, int(c), cfg))
-    return int(counts.sum()), records
+def _by_height(records: list[ZeroRecord]) -> list[ZeroRecord]:
+    """Records sorted by t, runs of t that agree within 1e-9 max(1, |t|)
+    sorted by sigma: the members of an off-line pair take their t from
+    separate Newton runs, which differ in the last bits."""
+    runs: list[list[ZeroRecord]] = []
+    for rec in sorted(records, key=lambda r: r.location.t):
+        t = rec.location.t
+        if not runs or t - runs[-1][-1].location.t > 1e-9 * max(1.0, abs(t)):
+            runs.append([])
+        runs[-1].append(rec)
+    return [rec for run in runs for rec in sorted(run, key=lambda r: r.location.sigma)]
 
 
 def survey_zeros(
@@ -987,15 +1010,17 @@ def survey_zeros(
     into bands of _BAND_ROWS cell rows; the layout depends on the
     rectangle alone.  Each band samples every cell edge once, in one
     f_batch call, and gets all its cells' winding counts from
-    `_grid_counts`; each cell's count then localizes its zeros by
-    deterministic subdivision (left-bottom first) and Newton refinement.
-    If any cell boundary passes too close to a zero, or if the 1e-6
-    dedupe of the refined records leaves fewer zeros than the winding
-    total (two cells' Newton runs landed on one zero), the whole
-    t-partition is shifted and the survey retried, so a survey never
-    double-counts and never returns short.  The record list is merged
-    sorted by (t, sigma) and is identical for any `worker_map`
-    (parallelism hook; it maps over the bands).
+    `_grid_counts`; `worker_map` (parallelism hook) maps over the bands.
+    The zeros of all nonzero cells are then localized together in rounds
+    (`_localize`): each round refines every count-1 cell in one lockstep
+    Newton batch and splits the rest (left-bottom first), so the batches
+    depend on the rectangle alone.  If any cell boundary passes too
+    close to a zero, or if the 1e-6 dedupe of the refined records leaves
+    fewer zeros than the winding total (two cells' Newton runs landed on
+    one zero), the whole t-partition is shifted and the survey retried,
+    so a survey never double-counts and never returns short.  The
+    records are sorted by t, then sigma where t agrees to 1e-9 relative,
+    and are identical for any `worker_map`.
     """
     cfg = _settings(settings)
     r = _as_rect(rect)
@@ -1003,24 +1028,26 @@ def survey_zeros(
     last_error: Exception | None = None
     for offset in _T_OFFSETS:
         s_cuts, t_cuts = _tiling(r, cell_size, offset)
-        bands = [
-            (s_cuts, t_cuts[lo : lo + _BAND_ROWS + 1], cfg)
-            for lo in range(0, len(t_cuts) - 1, _BAND_ROWS)
-        ]
+        bands = [t_cuts[lo : lo + _BAND_ROWS + 1] for lo in range(0, len(t_cuts) - 1, _BAND_ROWS)]
+        count_band = partial(_grid_counts, s_cuts, samples=_SURVEY_SAMPLES, cfg=cfg)
         try:
-            results = list(mapper(_survey_band_task, bands))
+            counted = list(mapper(count_band, bands))
         except BoundaryZeroError as exc:
             last_error = exc
             continue
-        records = [rec for _, recs in results for rec in recs]
-        total = sum(count for count, _ in results)
+        cells = [
+            (Rect(s_cuts[i], s_cuts[i + 1], tc[j], tc[j + 1]), int(c))
+            for tc, counts in zip(bands, counted)
+            for (j, i), c in np.ndenumerate(counts)
+        ]
+        total = sum(count for _, count in cells)
+        records = _localize(cells, cfg)
         if total != len(records):
             raise ConvergenceError(
                 f"winding counted {total} zeros but {len(records)} were refined"
             )
-        records.sort(key=lambda rec: (rec.location.t, rec.location.sigma))
         deduped: list[ZeroRecord] = []
-        for rec in records:
+        for rec in _by_height(records):
             if deduped and abs(rec.location.z - deduped[-1].location.z) < 1e-6:
                 continue
             deduped.append(rec)

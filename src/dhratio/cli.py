@@ -109,12 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the settings rng seed")
         p.add_argument("--jobs", type=int, default=1, help="parallel window count")
 
+    point_help = "points a+bi; write -- before them when one has a negative real part: -- -2+5i"
     p = sub.add_parser("eval", help="evaluate the function at points a+bi")
-    p.add_argument("point", nargs="+")
+    p.add_argument("point", nargs="+", help=point_help)
     common(p)
 
     p = sub.add_parser("ratio", help="evaluate the reflection ratio X at points a+bi")
-    p.add_argument("point", nargs="+")
+    p.add_argument("point", nargs="+", help=point_help)
     common(p)
 
     p = sub.add_parser("curve", help="trace the |X| = 1 level set in a window")

@@ -171,12 +171,12 @@ def _phi1(x: np.ndarray, deriv: bool = False):
 def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     """Hurwitz-combination route with the s = 1 pole pair deflated.
 
-    Valid for Re s > -1 (and exact at s = 1), with the split N of the
-    largest |t|.  The four residue blocks
-    and the 5^-s prefactor are one direct sum, 5^-s (n + r/5)^-s =
-    (5n + r)^-s, taken by `_dirichlet_sum` over m < 5N, 5 not dividing
-    m, with weights a(m mod 5).  The Euler-Maclaurin tails stay per
-    residue, each with 5^-s folded into its exponent, and the pole parts
+    Valid for Re s > -1 (and exact at s = 1), with each point's own
+    split N.  The four residue blocks and the 5^-s prefactor are one
+    direct sum, 5^-s (n + r/5)^-s = (5n + r)^-s, taken by
+    `_dirichlet_sum` over m < 5N, 5 not dividing m, with weights
+    a(m mod 5).  The Euler-Maclaurin tails stay per residue, each with
+    5^-s folded into its exponent, and the pole parts
     5^-s sum_r a_r x_r^(1-s)/(s-1), x_r = N + r/5, are combined into
     -N^w 5^-s sum_r a_r u_r phi1(w u_r) with w = 1 - s, u_r =
     log1p(r/(5N)), which is finite and fully stable through w = 0.  No
@@ -184,7 +184,7 @@ def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     Re s, where every term is at most 1.  `deriv` adds f' in closed form.
     """
     a = DEFAULT_TABLE.array
-    n_split = em_split_point(np.abs(s.imag).max(), 0.0, cfg)
+    n_split = em_split_point(np.abs(s.imag), 0.0, cfg)
     direct, ddirect, scale = _dirichlet_sum(  # column k is m = 5 (k // 4) + k % 4 + 1
         s, 4 * n_split, lambda k: (np.log(5 * (k // 4) + k % 4 + 1.0), a[k % 4 + 1]), deriv
     )
@@ -199,7 +199,8 @@ def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
 
     u = np.log1p(r / (5.0 * n_split))
     phi, dphi = _phi1((1.0 - s) * u, deriv)
-    power = -np.exp((1.0 - s) * math.log(n_split) - s * _LN5)
+    log_n = np.log(n_split)
+    power = -np.exp((1.0 - s) * log_n - s * _LN5)
     residue_sum = (coef * u * phi).sum(axis=0)
     pole = power * residue_sum
 
@@ -210,7 +211,7 @@ def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     if deriv:
         dtail = (coef * xs * (dbracket - log_x * bracket)).sum(axis=0)
         dpole = power * (
-            -(math.log(n_split) + _LN5) * residue_sum - (coef * u * u * dphi).sum(axis=0)
+            -(log_n + _LN5) * residue_sum - (coef * u * u * dphi).sum(axis=0)
         )
         derivs = ddirect + dtail + dpole
     return values, derivs, errs
@@ -249,40 +250,41 @@ def _f_reflected(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     return values, derivs, errs
 
 
-def _evaluate(arr: np.ndarray, cfg: EvalSettings, deriv: bool):
+def _evaluate(arr: np.ndarray, cfg: EvalSettings, deriv: bool, warn: bool = False):
     """f, and with `deriv` also f', at every point of a 1-D array.
 
     The one evaluation path, behind `f_batch`, `f`, `f_prime` and Newton:
     the deflated Hurwitz combination for Re s > -1, the reflected form
-    for Re s <= -1.  The points are ordered by (|t|, sigma) and cut into
-    runs that share the split N of their own height, so a point gets the
-    same N alone or in any batch; each run takes each route once (the
-    kernel shares its sigma and phase rows and bounds its own memory),
-    and the results are scattered back to input order.
+    for Re s <= -1, each route taking all its points in one call.  Every
+    point sums with the split N of its own height, so it gets the same N
+    alone or in any batch; the kernel shares the sigma and phase rows of
+    the points and bounds its own memory.  With `warn`, every point whose
+    error estimate says it lost more than 1e6 * rel_tol of relative
+    accuracy gets an AccuracyWarning.
 
-    Returns (values, derivs or None, errs); DomainError where |f|
-    overflows float64.
+    Returns (values, derivs or None, errs) in input order; DomainError
+    where |f| overflows float64.
     """
-    order = np.lexsort((arr.real, np.abs(arr.imag)))
-    # Both routes sum at real part >= -2 (Re s > -1 directly, Re(1 - s) >= 2
-    # reflected), where the split point depends on the height alone.
-    heights, at_height = np.unique(np.abs(arr.imag[order]), return_inverse=True)
-    splits = np.array([em_split_point(h, 0.0, cfg) for h in heights])[at_height]
     values = np.empty_like(arr)
     derivs = np.empty_like(arr) if deriv else None
     errs = np.empty(len(arr))
+    left = arr.real <= -1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for run in np.split(order, np.flatnonzero(np.diff(splits)) + 1):
-            left = arr[run].real <= -1.0
-            for mask, route in ((~left, _f_direct), (left, _f_reflected)):
-                if mask.any():
-                    where = run[mask]
-                    values[where], dvals, errs[where] = route(arr[where], cfg, deriv)
-                    if deriv:
-                        derivs[where] = dvals
+        for mask, route in ((~left, _f_direct), (left, _f_reflected)):
+            if mask.any():
+                values[mask], dvals, errs[mask] = route(arr[mask], cfg, deriv)
+                if deriv:
+                    derivs[mask] = dvals
     bad = ~np.isfinite(values)
     if bad.any():
         raise DomainError(f"|f| overflows float64 at s = {complex(arr[bad][0])}")
+    lost = np.flatnonzero(errs > 1e6 * cfg.rel_tol * (np.abs(values) + 1.0)) if warn else ()
+    for k in lost:
+        warnings.warn(
+            f"cancellation inflated the error estimate to {errs[k]:.3g} at s = {complex(arr[k])}",
+            AccuracyWarning,
+            stacklevel=3,
+        )
     return values, derivs, errs
 
 
@@ -296,19 +298,6 @@ def f_batch(s, settings: EvalSettings | None = None):
     return values, errs
 
 
-def _f_at(s: complex, cfg: EvalSettings, deriv: bool):
-    """(FnValue, f' or None) at one point, warning like `f`."""
-    values, derivs, errs = _evaluate(np.array([s], dtype=np.complex128), cfg, deriv)
-    out = FnValue(ComplexPoint.from_complex(s), ComplexPoint.from_complex(values[0]), errs[0])
-    if out.est_abs_err > 1e6 * cfg.rel_tol * (abs(values[0]) + 1.0):
-        warnings.warn(
-            f"cancellation inflated the error estimate to {errs[0]:.3g} at s = {s}",
-            AccuracyWarning,
-            stacklevel=3,
-        )
-    return out, (complex(derivs[0]) if deriv else None)
-
-
 def f(s, settings: EvalSettings | None = None) -> FnValue:
     """The continued series at a single point (entire; no poles).
 
@@ -319,7 +308,8 @@ def f(s, settings: EvalSettings | None = None) -> FnValue:
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("f takes a single point; use f_batch for arrays")
-    return _f_at(complex(arr[0]), _settings(settings), False)[0]
+    values, _, errs = _evaluate(arr, _settings(settings), False, warn=True)
+    return FnValue(ComplexPoint.from_complex(arr[0]), ComplexPoint.from_complex(values[0]), errs[0])
 
 
 # ----------------------------------------------------------------------

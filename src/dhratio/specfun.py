@@ -95,8 +95,9 @@ class EvalSettings:
     """Evaluation knobs shared across the library.
 
     hurwitz_cutoff   minimum Euler-Maclaurin split point N; the effective
-                     split adapts upward with the height, N_eff =
-                     max(hurwitz_cutoff, ceil(0.673 |Im s|)) (em_split_point)
+                     split adapts upward with each point's own height,
+                     N_eff = max(hurwitz_cutoff, ceil(0.673 |Im s|))
+                     (em_split_point), in any batch
     bernoulli_order  highest Bernoulli index 2k used in tail series
     rel_tol          relative accuracy target for series truncation
     fd_step          step for finite-difference derivatives
@@ -278,8 +279,9 @@ def digamma(z, settings: EvalSettings | None = None):
 _SPLIT_PER_HEIGHT = 1.0 / (2.0 * math.pi * np.finfo(float).eps ** (1.0 / 25.0))
 
 
-def em_split_point(max_abs_t: float, min_re: float, settings: EvalSettings | None = None) -> int:
-    """Euler-Maclaurin split point N for a batch of evaluation points.
+def em_split_point(abs_t, re, settings: EvalSettings | None = None):
+    """Euler-Maclaurin split point N for a point of height |Im s| = abs_t
+    and real part re; arrays give one split per point.
 
     For Re s >= -2 the split grows with the height just enough for the
     first omitted Bernoulli term to drop below double-precision epsilon:
@@ -289,57 +291,92 @@ def em_split_point(max_abs_t: float, min_re: float, settings: EvalSettings | Non
     small as the tail's convergence condition 2 pi N > |Im s| permits.
     """
     cfg = _settings(settings)
-    if min_re >= -2.0:
-        return max(cfg.hurwitz_cutoff, int(math.ceil(_SPLIT_PER_HEIGHT * max_abs_t)))
-    return max(8, int(math.ceil(0.32 * max_abs_t)) + 8)
+    abs_t = np.asarray(abs_t, dtype=np.float64)
+    n = np.where(
+        np.asarray(re) >= -2.0,
+        np.maximum(cfg.hurwitz_cutoff, np.ceil(_SPLIT_PER_HEIGHT * abs_t)),
+        np.maximum(8, np.ceil(0.32 * abs_t) + 8),
+    ).astype(np.int64)
+    return int(n) if n.ndim == 0 else n
 
 
 # Cap on elements per kernel block: the sigma and phase rows of a column
-# block share one, the two gathered per-point blocks share another, so the
-# kernel's temporaries stay near 3 MB whatever the height.
+# block share one, the two gathered per-point blocks share half of another,
+# so the kernel's temporaries stay near 2 MB whatever the height.
 ELEMENT_BUDGET = 1 << 17
 
+# Width of the kernel's column blocks.  Block boundaries sit at multiples of
+# it whatever the batch, so a point's sum is taken in the same order alone
+# or in any batch.
+_COLUMN_BLOCK = 512
 
-def _dirichlet_sum(s: np.ndarray, n_cols: int, columns, deriv: bool = False):
+
+def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
     """sum_{k < n_cols} w_k exp(-s log_k) at every point of s, and with
-    `deriv` sum_k -log_k w_k exp(-s log_k); columns(k) gives (log_k, w_k)
-    (w_k may be a scalar) for a block of column indices k.
+    `deriv` sum_k -log_k w_k exp(-s log_k); n_cols is a column count per
+    point (or one for all) and columns(k) gives (log_k, w_k) (w_k may be
+    a scalar) for a block of column indices k.
 
-    Writes m^-s = m^-sigma * e^{-it log m}.  Each block of W = ELEMENT_BUDGET
-    // (#sigma + 2 #|t|) columns builds one real row w_m m^-sigma per
-    distinct sigma and one (cos, sin) row of |t| log_m per distinct |t|
-    (t and -t differ only in the sign of the sine part); the rows are
-    gathered per point, ELEMENT_BUDGET // 2W points at a time, and reduced
-    by einsums (never BLAS, so the summation order never depends on
-    threads), with the derivative's -log_m as a third operand.
+    Writes m^-s = m^-sigma * e^{-it log m}.  The points, ordered by
+    (n_cols, |t|, sigma), go in chunks of at most ELEMENT_BUDGET //
+    _COLUMN_BLOCK rows: a real row w_m m^-sigma per distinct sigma and a
+    (cos, sin) row of |t| log_m per distinct |t| (t and -t differ only in
+    the sign of the sine part).  In each block of _COLUMN_BLOCK columns,
+    the chunk's points whose count reaches into it (a suffix) gather their
+    rows, zero the columns past their count, and reduce them by einsums
+    (never BLAS, so the summation order never depends on threads), with
+    the derivative's -log_m as a third operand.
 
-    Returns (sums, dsums or None, scale), scale = max_m |w_m m^-sigma|,
-    the largest term, taken from the sigma rows.
+    Returns (sums, dsums or None, scale), scale = max_{m < n_cols}
+    |w_m m^-sigma|, the largest term.
     """
-    sigmas, i_sigma = np.unique(s.real, return_inverse=True)
-    heights, i_height = np.unique(np.abs(s.imag), return_inverse=True)
-    sine_sign = np.where(s.imag < 0.0, 1.0, -1.0)
-    width = max(1, ELEMENT_BUDGET // (len(sigmas) + 2 * len(heights)))
-    rows = max(1, ELEMENT_BUDGET // (2 * width))
+    counts = np.broadcast_to(np.asarray(n_cols, dtype=np.int64), s.shape)
+    order = np.lexsort((s.real, np.abs(s.imag), counts))
+    pts, counts = s[order], counts[order]
+    sigma, height = pts.real, np.abs(pts.imag)
+    sine_sign = np.where(pts.imag < 0.0, 1.0, -1.0)
+    limit, gather = ELEMENT_BUDGET // _COLUMN_BLOCK, ELEMENT_BUDGET // (4 * _COLUMN_BLOCK)
+    # a chunk is limit // 3 points or, if more, the points of as many
+    # heights as fit next to one row for every sigma of the call
+    level = np.concatenate(([0], np.cumsum(height[1:] != height[:-1])))
+    room = (limit - 1 - np.count_nonzero(np.diff(np.sort(sigma)))) // 2
     parts = np.zeros((1 + deriv, 2, len(s)))  # (sum, derivative) x (real, imaginary)
     scale = np.zeros(len(s))
-    for c0 in range(0, n_cols, width):
-        lg, weights = columns(np.arange(c0, min(c0 + width, n_cols)))
-        amp = np.exp(np.multiply.outer(-sigmas, lg)) * weights
-        np.maximum(scale, np.abs(amp).max(axis=1)[i_sigma], out=scale)
-        phases = np.multiply.outer(heights, lg)
-        trig = (np.cos(phases), np.sin(phases, out=phases))  # cos reads phases first
-        for lo in range(0, len(s), rows):
-            block = slice(lo, lo + rows)
-            picked_amp = amp[i_sigma[block]]
-            for k, sign in enumerate((1.0, sine_sign[block])):
-                picked = trig[k][i_height[block]]  # one trig row per point
-                parts[0, k, block] += sign * np.einsum("pm,pm->p", picked, picked_amp)
-                if deriv:
-                    parts[1, k, block] -= sign * np.einsum("pm,pm,m->p", picked, picked_amp, lg)
-                del picked
-    sums = parts[:, 0] + 1j * parts[:, 1]
-    return sums[0], (sums[1] if deriv else None), scale
+    lo = 0
+    while lo < len(s):
+        hi = min(len(s), max(lo + limit // 3, int(np.searchsorted(level, level[lo] + room))))
+        sigmas, i_sigma = np.unique(sigma[lo:hi], return_inverse=True)
+        heights, i_height = np.unique(height[lo:hi], return_inverse=True)
+        for c0 in range(0, counts[hi - 1], _COLUMN_BLOCK):
+            first = lo + int(np.searchsorted(counts[lo:hi], c0, side="right"))
+            cols = np.arange(c0, min(c0 + _COLUMN_BLOCK, counts[hi - 1]))
+            lg, weights = columns(cols)
+            amp = np.exp(np.multiply.outer(-sigmas, lg)) * weights
+            peak = np.abs(amp).max(axis=1)
+            low = i_height[first - lo :].min()  # rows of the active points' heights
+            phases = np.multiply.outer(heights[low:], lg)
+            trig = (np.cos(phases), np.sin(phases, out=phases))  # cos reads phases first
+            for g0 in range(first, hi, gather):
+                block = slice(g0, min(g0 + gather, hi))
+                local = slice(g0 - lo, block.stop - lo)
+                picked_amp = amp[i_sigma[local]]
+                peaks = peak[i_sigma[local]]
+                short = int(np.searchsorted(counts[block], cols[-1], side="right"))
+                if short:  # counts ending inside this block: a prefix
+                    head = picked_amp[:short]
+                    head[cols >= counts[g0 : g0 + short, None]] = 0.0
+                    peaks[:short] = np.abs(head).max(axis=1)
+                np.maximum(scale[block], peaks, out=scale[block])
+                for k, sign in enumerate((1.0, sine_sign[block])):
+                    picked = trig[k][i_height[local] - low]  # one trig row per point
+                    parts[0, k, block] += sign * np.einsum("pm,pm->p", picked, picked_amp)
+                    if deriv:
+                        parts[1, k, block] -= sign * np.einsum("pm,pm,m->p", picked, picked_amp, lg)
+                    del picked
+        lo = hi
+    back = np.argsort(order)  # to input order
+    sums = (parts[:, 0] + 1j * parts[:, 1])[:, back]
+    return sums[0], (sums[1] if deriv else None), scale[back]
 
 
 def _em_tail(s: np.ndarray, x, order: int, deriv: bool = False):
@@ -378,30 +415,23 @@ def _em_tail(s: np.ndarray, x, order: int, deriv: bool = False):
 
 def _hurwitz_batch(s: np.ndarray, a: float, cfg: EvalSettings, deriv: bool = False):
     """zeta(s, a) on an array of points, none equal to 1, as (values,
-    derivs or None, errs): Euler-Maclaurin with x = N + a, the direct
-    block sum_{n<N} (n+a)^-s by `_dirichlet_sum`, the tail x^-s *
-    bracket(s, x) by `_em_tail` and the pole part x^(1-s)/(s-1)."""
-    out = np.empty_like(s)
-    dout = np.empty_like(s) if deriv else None
-    err = np.empty(len(s))
-    neg = s.real < -2.0
-    for mask in (~neg, neg):
-        if not mask.any():
-            continue
-        sub = s[mask]
-        n_split = em_split_point(np.abs(sub.imag).max(), sub.real.min(), cfg)
-        direct, ddirect, scale = _dirichlet_sum(
-            sub, n_split, lambda k: (np.log(k + a), 1.0), deriv
-        )
-        log_x = math.log(float(n_split) + a)
-        bracket, dbracket, omitted = _em_tail(sub, float(n_split) + a, cfg.bernoulli_order, deriv)
-        xs = np.exp(-sub * log_x)
-        pole = np.exp((1.0 - sub) * log_x) / (sub - 1.0)
-        out[mask] = direct + xs * bracket + pole
-        err[mask] = np.abs(xs) * omitted + 8.0 * np.finfo(float).eps * n_split * scale
-        if deriv:
-            dtail = xs * (dbracket - log_x * bracket)
-            dout[mask] = ddirect + dtail - pole * (log_x + 1.0 / (sub - 1.0))
+    derivs or None, errs): Euler-Maclaurin with x = N + a and each
+    point's own split N, the direct block sum_{n<N} (n+a)^-s by
+    `_dirichlet_sum`, the tail x^-s * bracket(s, x) by `_em_tail` and
+    the pole part x^(1-s)/(s-1)."""
+    n_split = em_split_point(np.abs(s.imag), s.real, cfg)
+    direct, ddirect, scale = _dirichlet_sum(s, n_split, lambda k: (np.log(k + a), 1.0), deriv)
+    x = n_split + a
+    log_x = np.log(x)
+    bracket, dbracket, omitted = _em_tail(s, x, cfg.bernoulli_order, deriv)
+    xs = np.exp(-s * log_x)
+    pole = np.exp((1.0 - s) * log_x) / (s - 1.0)
+    out = direct + xs * bracket + pole
+    err = np.abs(xs) * omitted + 8.0 * np.finfo(float).eps * n_split * scale
+    dout = None
+    if deriv:
+        dtail = xs * (dbracket - log_x * bracket)
+        dout = ddirect + dtail - pole * (log_x + 1.0 / (s - 1.0))
     return out, dout, err
 
 
@@ -421,10 +451,11 @@ def hurwitz_zeta(s, a: float, settings: EvalSettings | None = None):
     """Analytic continuation of sum_{n>=0} (n+a)^-s for a in (0, 1].
 
     Euler-Maclaurin with split point N_eff = max(hurwitz_cutoff,
-    ceil(0.673 |Im s|)) for the largest |Im s| of the call (see
-    em_split_point) and Bernoulli corrections up to index
-    bernoulli_order.  Raises PoleError at s = 1 and DomainError for a
-    outside (0, 1] (use hurwitz_zeta_any for shifted parameters).
+    ceil(0.673 |Im s|)) at each point's own height (see em_split_point),
+    so a point gets the same value alone or in any array, and Bernoulli
+    corrections up to index bernoulli_order.  Raises PoleError at s = 1
+    and DomainError for a outside (0, 1] (use hurwitz_zeta_any for
+    shifted parameters).
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"parameter a = {a} must lie in (0, 1]")

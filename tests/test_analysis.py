@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,13 +27,14 @@ from dhratio.analysis import (
 )
 from dhratio.dhfun import z_function
 from dhratio.errors import (
+    AccuracyWarning,
     BoundaryZeroError,
     ConvergenceError,
     DegenerateCellWarning,
     DivergedError,
     DomainError,
 )
-from dhratio.specfun import DEFAULT_SETTINGS
+from dhratio.specfun import DEFAULT_SETTINGS, EvalSettings
 from dhratio.xratio import logabsx_many
 
 KAPPA_REF = 1.2116357919123534
@@ -128,6 +130,12 @@ def test_trace_warns_on_singular_cells():
         trace_unit_curve(Rect(1.2, 3.2, -1.0, 1.0), 1.0)
 
 
+def test_trace_warns_on_singular_cells_far_left():
+    # the zero of X at sigma = -103 is found from the window itself
+    with pytest.warns(DegenerateCellWarning):
+        trace_unit_curve(Rect(-104.0, -102.0, -1.0, 1.0), 0.5)
+
+
 def test_trace_rejects_bad_step():
     with pytest.raises(DomainError):
         trace_unit_curve(Rect(0.0, 1.0, 0.0, 1.0), 0.0)
@@ -197,6 +205,17 @@ def test_refine_snaps_line_zeros_to_exact_half():
 def test_refine_diverges_cleanly_far_from_zeros():
     with pytest.raises(DivergedError):
         refine_zero(8.0 + 0.3j, trust_radius=0.5)
+
+
+def test_lockstep_newton_warns_per_point():
+    cfg = EvalSettings(rel_tol=1e-30)  # every evaluation counts as inaccurate
+    seeds = np.array([0.808517 + 85.699348j, 0.650830 + 114.163343j])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        analysis._refine_many(seeds, np.full(2, 0.5), cfg)
+    assert caught and all(issubclass(w.category, AccuracyWarning) for w in caught)
+    for z, w in zip(seeds, caught[:2]):  # the first round names both seeds
+        assert f"at s = {complex(z)}" in str(w.message)
 
 
 def test_refine_rejects_bad_seed():
@@ -340,15 +359,31 @@ def test_survey_records_do_not_depend_on_worker_map():
     assert threaded == survey_zeros(rect)
 
 
+def test_records_with_equal_heights_are_ordered_by_sigma():
+    # an off-line pair's t values come from separate Newton runs and may
+    # differ in the last bit; the output order must not follow that bit
+    t = 1012.0199814890879
+
+    def record(sigma, height):
+        loc = ComplexPoint(sigma, height)
+        return ZeroRecord(loc, 0.0, 0, loc.mirror(), 0.0, 1.0, False, False)
+
+    low, high = record(0.69, t), record(0.31, np.nextafter(t, 2000.0))
+    for recs in ([low, high], [high, low]):
+        assert [r.location.sigma for r in analysis._by_height(recs)] == [0.31, 0.69]
+    apart = [record(0.69, t), record(0.31, t + 1e-5)]
+    assert [r.location.sigma for r in analysis._by_height(apart)] == [0.69, 0.31]
+
+
 def test_survey_raises_when_dedupe_loses_a_zero(monkeypatch):
     rect = Rect(0.0, 1.0, 85.0, 86.0)
     honest = survey_zeros(rect)
     assert len(honest) >= 2
     real_localize = analysis._localize
 
-    def collapsing(cell, count, cfg, depth=0):
+    def collapsing(cells, cfg):
         # every cell's Newton run lands on the same zero
-        return [honest[0]] * len(real_localize(cell, count, cfg, depth))
+        return [honest[0]] * len(real_localize(cells, cfg))
 
     monkeypatch.setattr(analysis, "_localize", collapsing)
     with pytest.raises(ConvergenceError):
@@ -366,8 +401,8 @@ def test_survey_retries_next_offset_after_a_lost_zero(monkeypatch):
         offsets.append(t_offset)
         return real_tiling(r, cell_size, t_offset)
 
-    def collapsing_first(cell, count, cfg, depth=0):
-        found = real_localize(cell, count, cfg, depth)
+    def collapsing_first(cells, cfg):
+        found = real_localize(cells, cfg)
         return [honest[0]] * len(found) if len(offsets) == 1 else found
 
     monkeypatch.setattr(analysis, "_tiling", tiling)
@@ -391,6 +426,18 @@ def refined_sample():
         refine_zero(0.808517 + 85.699348j),
         refine_zero(0.650830 + 114.163343j),
     ]
+
+
+def test_refine_zero_matches_the_lockstep_batch(refined_sample):
+    # refine_zero is the one-seed case of the lockstep refinement that the
+    # survey runs on all its cells at once
+    seeds = np.array([0.5 + 14.404j, 0.808517 + 85.699348j, 0.650830 + 114.163343j])
+    locs, _, errors = analysis._refine_many(seeds, np.full(3, 0.5), DEFAULT_SETTINGS)
+    assert errors == [None, None, None]
+    for z, rec in zip(locs, refined_sample):
+        assert abs(z - rec.location.z) < 1e-12
+        window = Rect(0.0, 1.0, math.floor(rec.location.t), math.floor(rec.location.t) + 1.0)
+        assert min(abs(r.location.z - z) for r in survey_zeros(window)) < 1e-9
 
 
 def test_audit_covers_every_claim(refined_sample):

@@ -51,6 +51,13 @@ def test_eval_rejects_garbage_complex(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_eval_takes_a_negative_real_part_after_double_dash(capsys):
+    status, out, _ = run(["eval", "--format", "json", "--", "-2+5i"], capsys)
+    assert status == OK
+    pt = json.loads(out)["records"][0]
+    assert (pt["sigma"], pt["t"]) == (-2.0, 5.0)
+
+
 def test_eval_overflow_is_an_input_error(capsys):
     status, _, err = run(["eval", "--format", "json", "--", "-400+5i"], capsys)
     assert status == BAD_INPUT

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dhratio import dhfun
 from dhratio.dhfun import (
     XI,
     CoefficientTable,
@@ -258,6 +259,26 @@ def test_batch_matches_single_points_across_heights():
     vals, _ = f_batch(pts)
     single = np.array([f(sv).value.z for sv in pts])
     assert np.all(np.abs(vals - single) <= 1e-15 * np.abs(single))
+
+
+def test_mixed_height_batch_runs_each_route_once(monkeypatch):
+    # every point keeps the split of its own height, and one pass sums
+    # them all: one call per route, one kernel pass for the direct route
+    calls = []
+
+    def counted(name):
+        real = getattr(dhfun, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_f_direct", "_f_reflected", "_dirichlet_sum"):
+        monkeypatch.setattr(dhfun, name, counted(name))
+    rng = np.random.default_rng(5)
+    ts = rng.uniform(0.0, 1100.0, 200)
+    f_batch(rng.uniform(-0.5, 1.5, 200) + 1j * ts)
+    assert calls == ["_f_direct", "_dirichlet_sum"]
+    calls.clear()
+    f_batch(rng.uniform(-3.0, 1.5, 200) + 1j * ts)
+    assert [c for c in calls if c != "_dirichlet_sum"] == ["_f_direct", "_f_reflected"]
 
 
 def test_batch_returns_input_order_across_heights():

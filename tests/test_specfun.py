@@ -175,6 +175,15 @@ def test_hurwitz_reference_values(s, a, want):
     assert abs(got - want) < 1e-11 * (1.0 + abs(want)), f"zeta({s}, {a}) = {got}"
 
 
+def test_hurwitz_array_points_keep_their_own_split():
+    # a low point batched with a high one keeps the split of its own height
+    pts = np.array([-1.5 + 2.0j, 0.5 + 3000.0j, 3.0 - 700.0j])
+    got = hurwitz_zeta(pts, 0.5)
+    for sv, g in zip(pts, got):
+        want = hurwitz_zeta(sv, 0.5)
+        assert abs(g - want) <= 1e-15 * abs(want)
+
+
 def test_hurwitz_pole_and_domain():
     with pytest.raises(PoleError):
         hurwitz_zeta(1.0 + 0.0j, 0.3)
@@ -197,8 +206,10 @@ def test_hurwitz_brute_force_at_re3():
         assert abs(hurwitz_zeta(s, a) - brute) < 1e-10, f"s={s}, a={a}"
 
 
-def _brute_direct_sum(s, logs, weights):
+def _brute_direct_sum(s, logs, weights, counts=None):
     terms = weights * np.exp(-np.multiply.outer(s, logs))
+    if counts is not None:  # each point sums its own first counts[p] columns
+        terms[np.arange(len(logs)) >= counts[:, None]] = 0.0
     return terms.sum(axis=1), (-logs * terms).sum(axis=1), np.abs(terms).max(axis=1)
 
 
@@ -238,10 +249,11 @@ def test_dirichlet_kernel_matches_brute_force():
 
 
 def test_dirichlet_kernel_blocks_rows_and_columns(monkeypatch):
-    # a budget below one row forces column and row blocking: 12 columns
-    # per block on the shared grid, and a single column per block for the
-    # scattered points, whose sigmas and heights are all distinct
+    # a 256-element budget with 16-column blocks forces chunks of at most
+    # 16 rows (5 scattered points, whose sigmas and heights are all
+    # distinct), gathers of 4 points and 94 column blocks
     monkeypatch.setattr(specfun, "ELEMENT_BUDGET", 256)
+    monkeypatch.setattr(specfun, "_COLUMN_BLOCK", 16)
     for pts, logs, weights in itertools.islice(_kernel_cases(), 4):
         want, dwant, want_scale = _brute_direct_sum(pts, logs, weights)
         got, dgot, scale = specfun._dirichlet_sum(
@@ -250,6 +262,24 @@ def test_dirichlet_kernel_blocks_rows_and_columns(monkeypatch):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         assert np.all(np.abs(dgot - dwant) <= 1e-13 * np.abs(dwant))
         assert np.allclose(scale, want_scale, rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("block", [16, 512])
+def test_dirichlet_kernel_per_point_counts(monkeypatch, block):
+    # columns past a point's own count add nothing to its sums or its
+    # scale, also when the count ends inside a column block
+    monkeypatch.setattr(specfun, "_COLUMN_BLOCK", block)
+    rng = np.random.default_rng(7)
+    for pts, logs, weights in _kernel_cases():
+        counts = rng.integers(1, len(logs) + 1, len(pts))
+        counts[:3] = (1, block, block + 1)
+        want, dwant, want_scale = _brute_direct_sum(pts, logs, weights, counts)
+        got, dgot, scale = specfun._dirichlet_sum(
+            pts, counts, _columns(logs, weights), deriv=True
+        )
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert np.all(np.abs(dgot - dwant) <= 1e-13 * np.abs(dwant))
+        assert np.allclose(scale, want_scale, rtol=1e-15, atol=0.0)
 
 
 @given(
