@@ -44,8 +44,16 @@ from .errors import (
     DomainError,
     UndersampledError,
 )
-from .specfun import ComplexPoint, EvalSettings, _settings, digamma, lgamma
-from .xratio import _pole_mask, _zero_mask, dlogabsx_dt, gamma_modulus_dt, logabsx_many
+from .specfun import ComplexPoint, EvalSettings, _settings, lgamma
+from .xratio import (
+    _gamma_args,
+    _pole_mask,
+    _zero_mask,
+    dlogabsx_dt,
+    dsigma_logabsx,
+    gamma_modulus_dt,
+    logabsx_many,
+)
 
 __all__ = [
     "Rect",
@@ -70,7 +78,6 @@ __all__ = [
 LINE_TOL = 1e-6
 CURVE_TOL = 1e-10
 _BOUNDARY_GUARD = 1e-8
-_LN_5_OVER_PI = math.log(5.0 / math.pi)
 
 
 # ----------------------------------------------------------------------
@@ -161,20 +168,6 @@ class KappaResult:
         return abs(self.trace_value - self.root_value)
 
 
-CLAIM_IDS = (
-    "Lemma1",
-    "Lemma2",
-    "Corollary1",
-    "Lemma3_part1",
-    "Lemma3_part2",
-    "Lemma3_part3",
-    "Puzzle1",
-    "Puzzle2",
-    "AppendixA_t",
-    "AppendixA_sigma",
-)
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """Measured evidence for one externally numbered claim.
@@ -201,12 +194,6 @@ class AuditReport:
 # ----------------------------------------------------------------------
 
 
-def _dsigma_many(pts: np.ndarray, cfg: EvalSettings) -> np.ndarray:
-    upper = np.atleast_1d(np.asarray(digamma(1.0 - 0.5 * pts, cfg)))
-    lower = np.atleast_1d(np.asarray(digamma(0.5 * (1.0 + pts), cfg)))
-    return -_LN_5_OVER_PI - 0.5 * (upper.real + lower.real)
-
-
 _H_CHUNK = 1 << 18
 
 
@@ -225,7 +212,7 @@ def _h_at(pts: np.ndarray, cfg: EvalSettings) -> np.ndarray:
         if off.any():
             vals[off] = logabsx_many(chunk[off], cfg) / (chunk.real[off] - 0.5)
         if on.any():
-            vals[on] = _dsigma_many(chunk[on], cfg)
+            vals[on] = dsigma_logabsx(chunk[on], cfg)
         out[lo : lo + _H_CHUNK] = vals
     return out
 
@@ -563,11 +550,11 @@ def _trace_band_task(args):
 def _kappa_root(cfg: EvalSettings) -> float:
     """Root of d(log|X|)/dsigma on the line, t > 0, by `_bracket_roots`."""
     ends = np.array([0.0, 2.0])
-    g = _dsigma_many(0.5 + 1j * ends, cfg)
+    g = dsigma_logabsx(0.5 + 1j * ends, cfg)
     if not (g[0] > 0.0 > g[1]):
         raise ConvergenceError("no sign change in the strip-crossing bracket (0, 2)")
     root = _bracket_roots(
-        lambda t: _dsigma_many(0.5 + 1j * t, cfg), ends[:1], ends[1:], g[:1], g[1:]
+        lambda t: dsigma_logabsx(0.5 + 1j * t, cfg), ends[:1], ends[1:], g[:1], g[1:]
     )
     return float(root[0])
 
@@ -1109,6 +1096,106 @@ def _zero_tag(rec: ZeroRecord) -> str:
     return f"zero at {rec.location.sigma:.12g}+{rec.location.t:.12g}i"
 
 
+# Evidence metrics of one refined zero z, given the settings and kappa.
+# Like the evidence functions below, they reach the library through module
+# globals at call time, so a wrapper swapped into a module binding sees
+# every call.
+_ZERO_METRICS = {
+    "abs_f": lambda z, cfg, kap: z.residual,
+    "abs_f_paired": lambda z, cfg, kap: z.paired_residual,
+    "abs_x": lambda z, cfg, kap: z.abs_x_here,
+    "abs_x_minus_1": lambda z, cfg, kap: abs(z.abs_x_here - 1.0),
+    "t": lambda z, cfg, kap: z.location.t,
+    "kappa": lambda z, cfg, kap: kap,
+    "t_over_kappa": lambda z, cfg, kap: z.location.t / kap,
+    "within_kappa": lambda z, cfg, kap: z.within_kappa,
+    "dlogabsx_dt": lambda z, cfg, kap: dlogabsx_dt(z.location.z, 200000, cfg),
+}
+
+
+def _zero_metrics(*names):
+    """Evidence function: one entry per zero with the named _ZERO_METRICS."""
+
+    def evidence(z: ZeroRecord, cfg: EvalSettings, kap: float) -> list[dict]:
+        return [{"input": _zero_tag(z), **{n: _ZERO_METRICS[n](z, cfg, kap) for n in names}}]
+
+    return evidence
+
+
+def _gamma_ray(s: complex, cfg: EvalSettings, kap: float) -> list[dict]:
+    upper, lower = (math.exp(lgamma(arg, cfg).real) for arg in _gamma_args(s))
+    return [
+        {
+            "input": f"sigma={s.real:g}, t={s.imag:g}",
+            "gamma_upper_modulus": upper,
+            "gamma_lower_modulus": lower,
+            "dgamma_upper_dt": gamma_modulus_dt(s, "upper", 200000, cfg),
+            "dgamma_lower_dt": gamma_modulus_dt(s, "lower", 200000, cfg),
+            "log_abs_x": float(logabsx_many(s, cfg)),
+        }
+    ]
+
+
+def _puzzle1(z: ZeroRecord, cfg: EvalSettings, kap: float) -> list[dict]:
+    # one f_batch per zero, so a zero's values do not depend on which other
+    # zeros the window holds
+    vals, _ = f_batch(np.array([z.location.z, z.paired_location.z]), cfg)
+    here, mirror = complex(vals[0]), complex(vals[1])
+    return [
+        {
+            "input": _zero_tag(z),
+            "abs_f": abs(here),
+            "abs_f_paired": abs(mirror),
+            "abs_difference": abs(here - mirror),
+        }
+    ]
+
+
+_PROBE_RADII = [10.0 ** (-k) for k in range(1, 7)]
+
+
+def _appendix_a(direction: str, z: ZeroRecord, cfg: EvalSettings, kap: float) -> list[dict]:
+    return [
+        {
+            "input": f"{_zero_tag(z)}, {direction}, radius={r:g}",
+            "abs_x_probe": ax,
+            "abs_x_direct": z.abs_x_here,
+        }
+        for r, ax in limit_probe(z, direction, _PROBE_RADII, cfg)
+    ]
+
+
+# (claim id, population, evidence function, verdict note) in report order;
+# `audit_claims` names the populations.
+_CLAIMS = (
+    ("Lemma1", "all", _zero_metrics("abs_f", "abs_f_paired", "abs_x", "abs_x_minus_1"),
+     "at each refined zero: |f|, |f at the mirrored point|, and |X|; "
+     "values reported without interpretation"),
+    ("Lemma2", "off_line", _zero_metrics("abs_x", "abs_x_minus_1", "t", "kappa"),
+     "|X| at each off-line zero next to the strip height bound"),
+    ("Corollary1", "on_line", _zero_metrics("abs_x_minus_1"),
+     "distance of |X| from 1 at each line zero"),
+    ("Lemma3_part1", "gamma_rays", _gamma_ray,
+     "Gamma-factor moduli, their t-derivatives, and log|X| along "
+     "constant-sigma rays of increasing height"),
+    ("Lemma3_part2", "off_line", _zero_metrics("abs_f", "abs_f_paired", "dlogabsx_dt"),
+     "|f| at each off-line zero and at its mirror, with the local "
+     "t-slope of log|X|, all at finite height"),
+    ("Lemma3_part3", "off_line", _zero_metrics("abs_x", "t", "kappa", "t_over_kappa"),
+     "|X| at each off-line zero against the height bound of the unit-modulus curve"),
+    ("Puzzle1", "off_line", _puzzle1,
+     "|f(s)|, |f(1-s)|, and |f(s) - f(1-s)| at each off-line zero, side by side"),
+    ("Puzzle2", "off_line", _zero_metrics("t", "kappa", "t_over_kappa", "within_kappa"),
+     "each off-line zero's height against the strip bound"),
+    ("AppendixA_t", "probed", partial(_appendix_a, "along_t"),
+     "sqrt(P/Q) approaching each zero along t, next to the direct |X| at the zero"),
+    ("AppendixA_sigma", "probed", partial(_appendix_a, "along_sigma"),
+     "sqrt(P/Q) approaching each zero along sigma, next to the direct |X| at the zero"),
+)
+
+CLAIM_IDS = tuple(claim for claim, *_ in _CLAIMS)
+
+
 def audit_claims(
     zeros: list[ZeroRecord], settings: EvalSettings | None = None
 ) -> list[AuditReport]:
@@ -1123,176 +1210,14 @@ def audit_claims(
     kap = _kappa_cached(cfg)
     offline = [z for z in zeros if not z.on_line]
     online = [z for z in zeros if z.on_line]
-    reports: list[AuditReport] = []
-
-    ev = [
-        {
-            "input": _zero_tag(z),
-            "abs_f": z.residual,
-            "abs_f_paired": z.paired_residual,
-            "abs_x": z.abs_x_here,
-            "abs_x_minus_1": abs(z.abs_x_here - 1.0),
-        }
-        for z in zeros
+    populations = {
+        "all": zeros,
+        "off_line": offline,
+        "on_line": online,
+        "probed": online[:1] + offline[:2],
+        "gamma_rays": [complex(sigma, t) for sigma in (0.3, 0.7) for t in (10.0, 20.0, 40.0, 80.0)],
+    }
+    return [
+        AuditReport(claim, tuple(e for m in populations[pop] for e in evidence(m, cfg, kap)), note)
+        for claim, pop, evidence, note in _CLAIMS
     ]
-    reports.append(
-        AuditReport(
-            "Lemma1",
-            tuple(ev),
-            "at each refined zero: |f|, |f at the mirrored point|, and |X|; "
-            "values reported without interpretation",
-        )
-    )
-
-    ev = [
-        {
-            "input": _zero_tag(z),
-            "abs_x": z.abs_x_here,
-            "abs_x_minus_1": abs(z.abs_x_here - 1.0),
-            "t": z.location.t,
-            "kappa": kap,
-        }
-        for z in offline
-    ]
-    reports.append(
-        AuditReport(
-            "Lemma2",
-            tuple(ev),
-            "|X| at each off-line zero next to the strip height bound",
-        )
-    )
-
-    ev = [
-        {"input": _zero_tag(z), "abs_x_minus_1": abs(z.abs_x_here - 1.0)}
-        for z in online
-    ]
-    reports.append(
-        AuditReport(
-            "Corollary1",
-            tuple(ev),
-            "distance of |X| from 1 at each line zero",
-        )
-    )
-
-    ev = []
-    for sigma in (0.3, 0.7):
-        for t in (10.0, 20.0, 40.0, 80.0):
-            s = complex(sigma, t)
-            up = math.exp(lgamma(1.0 - 0.5 * s, cfg).real)
-            lo = math.exp(lgamma(0.5 * (1.0 + s), cfg).real)
-            ev.append(
-                {
-                    "input": f"sigma={sigma:g}, t={t:g}",
-                    "gamma_upper_modulus": up,
-                    "gamma_lower_modulus": lo,
-                    "dgamma_upper_dt": gamma_modulus_dt(s, "upper", 200000, cfg),
-                    "dgamma_lower_dt": gamma_modulus_dt(s, "lower", 200000, cfg),
-                    "log_abs_x": float(logabsx_many(s, cfg)),
-                }
-            )
-    reports.append(
-        AuditReport(
-            "Lemma3_part1",
-            tuple(ev),
-            "Gamma-factor moduli, their t-derivatives, and log|X| along "
-            "constant-sigma rays of increasing height",
-        )
-    )
-
-    ev = [
-        {
-            "input": _zero_tag(z),
-            "abs_f": z.residual,
-            "abs_f_paired": z.paired_residual,
-            "dlogabsx_dt": dlogabsx_dt(z.location.z, 200000, cfg),
-        }
-        for z in offline
-    ]
-    reports.append(
-        AuditReport(
-            "Lemma3_part2",
-            tuple(ev),
-            "|f| at each off-line zero and at its mirror, with the local "
-            "t-slope of log|X|, all at finite height",
-        )
-    )
-
-    ev = [
-        {
-            "input": _zero_tag(z),
-            "abs_x": z.abs_x_here,
-            "t": z.location.t,
-            "kappa": kap,
-            "t_over_kappa": z.location.t / kap,
-        }
-        for z in offline
-    ]
-    reports.append(
-        AuditReport(
-            "Lemma3_part3",
-            tuple(ev),
-            "|X| at each off-line zero against the height bound of the "
-            "unit-modulus curve",
-        )
-    )
-
-    ev = []
-    for z in offline:
-        vals, _ = f_batch(np.array([z.location.z, z.paired_location.z]), cfg)
-        ev.append(
-            {
-                "input": _zero_tag(z),
-                "abs_f": abs(complex(vals[0])),
-                "abs_f_paired": abs(complex(vals[1])),
-                "abs_difference": abs(complex(vals[0]) - complex(vals[1])),
-            }
-        )
-    reports.append(
-        AuditReport(
-            "Puzzle1",
-            tuple(ev),
-            "|f(s)|, |f(1-s)|, and |f(s) - f(1-s)| at each off-line zero, "
-            "side by side",
-        )
-    )
-
-    ev = [
-        {
-            "input": _zero_tag(z),
-            "t": z.location.t,
-            "kappa": kap,
-            "t_over_kappa": z.location.t / kap,
-            "within_kappa": z.within_kappa,
-        }
-        for z in offline
-    ]
-    reports.append(
-        AuditReport(
-            "Puzzle2",
-            tuple(ev),
-            "each off-line zero's height against the strip bound",
-        )
-    )
-
-    probe_radii = [10.0 ** (-k) for k in range(1, 7)]
-    for claim, direction in (("AppendixA_t", "along_t"), ("AppendixA_sigma", "along_sigma")):
-        ev = []
-        for z in (online[:1] + offline[:2]):
-            direct = z.abs_x_here
-            for r, ax in limit_probe(z, direction, probe_radii, cfg):
-                ev.append(
-                    {
-                        "input": f"{_zero_tag(z)}, {direction}, radius={r:g}",
-                        "abs_x_probe": ax,
-                        "abs_x_direct": direct,
-                    }
-                )
-        reports.append(
-            AuditReport(
-                claim,
-                tuple(ev),
-                f"sqrt(P/Q) approaching each zero {direction.replace('_', ' ')}, "
-                "next to the direct |X| at the zero",
-            )
-        )
-    return reports

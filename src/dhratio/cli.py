@@ -21,7 +21,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .analysis import (
     Rect,
@@ -44,8 +43,6 @@ from .suites import SUITE_NAMES, run_suites
 from .xratio import x_of
 
 __all__ = ["RunConfig", "main"]
-
-_COMMANDS = ("eval", "ratio", "curve", "kappa", "zeros", "scan", "verify", "audit")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    fmt = args.format or ("csv" if args.command == "curve" else "json")
+def _resolve_config(args: argparse.Namespace, fmt: str) -> RunConfig:
     window = None
     if getattr(args, "window", None) is not None:
         window = _parse_rect(args.window)
@@ -223,188 +219,163 @@ def _emit(config: RunConfig, payload: dict, columns: list[str], rows: list[dict]
             fh.write(text)
 
 
-def _record_row(rec) -> dict:
-    return {
-        "sigma": rec.location.sigma,
-        "t": rec.location.t,
-        "residual": rec.residual,
-        "iterations": rec.iterations,
-        "paired_sigma": rec.paired_location.sigma,
-        "paired_t": rec.paired_location.t,
-        "paired_residual": rec.paired_residual,
-        "abs_x": rec.abs_x_here,
-        "on_line": rec.on_line,
-        "within_kappa": rec.within_kappa,
+# columns of a zero record's row, in order, and how each is read
+_RECORD_FIELDS = {
+    "sigma": lambda rec: rec.location.sigma,
+    "t": lambda rec: rec.location.t,
+    "residual": lambda rec: rec.residual,
+    "iterations": lambda rec: rec.iterations,
+    "paired_sigma": lambda rec: rec.paired_location.sigma,
+    "paired_t": lambda rec: rec.paired_location.t,
+    "paired_residual": lambda rec: rec.paired_residual,
+    "abs_x": lambda rec: rec.abs_x_here,
+    "on_line": lambda rec: rec.on_line,
+    "within_kappa": lambda rec: rec.within_kappa,
+}
+
+
+def _record_rows(records) -> list[dict]:
+    return [{key: read(rec) for key, read in _RECORD_FIELDS.items()} for rec in records]
+
+
+# ----------------------------------------------------------------------
+# command bodies: each returns (payload fields, CSV columns, CSV rows,
+# exit status).  They reach the library through module globals at call
+# time, never through function objects stored at import, so a wrapper
+# swapped into a module binding sees every call.
+# ----------------------------------------------------------------------
+
+
+def _point_row(val, **extra) -> dict:
+    at, value = val.at, val.value
+    return {"sigma": at.sigma, "t": at.t, "value_re": value.sigma, "value_im": value.t, **extra}
+
+
+def _eval(config: RunConfig, cfg: EvalSettings, worker_map):
+    rows = []
+    for p in config.points:
+        val = f(p, cfg)
+        rows.append(_point_row(val, abs_value=abs(val.value.z), est_abs_err=val.est_abs_err))
+    columns = ["sigma", "t", "value_re", "value_im", "abs_value", "est_abs_err"]
+    return {"records": rows}, columns, rows, 0
+
+
+def _ratio(config: RunConfig, cfg: EvalSettings, worker_map):
+    rows = []
+    for p in config.points:
+        val = x_of(p, cfg)
+        rows.append(
+            _point_row(val, log_abs=val.log_abs, arg_cont=val.arg_cont, zero_flag=val.zero_flag)
+        )
+    columns = ["sigma", "t", "value_re", "value_im", "log_abs", "arg_cont", "zero_flag"]
+    return {"records": rows}, columns, rows, 0
+
+
+def _curve(config: RunConfig, cfg: EvalSettings, worker_map):
+    polys = trace_unit_curve(config.window, config.step, cfg, worker_map=worker_map)
+    components = [
+        {
+            "component_id": poly.component_id,
+            "closed": poly.closed,
+            "excludes_line": poly.excludes_line,
+            "vertices": [{"sigma": v.sigma, "t": v.t} for v in poly.vertices],
+        }
+        for poly in polys
+    ]
+    rows = [
+        {"component_id": poly.component_id, "sigma": v.sigma, "t": v.t}
+        for poly in polys
+        for v in poly.vertices
+    ]
+    return {"components": components}, ["component_id", "sigma", "t"], rows, 0
+
+
+def _kappa(config: RunConfig, cfg: EvalSettings, worker_map):
+    kd = kappa_detail(cfg)
+    fields = {
+        "kappa": kd.trace_value,
+        "trace_value": kd.trace_value,
+        "root_value": kd.root_value,
+        "agreement": kd.agreement,
     }
+    rows = [{"metric": key, "value": value} for key, value in fields.items()]
+    return fields, ["metric", "value"], rows, 0
 
 
-_RECORD_COLUMNS = [
-    "sigma",
-    "t",
-    "residual",
-    "iterations",
-    "paired_sigma",
-    "paired_t",
-    "paired_residual",
-    "abs_x",
-    "on_line",
-    "within_kappa",
-]
+def _zeros(config: RunConfig, cfg: EvalSettings, worker_map):
+    rows = _record_rows(survey_zeros(config.window, cfg, worker_map=worker_map))
+    return {"records": rows}, list(_RECORD_FIELDS), rows, 0
 
 
-# ----------------------------------------------------------------------
-# command bodies
-# ----------------------------------------------------------------------
+def _scan(config: RunConfig, cfg: EvalSettings, worker_map):
+    if config.t0 is None or config.t1 is None or config.step is None:
+        raise DomainError("scan requires --t0, --t1, --step")
+    rows = _record_rows(scan_critical_line(config.t0, config.t1, config.step, cfg))
+    return {"records": rows}, list(_RECORD_FIELDS), rows, 0
+
+
+def _verify(config: RunConfig, cfg: EvalSettings, worker_map):
+    results = run_suites(config.suites, cfg, worker_map=worker_map)
+    columns = ["suite", "check", "passed", "measured", "threshold"]
+    rows = [
+        {
+            "suite": suite.name,
+            "check": c.name,
+            "passed": c.passed,
+            "measured": c.measured,
+            "threshold": c.threshold,
+        }
+        for suite in results
+        for c in suite.checks
+    ]
+    suites_payload = [
+        {
+            "name": suite.name,
+            "passed": suite.passed,
+            "checks": [dataclasses.asdict(c) for c in suite.checks],
+        }
+        for suite in results
+    ]
+    all_passed = all(s.passed for s in results)
+    payload = {"suites": suites_payload, "all_passed": all_passed}
+    return payload, columns, rows, 0 if all_passed else 1
+
+
+def _audit(config: RunConfig, cfg: EvalSettings, worker_map):
+    reports = audit_claims(survey_zeros(config.window, cfg, worker_map=worker_map), cfg)
+    reports_payload = [
+        {
+            "claim_id": rep.claim_id,
+            "verdict_note": rep.verdict_note,
+            "evidence": list(rep.evidence),
+        }
+        for rep in reports
+    ]
+    rows = [
+        {"claim_id": rep.claim_id, "input": item["input"], "metric": key, "value": value}
+        for rep in reports
+        for item in rep.evidence
+        for key, value in item.items()
+        if key != "input"
+    ]
+    return {"reports": reports_payload}, ["claim_id", "input", "metric", "value"], rows, 0
+
+
+_COMMANDS = {
+    "eval": _eval,
+    "ratio": _ratio,
+    "curve": _curve,
+    "kappa": _kappa,
+    "zeros": _zeros,
+    "scan": _scan,
+    "verify": _verify,
+    "audit": _audit,
+}
 
 
 def _run(config: RunConfig, cfg: EvalSettings, worker_map) -> tuple[dict, list[str], list[dict], int]:
-    settings_echo = dataclasses.asdict(cfg)
-    status = 0
-
-    if config.command == "eval":
-        rows = []
-        for p in config.points:
-            val = f(p, cfg)
-            rows.append(
-                {
-                    "sigma": val.at.sigma,
-                    "t": val.at.t,
-                    "value_re": val.value.sigma,
-                    "value_im": val.value.t,
-                    "abs_value": abs(val.value.z),
-                    "est_abs_err": val.est_abs_err,
-                }
-            )
-        columns = ["sigma", "t", "value_re", "value_im", "abs_value", "est_abs_err"]
-        payload = {"command": "eval", "settings": settings_echo, "records": rows}
-
-    elif config.command == "ratio":
-        rows = []
-        for p in config.points:
-            val = x_of(p, cfg)
-            rows.append(
-                {
-                    "sigma": val.at.sigma,
-                    "t": val.at.t,
-                    "value_re": val.value.sigma,
-                    "value_im": val.value.t,
-                    "log_abs": val.log_abs,
-                    "arg_cont": val.arg_cont,
-                    "zero_flag": val.zero_flag,
-                }
-            )
-        columns = ["sigma", "t", "value_re", "value_im", "log_abs", "arg_cont", "zero_flag"]
-        payload = {"command": "ratio", "settings": settings_echo, "records": rows}
-
-    elif config.command == "curve":
-        polys = trace_unit_curve(config.window, config.step, cfg, worker_map=worker_map)
-        rows = []
-        components = []
-        for poly in polys:
-            components.append(
-                {
-                    "component_id": poly.component_id,
-                    "closed": poly.closed,
-                    "excludes_line": poly.excludes_line,
-                    "vertices": [{"sigma": v.sigma, "t": v.t} for v in poly.vertices],
-                }
-            )
-            for v in poly.vertices:
-                rows.append({"component_id": poly.component_id, "sigma": v.sigma, "t": v.t})
-        columns = ["component_id", "sigma", "t"]
-        payload = {"command": "curve", "settings": settings_echo, "components": components}
-
-    elif config.command == "kappa":
-        kd = kappa_detail(cfg)
-        rows = [
-            {"metric": "kappa", "value": kd.trace_value},
-            {"metric": "trace_value", "value": kd.trace_value},
-            {"metric": "root_value", "value": kd.root_value},
-            {"metric": "agreement", "value": kd.agreement},
-        ]
-        columns = ["metric", "value"]
-        payload = {
-            "command": "kappa",
-            "settings": settings_echo,
-            "kappa": kd.trace_value,
-            "trace_value": kd.trace_value,
-            "root_value": kd.root_value,
-            "agreement": kd.agreement,
-        }
-
-    elif config.command == "zeros":
-        records = survey_zeros(config.window, cfg, worker_map=worker_map)
-        rows = [_record_row(r) for r in records]
-        columns = _RECORD_COLUMNS
-        payload = {"command": "zeros", "settings": settings_echo, "records": rows}
-
-    elif config.command == "scan":
-        if config.t0 is None or config.t1 is None or config.step is None:
-            raise DomainError("scan requires --t0, --t1, --step")
-        records = scan_critical_line(config.t0, config.t1, config.step, cfg)
-        rows = [_record_row(r) for r in records]
-        columns = _RECORD_COLUMNS
-        payload = {"command": "scan", "settings": settings_echo, "records": rows}
-
-    elif config.command == "verify":
-        results = run_suites(config.suites, cfg, worker_map=worker_map)
-        rows = []
-        suites_payload = []
-        for suite in results:
-            checks = []
-            for c in suite.checks:
-                rows.append(
-                    {
-                        "suite": suite.name,
-                        "check": c.name,
-                        "passed": c.passed,
-                        "measured": c.measured,
-                        "threshold": c.threshold,
-                    }
-                )
-                checks.append(dataclasses.asdict(c))
-            suites_payload.append({"name": suite.name, "passed": suite.passed, "checks": checks})
-        all_passed = all(s.passed for s in results)
-        columns = ["suite", "check", "passed", "measured", "threshold"]
-        payload = {
-            "command": "verify",
-            "settings": settings_echo,
-            "suites": suites_payload,
-            "all_passed": all_passed,
-        }
-        status = 0 if all_passed else 1
-
-    elif config.command == "audit":
-        records = survey_zeros(config.window, cfg, worker_map=worker_map)
-        reports = audit_claims(records, cfg)
-        rows = []
-        reports_payload = []
-        for rep in reports:
-            reports_payload.append(
-                {
-                    "claim_id": rep.claim_id,
-                    "verdict_note": rep.verdict_note,
-                    "evidence": list(rep.evidence),
-                }
-            )
-            for item in rep.evidence:
-                for key, value in item.items():
-                    if key == "input":
-                        continue
-                    rows.append(
-                        {
-                            "claim_id": rep.claim_id,
-                            "input": item["input"],
-                            "metric": key,
-                            "value": value,
-                        }
-                    )
-        columns = ["claim_id", "input", "metric", "value"]
-        payload = {"command": "audit", "settings": settings_echo, "reports": reports_payload}
-
-    else:  # pragma: no cover - guarded by RunConfig
-        raise DomainError(f"unknown command {config.command!r}")
-
+    fields, columns, rows, status = _COMMANDS[config.command](config, cfg, worker_map)
+    payload = {"command": config.command, "settings": dataclasses.asdict(cfg), **fields}
     return payload, columns, rows, status
 
 
@@ -426,9 +397,9 @@ def _fail(code: int, exc: Exception, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    fmt = getattr(args, "format", None) or ("csv" if args.command == "curve" else "json")
+    fmt = args.format or ("csv" if args.command == "curve" else "json")
     try:
-        config = _resolve_config(args)
+        config = _resolve_config(args, fmt)
         cfg = _load_settings(args.seed)
     except (DomainError, ValueError, KeyError, OSError) as exc:
         return _fail(2, exc, fmt)
@@ -437,6 +408,8 @@ def main(argv=None) -> int:
     worker_map = None
     try:
         if config.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+
             executor = ProcessPoolExecutor(max_workers=config.jobs)
             worker_map = executor.map
         payload, columns, rows, status = _run(config, cfg, worker_map)

@@ -50,7 +50,7 @@ from .specfun import (
     em_split_point,
     lgamma,
 )
-from .xratio import _x_many
+from .xratio import _log_form, _x_many
 
 __all__ = [
     "CoefficientTable",
@@ -392,21 +392,9 @@ def functional_eq_residual(s, settings: EvalSettings | None = None):
 # ----------------------------------------------------------------------
 
 
-def _theta(t: np.ndarray) -> np.ndarray:
-    """Continuous rotation phase on the critical line.
-
-    theta(t) = Im[(1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1+s)/2)]
-    at s = 1/2 + it; both lgamma arguments keep real part 3/4, so the
-    principal branch is already continuous in t and theta(0) = 0.
-    """
-    s = 0.5 + 1j * t
-    upper = np.atleast_1d(np.asarray(lgamma(1.0 - 0.5 * s)))
-    lower = np.atleast_1d(np.asarray(lgamma(0.5 * (1.0 + s))))
-    return -t * math.log(5.0 / math.pi) + upper.imag - lower.imag
-
-
 def z_function(t, settings: EvalSettings | None = None):
-    """Real rotated form Z(t) = exp(-i theta(t)/2) f(1/2 + it).
+    """Real rotated form Z(t) = exp(-i theta(t)/2) f(1/2 + it), with
+    theta(t) = Im L(1/2 + it) (xratio's log form of X).
 
     The rotation cancels the phase the reflection identity forces on
     the critical line, so Z is real there; sign changes of Z are line
@@ -418,7 +406,7 @@ def z_function(t, settings: EvalSettings | None = None):
     if not np.all(np.isfinite(tarr)):
         raise DomainError("non-finite height t")
     vals, _ = f_batch(0.5 + 1j * tarr, cfg)
-    rotated = np.exp(-0.5j * _theta(tarr)) * vals
+    rotated = np.exp(-0.5j * _log_form(0.5 + 1j * tarr, cfg).imag) * vals
     bound = 1e-8 * (1.0 + np.abs(rotated.real))
     if np.any(np.abs(rotated.imag) > bound):
         worst = float(np.abs(rotated.imag).max())

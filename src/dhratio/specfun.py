@@ -199,6 +199,34 @@ def _nonpositive_integer_mask(arr: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _shifted_series(z, what: str, step, coef):
+    """The part of log Gamma and digamma that they share: the pole check
+    at z = 0, -1, -2, ..., the upward shift to Re w >= 10 that
+    accumulates -step(z) - step(z+1) - ..., and the Horner sum of `coef`
+    in 1/w^2.  Returns (w, acc, ser, 1/w^2, was_scalar)."""
+    arr, was_scalar = as_points(z)
+    bad = _nonpositive_integer_mask(arr)
+    if bad.any():
+        raise PoleError(f"{what} pole at z = {arr[bad][0]}")
+
+    w = arr.copy()
+    acc = np.zeros_like(arr)
+    for _ in range(_MAX_SHIFT):
+        mask = w.real < _SHIFT_RE
+        if not mask.any():
+            break
+        acc[mask] -= step(w[mask])
+        w[mask] += 1.0
+    else:
+        raise DomainError("argument real part too negative for the shift budget")
+
+    winv2 = 1.0 / (w * w)
+    ser = np.full_like(w, coef[-1])
+    for c in coef[-2::-1]:
+        ser = ser * winv2 + c
+    return w, acc, ser, winv2, was_scalar
+
+
 def lgamma(z, settings: EvalSettings | None = None):
     """Principal-branch log Gamma.
 
@@ -211,26 +239,7 @@ def lgamma(z, settings: EvalSettings | None = None):
 
     Raises PoleError at the poles z = 0, -1, -2, ...
     """
-    arr, was_scalar = as_points(z)
-    bad = _nonpositive_integer_mask(arr)
-    if bad.any():
-        raise PoleError(f"log Gamma pole at z = {arr[bad][0]}")
-
-    w = arr.copy()
-    acc = np.zeros_like(arr)
-    for _ in range(_MAX_SHIFT):
-        mask = w.real < _SHIFT_RE
-        if not mask.any():
-            break
-        acc[mask] -= np.log(w[mask])
-        w[mask] += 1.0
-    else:
-        raise DomainError("argument real part too negative for the shift budget")
-
-    winv2 = 1.0 / (w * w)
-    ser = np.full_like(w, _STIRLING_COEF[-1])
-    for c in _STIRLING_COEF[-2::-1]:
-        ser = ser * winv2 + c
+    w, acc, ser, _, was_scalar = _shifted_series(z, "log Gamma", np.log, _STIRLING_COEF)
     out = (w - 0.5) * np.log(w) - w + _HALF_LN_2PI + ser / w + acc
     return _unpack(out, was_scalar)
 
@@ -242,26 +251,9 @@ def digamma(z, settings: EvalSettings | None = None):
     asymptotic series psi(w) ~ ln w - 1/(2w) - sum_k B_2k / (2k w^2k).
     Raises PoleError at the poles z = 0, -1, -2, ...
     """
-    arr, was_scalar = as_points(z)
-    bad = _nonpositive_integer_mask(arr)
-    if bad.any():
-        raise PoleError(f"digamma pole at z = {arr[bad][0]}")
-
-    w = arr.copy()
-    acc = np.zeros_like(arr)
-    for _ in range(_MAX_SHIFT):
-        mask = w.real < _SHIFT_RE
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / w[mask]
-        w[mask] += 1.0
-    else:
-        raise DomainError("argument real part too negative for the shift budget")
-
-    winv2 = 1.0 / (w * w)
-    ser = np.full_like(w, _DIGAMMA_COEF[-1])
-    for c in _DIGAMMA_COEF[-2::-1]:
-        ser = ser * winv2 + c
+    w, acc, ser, winv2, was_scalar = _shifted_series(
+        z, "digamma", lambda v: 1.0 / v, _DIGAMMA_COEF
+    )
     out = np.log(w) - 0.5 / w - ser * winv2 + acc
     return _unpack(out, was_scalar)
 
@@ -494,10 +486,3 @@ def _sin_cos_pi(w: np.ndarray):
     sinh = -0.5 * np.sign(y) * em1  # sinh(pi y) e^(-pi |y|)
     return sinx * cosh + 1j * cosx * sinh, cosx * cosh - 1j * sinx * sinh
 
-
-def sin_pi(w):
-    """sin(pi w) with exact argument reduction (see `_sin_cos_pi`): the
-    zeros at real integer w are exact in floating point."""
-    arr, was_scalar = as_points(w)
-    out = _sin_cos_pi(arr)[0] * np.exp(np.pi * np.abs(arr.imag))
-    return _unpack(out, was_scalar)

@@ -135,17 +135,22 @@ def poles(count: int) -> list[ComplexPoint]:
 # ----------------------------------------------------------------------
 
 
+def _gamma_args(s):
+    """The arguments 1 - s/2 and (1 + s)/2 of X's two Gamma factors."""
+    return 1.0 - 0.5 * s, 0.5 * (1.0 + s)
+
+
 def _log_form(arr: np.ndarray, cfg: EvalSettings | None) -> np.ndarray:
     """L(s) = (1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1+s)/2).
 
-    Callers must keep pole and zero points of X out of `arr`; the
-    lgamma pole check converts stray hits into PoleError.
+    The one place L is formed: log|X| is Re L, and on the line s = 1/2 +
+    it, Im L is the rotation phase of `dhfun.z_function` (both lgamma
+    arguments keep real part 3/4 there, so it is continuous in t and 0
+    at t = 0).  Callers must keep pole and zero points of X out of
+    `arr`; the lgamma pole check converts stray hits into PoleError.
     """
-    upper = lgamma(1.0 - 0.5 * arr, cfg)
-    lower = lgamma(0.5 * (1.0 + arr), cfg)
-    return (0.5 - arr) * _LN_5_OVER_PI + np.atleast_1d(np.asarray(upper)) - np.atleast_1d(
-        np.asarray(lower)
-    )
+    upper, lower = (lgamma(arg, cfg) for arg in _gamma_args(arr))
+    return (0.5 - arr) * _LN_5_OVER_PI + upper - lower
 
 
 def _x_many(arr: np.ndarray, cfg: EvalSettings | None):
@@ -255,8 +260,18 @@ def reciprocity_defect(n: int, delta: float, settings: EvalSettings | None = Non
 _SERIES_CHUNK = 1 << 20
 
 
-def _default_n_max(sv: complex) -> int:
-    return max(50, int(math.ceil(10.0 * (abs(sv.imag) + abs(sv.real)))))
+def _partial_sum(term, sv: complex, n_max: int | None) -> float:
+    """sum_{n=1..n_max} term(n), taken in chunks of _SERIES_CHUNK terms;
+    n_max defaults to max(50, ceil(10 (|sigma| + |t|)))."""
+    if n_max is None:
+        n_max = max(50, int(math.ceil(10.0 * (abs(sv.imag) + abs(sv.real)))))
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    total = 0.0
+    for lo in range(1, n_max + 1, _SERIES_CHUNK):
+        n = np.arange(lo, min(lo + _SERIES_CHUNK, n_max + 1), dtype=np.float64)
+        total += float(term(n).sum())
+    return total
 
 
 def dlogabsx_dt(s, n_max: int | None = None, settings: EvalSettings | None = None) -> float:
@@ -277,34 +292,26 @@ def dlogabsx_dt(s, n_max: int | None = None, settings: EvalSettings | None = Non
     sigma, t = sv.real, sv.imag
     if sigma == 0.5:
         return 0.0
-    if n_max is None:
-        n_max = _default_n_max(sv)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
 
-    front = 8.0 * t * (0.5 - sigma)
-    total = 0.0
-    for lo in range(1, n_max + 1, _SERIES_CHUNK):
-        n = np.arange(lo, min(lo + _SERIES_CHUNK, n_max + 1), dtype=np.float64)
+    def term(n):
         d1 = (2.0 * n + sigma - 1.0) ** 2 + t * t
         d2 = (2.0 * n - sigma) ** 2 + t * t
-        total += float(((n - 0.25) / (d1 * d2)).sum())
-    return front * total
+        return (n - 0.25) / (d1 * d2)
+
+    return 8.0 * t * (0.5 - sigma) * _partial_sum(term, sv, n_max)
 
 
-def dsigma_logabsx(s, settings: EvalSettings | None = None) -> float:
+def dsigma_logabsx(s, settings: EvalSettings | None = None):
     """d(log|X|)/dsigma = -ln(5/pi) - Re[psi(1 - s/2) + psi((1+s)/2)]/2.
 
-    Raises PoleError when either digamma argument is a non-positive
-    integer (the poles and zeros of X).
+    Scalar in, float out; arrays in, arrays out.  Raises PoleError when
+    either digamma argument at any point is a non-positive integer (the
+    poles and zeros of X).
     """
-    arr, _ = as_points(s)
-    if len(arr) != 1:
-        raise DomainError("dsigma_logabsx takes a single point")
-    sv = complex(arr[0])
-    upper = digamma(1.0 - 0.5 * sv, settings)
-    lower = digamma(0.5 * (1.0 + sv), settings)
-    return -_LN_5_OVER_PI - 0.5 * (upper.real + lower.real)
+    arr, was_scalar = as_points(s)
+    upper, lower = (digamma(arg, settings) for arg in _gamma_args(arr))
+    out = -_LN_5_OVER_PI - 0.5 * (upper.real + lower.real)
+    return float(out[0]) if was_scalar else out
 
 
 def gamma_modulus_dt(
@@ -328,21 +335,14 @@ def gamma_modulus_dt(
         raise DomainError("gamma_modulus_dt takes a single point")
     sv = complex(arr[0])
     sigma, t = sv.real, sv.imag
-    if which == "upper":
-        arg = 1.0 - 0.5 * sv
-    elif which == "lower":
-        arg = 0.5 * (1.0 + sv)
-    else:
+    if which not in ("upper", "lower"):
         raise DomainError(f"which must be 'upper' or 'lower', got {which!r}")
-    if n_max is None:
-        n_max = _default_n_max(sv)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
 
-    modulus = math.exp(lgamma(arg, settings).real)
-    total = 0.0
-    for lo in range(1, n_max + 1, _SERIES_CHUNK):
-        n = np.arange(lo, min(lo + _SERIES_CHUNK, n_max + 1), dtype=np.float64)
+    def term(n):
         shifted = sigma - 2.0 * n if which == "upper" else sigma + 2.0 * n - 1.0
-        total += float((1.0 / (shifted * shifted + t * t)).sum())
+        return 1.0 / (shifted * shifted + t * t)
+
+    total = _partial_sum(term, sv, n_max)
+    upper, lower = _gamma_args(sv)
+    modulus = math.exp(lgamma(upper if which == "upper" else lower, settings).real)
     return -t * modulus * total

@@ -440,13 +440,35 @@ def test_refine_zero_matches_the_lockstep_batch(refined_sample):
         assert min(abs(r.location.z - z) for r in survey_zeros(window)) < 1e-9
 
 
+# every claim's evidence keys in order: the CSV and JSON outputs list them so
+_EVIDENCE_KEYS = {
+    "Lemma1": ("abs_f", "abs_f_paired", "abs_x", "abs_x_minus_1"),
+    "Lemma2": ("abs_x", "abs_x_minus_1", "t", "kappa"),
+    "Corollary1": ("abs_x_minus_1",),
+    "Lemma3_part1": (
+        "gamma_upper_modulus",
+        "gamma_lower_modulus",
+        "dgamma_upper_dt",
+        "dgamma_lower_dt",
+        "log_abs_x",
+    ),
+    "Lemma3_part2": ("abs_f", "abs_f_paired", "dlogabsx_dt"),
+    "Lemma3_part3": ("abs_x", "t", "kappa", "t_over_kappa"),
+    "Puzzle1": ("abs_f", "abs_f_paired", "abs_difference"),
+    "Puzzle2": ("t", "kappa", "t_over_kappa", "within_kappa"),
+    "AppendixA_t": ("abs_x_probe", "abs_x_direct"),
+    "AppendixA_sigma": ("abs_x_probe", "abs_x_direct"),
+}
+
+
 def test_audit_covers_every_claim(refined_sample):
     reports = audit_claims(refined_sample)
-    assert tuple(r.claim_id for r in reports) == CLAIM_IDS
+    assert tuple(r.claim_id for r in reports) == CLAIM_IDS == tuple(_EVIDENCE_KEYS)
     for r in reports:
         assert r.verdict_note
+        assert r.evidence, f"{r.claim_id}: the sample has zeros on and off the line"
         for item in r.evidence:
-            assert "input" in item
+            assert tuple(item) == ("input",) + _EVIDENCE_KEYS[r.claim_id], r.claim_id
 
 
 def test_audit_reports_puzzle_quantities(refined_sample):

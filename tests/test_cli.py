@@ -1,10 +1,12 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
+from dhratio import cli
 from dhratio.cli import main
 from dhratio.dhfun import f
 
@@ -18,6 +20,12 @@ def run(args, capsys):
     status = main(args)
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+def test_parser_subcommands_are_the_command_table():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._COMMANDS)
 
 
 # ----------------------------------------------------------------------

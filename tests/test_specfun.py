@@ -25,7 +25,6 @@ from dhratio.specfun import (
     hurwitz_zeta,
     hurwitz_zeta_any,
     lgamma,
-    sin_pi,
 )
 
 # ----------------------------------------------------------------------
@@ -341,9 +340,37 @@ def test_cpow_rejects_nonpositive_base():
         cpow(0.0, 1.0 + 0.0j)
 
 
+def test_random_points_keep_the_loop_draws():
+    # the masked filter keeps the same draws, in the same order, as a
+    # point-by-point loop over the same batches
+    def loop(rng, n, re_lo, re_hi, im_lo, im_hi, avoid, radius):
+        out = []
+        while len(out) < n:
+            batch = rng.uniform(re_lo, re_hi, 4 * n) + 1j * rng.uniform(im_lo, im_hi, 4 * n)
+            out += [complex(z) for z in batch if all(abs(z - a) >= radius for a in avoid)]
+        return np.array(out[:n])
+
+    avoid = [complex(-k, 0.0) for k in range(11)]
+    cases = (
+        (400, -10.0, 10.0, -1.0, 1.0, avoid, 0.5),
+        (40, -0.6, 0.6, -0.6, 0.6, [0j], 0.65),  # ~10% kept: several batches
+        (40, -8.0, 8.0, -40.0, 40.0, (), 0.05),
+    )
+    for args in cases:
+        got = suites._random_points(np.random.default_rng(5), *args)
+        want = loop(np.random.default_rng(5), *args)
+        assert got.tobytes() == want.tobytes()
+
+
+def _sin_pi(w) -> complex:
+    """sin(pi w) from the reflected route's kernel, its e^(-pi |Im w|) undone."""
+    arr = np.array([complex(w)])
+    return complex(specfun._sin_cos_pi(arr)[0][0] * np.exp(np.pi * abs(arr[0].imag)))
+
+
 def test_sin_pi_exact_integer_zeros():
     for n in (-6, -3, 0, 1, 7, 12):
-        assert sin_pi(float(n) + 0.0j) == 0.0, f"sin_pi({n}) must vanish exactly"
+        assert _sin_pi(float(n) + 0.0j) == 0.0, f"sin(pi {n}) must vanish exactly"
 
 
 def test_sin_pi_matches_cmath_off_axis():
@@ -351,7 +378,7 @@ def test_sin_pi_matches_cmath_off_axis():
 
     for w in (0.3 + 0.2j, -1.7 + 2.0j, 5.5 - 1.0j):
         want = cmath.sin(math.pi * w)
-        assert abs(sin_pi(w) - want) < 1e-13 * (1 + abs(want))
+        assert abs(_sin_pi(w) - want) < 1e-13 * (1 + abs(want))
 
 
 # ----------------------------------------------------------------------

@@ -211,6 +211,18 @@ def test_suite_fd_checks_hold_near_a_pole_and_catch_a_wrong_series(monkeypatch):
 def test_dsigma_logabsx_pole():
     with pytest.raises(PoleError):
         dsigma_logabsx(-1.0 + 0.0j)
+    with pytest.raises(PoleError):
+        dsigma_logabsx(np.array([0.2 + 3.0j, -1.0 + 0.0j, 0.5 + 1.0j]))
+
+
+def test_dsigma_logabsx_on_an_array_is_the_scalar_result_bit_for_bit():
+    rng = np.random.default_rng(11)
+    s = rng.uniform(-4.0, 5.0, 300) + 1j * rng.uniform(-300.0, 300.0, 300)
+    s[:3] = 0.5 + 1j * np.array([0.0, 1.21, 14.0])  # on the line, where h uses it
+    many = dsigma_logabsx(s)
+    assert isinstance(dsigma_logabsx(complex(s[0])), float)
+    assert many.shape == s.shape
+    assert [float(v) for v in many] == [dsigma_logabsx(complex(v)) for v in s]
 
 
 def test_gamma_modulus_dt_signs_and_fd():
