@@ -5,16 +5,17 @@ Four instruments:
   * a marching-squares tracer for the level set |X| = 1, run on the
     deflated field h = log|X| / (sigma - 1/2) so the identically-zero
     critical line drops out and only the bounded off-line branches
-    remain;
+    remain; every grid edge has an integer id, and one array pass turns
+    all crossed cells of a band into pairs of edge ids;
   * the height bound kappa of the off-line branch inside the strip,
     measured two independent ways (curve apex vs. digamma-equation
     root);
   * zero accounting: argument-principle winding counts over bands of
-    grid cells that share their edge samples, localization of every
-    counted cell together in rounds, lockstep Newton refinement (f and
-    f' from one evaluation pass per round), critical-line scanning
-    through the real rotated form, and an exhaustive cell survey
-    combining them;
+    grid cells that share their edge samples (one flat sample array
+    tagged by edge, bisected in rounds), localization of every counted
+    cell together in rounds, lockstep Newton refinement (f and f' from
+    one evaluation pass per round), critical-line scanning through the
+    real rotated form, and an exhaustive cell survey combining them;
   * audits that attach measured numbers to a fixed list of externally
     numbered claims, reporting values only and never a verdict.
 
@@ -31,6 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -285,201 +287,160 @@ def _bracket_roots(func, a, b, fa, fb) -> np.ndarray:
 # marching squares
 # ----------------------------------------------------------------------
 
+# Edge ids number every edge of a window's grid in sorted order:
+# horizontal edges row-major, then _SUB_EDGES ids per cell (row-major) for
+# the edges of its 3x3 subdivision, then vertical edges row-major.  Within
+# a cell's block, id 0..8 are its horizontal sub-edges and 9..17 its
+# vertical ones, each row-major on the 3x3 lattice of the subdivision.
+_SUB_EDGES = 18
 
-def _cell_segments(sb, j, i, center_pos):
-    """Marching-squares segments for one cell as pairs of edge keys.
 
-    Edge keys: ('h', j, i) spans columns i..i+1 at row j; ('v', j, i)
-    spans rows j..j+1 at column i.  `sb[j, i]` is the corner sign and
-    `center_pos` resolves the saddle configurations.
+def _corners(sb: np.ndarray, row, col) -> np.ndarray:
+    """Corner signs (bottom-left, bottom-right, top-left, top-right) of the
+    cells at `row`, `col` of a sign lattice, stacked on a new last axis."""
+    up, right = row + 1, col + 1
+    return np.stack(
+        (sb[..., row, col], sb[..., row, right], sb[..., up, col], sb[..., up, right]), axis=-1
+    )
+
+
+def _cell_edges(h_base, h_row, v_base, v_row, row, col) -> np.ndarray:
+    """Ids of the (bottom, left, right, top) edges of the cells at `row`,
+    `col` of a lattice whose horizontal edge (r, c) has id
+    h_base + h_row * r + c and vertical edge (r, c) id v_base + v_row * r + c."""
+    bottom = h_base + h_row * row + col
+    left = v_base + v_row * row + col
+    return np.stack((bottom, left, left + 1, bottom + h_row), axis=-1)
+
+
+def _cell_segments(corners: np.ndarray, centre: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Marching-squares segments of cells as pairs of edge ids.
+
+    Row k of `corners` holds cell k's corner signs (bottom-left,
+    bottom-right, top-left, top-right), row k of `edges` the ids of its
+    bottom, left, right and top edges, and centre[k] its sign at the
+    centre, read at saddles only.  Four binary corners change sign an
+    even number of times, so a cell is crossed 0, 2 or 4 times.  Two
+    crossings make one segment, in bottom-left-right-top order; a saddle
+    pairs (bottom, right) and (left, top) when its centre sign equals its
+    bottom-left corner's, (bottom, left) and (top, right) otherwise.
+    Returns an (m, 2) int array.
     """
-    c00, c10 = sb[j, i], sb[j, i + 1]
-    c01, c11 = sb[j + 1, i], sb[j + 1, i + 1]
-    bottom = ("h", j, i) if c00 != c10 else None
-    top = ("h", j + 1, i) if c01 != c11 else None
-    left = ("v", j, i) if c00 != c01 else None
-    right = ("v", j, i + 1) if c10 != c11 else None
-    crossed = [e for e in (bottom, left, right, top) if e is not None]
-    if len(crossed) == 0:
-        return []
-    if len(crossed) == 2:
-        return [(crossed[0], crossed[1])]
-    if len(crossed) == 4:
-        if center_pos == c00:
-            return [(bottom, right), (left, top)]
-        return [(bottom, left), (top, right)]
-    # An odd count means a corner sits exactly on the level set; treat
-    # the first two crossings as one segment and let refinement settle it.
-    return [(crossed[0], crossed[1])]
+    c00, c10, c01, c11 = corners.T
+    crossed = np.stack((c00 != c10, c00 != c01, c10 != c11, c01 != c11), axis=1)
+    saddle = crossed.all(axis=1)
+    same = (centre == c00)[saddle, None]
+    around = np.where(same, edges[saddle][:, [0, 2, 1, 3]], edges[saddle][:, [0, 1, 3, 2]])
+    return np.concatenate((edges[crossed & ~saddle[:, None]], around.ravel())).reshape(-1, 2)
 
 
-def _chain_segments(segments, vertex_of):
+def _chain_segments(segments, vertex_of, excludes_line: bool) -> list[CurvePolyline]:
     """Join cell segments sharing refined edge vertices into polylines.
 
-    Deterministic: segments arrive sorted, open chains are walked
-    before cycles, and each chain starts from its smallest edge key.
+    An edge joins at most two segments, one per cell beside it, so the
+    segments form paths and cycles.  Deterministic: segments arrive
+    sorted, paths are walked first, each from its smaller end edge, then
+    cycles, each from the first edge of its first segment.
     """
     adjacency: dict = {}
     for k, (ea, eb) in enumerate(segments):
         adjacency.setdefault(ea, []).append((k, eb))
         adjacency.setdefault(eb, []).append((k, ea))
-
     used = [False] * len(segments)
     chains = []
-
-    def walk(start_edge):
-        path = [start_edge]
-        current = start_edge
-        while True:
-            nxt = None
-            for k, other in adjacency[current]:
-                if not used[k]:
-                    used[k] = True
-                    nxt = other
-                    break
-            if nxt is None:
-                return path, False
-            path.append(nxt)
-            current = nxt
-            if current == start_edge:
-                return path[:-1], True
-
-    endpoints = sorted(e for e, links in adjacency.items() if len(links) == 1)
-    for edge in endpoints:
-        if all(used[k] for k, _ in adjacency[edge]):
-            continue
-        path, closed = walk(edge)
-        chains.append((path, closed))
-    for k, (ea, eb) in enumerate(segments):
-        if used[k]:
-            continue
-        path, closed = walk(ea)
-        chains.append((path, closed))
-
-    out = []
-    for path, closed in chains:
-        out.append(([vertex_of[e] for e in path], closed))
-    return out
+    ends = sorted(e for e, links in adjacency.items() if len(links) == 1)
+    for start in ends + [ea for ea, _ in segments]:
+        path = [start]
+        while (step := next(((k, e) for k, e in adjacency[path[-1]] if not used[k]), None)):
+            used[step[0]] = True
+            path.append(step[1])
+        if len(path) > 1:
+            closed = path[-1] == start
+            verts = (ComplexPoint.from_complex(vertex_of[e]) for e in path[: len(path) - closed])
+            chains.append(CurvePolyline(len(chains), tuple(verts), closed, excludes_line))
+    return chains
 
 
 def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSettings):
-    """Segments and refined vertices for grid rows row_lo..row_hi."""
+    """Segments and refined vertices for grid rows row_lo..row_hi.
+
+    Returns (segments, ids, vertices): an (m, 2) array of edge-id pairs,
+    the sorted ids of the edges they join, and each edge's vertex.
+    """
     sigmas = _axis(window.sigma_min, window.sigma_max, step, snap_line=True)
     ts_all = _axis(window.t_min, window.t_max, step, snap_line=False)
     ts = ts_all[row_lo : row_hi + 1]
-    grid_s, grid_t = np.meshgrid(sigmas, ts)
-    grid_pts = grid_s + 1j * grid_t
-    h = _h_at(grid_pts.ravel(), cfg).reshape(grid_s.shape)
+    n_col = len(sigmas) - 1
+    sub_base = len(ts_all) * n_col
+    v_base = sub_base + (len(ts_all) - 1) * n_col * _SUB_EDGES
+    grid = sigmas[None, :] + 1j * ts[:, None]
+    h = _h_at(grid.ravel(), cfg).reshape(grid.shape)
     sb = h > 0.0
-
-    # cells needing attention: any edge sign change
-    dx = sb[:, :-1] != sb[:, 1:]
-    dy = sb[:-1, :] != sb[1:, :]
-    hot = np.zeros((len(ts) - 1, len(sigmas) - 1), dtype=bool)
-    hot |= dx[:-1, :]
-    hot |= dx[1:, :]
-    hot |= dy[:, :-1]
-    hot |= dy[:, 1:]
+    low = sb[:-1, :-1]  # bottom-left corners
+    hot = (low != sb[:-1, 1:]) | (low != sb[1:, :-1]) | (low != sb[1:, 1:])  # crossed cells
 
     # degenerate cells: a zero or pole of X inside
-    degenerate = set()
+    degenerate = np.zeros_like(hot)
     if ts[0] <= 0.0 <= ts[-1]:
         j = min(max(int(np.searchsorted(ts, 0.0, side="right") - 1), 0), len(ts) - 2)
         ints = np.arange(math.ceil(sigmas[0]), math.floor(sigmas[-1]) + 1.0) + 0j
         sing = ints[_pole_mask(ints) | _zero_mask(ints)].real
-        cols = np.clip(np.searchsorted(sigmas, sing, side="right") - 1, 0, len(sigmas) - 2)
-        degenerate = {(j, int(i)) for i in cols}
+        degenerate[j, np.clip(np.searchsorted(sigmas, sing, side="right") - 1, 0, n_col - 1)] = True
 
-    cells = [tuple(map(int, c)) for c in zip(*np.nonzero(hot))]
-    cells.sort()
-
-    # saddle centers
-    saddle_cells = []
-    for j, i in cells:
-        if (j, i) in degenerate:
-            continue
-        pat = int(sb[j, i]) + int(sb[j, i + 1]) + int(sb[j + 1, i]) + int(sb[j + 1, i + 1])
-        if pat == 2 and sb[j, i] == sb[j + 1, i + 1] and sb[j, i + 1] == sb[j + 1, i]:
-            saddle_cells.append((j, i))
-    center_pos = {}
-    if saddle_cells:
-        centers = np.array(
-            [
-                complex(0.5 * (sigmas[i] + sigmas[i + 1]), 0.5 * (ts[j] + ts[j + 1]))
-                for j, i in saddle_cells
-            ]
-        )
-        hc = _h_at(centers, cfg)
-        center_pos = {cell: hc[k] > 0.0 for k, cell in enumerate(saddle_cells)}
-
-    segments = []
-    needed_edges = set()
-    for j, i in cells:
-        if (j, i) in degenerate:
-            continue
-        for seg in _cell_segments(sb, j, i, center_pos.get((j, i), False)):
-            segments.append(seg)
-            needed_edges.update(seg)
-
-    # subdivide degenerate cells once, then flag them
-    subgrids = {}
-    for j, i in sorted(degenerate):
-        if not hot[j, i]:
-            continue
+    # subdivide crossed degenerate cells once, then flag them
+    dj, di = np.nonzero(hot & degenerate)
+    for j, i in zip(dj, di):
         warnings.warn(
             f"grid cell [{sigmas[i]:.6g},{sigmas[i+1]:.6g}]x[{ts[j]:.6g},{ts[j+1]:.6g}] "
             "contains a zero or pole of the traced ratio",
             DegenerateCellWarning,
             stacklevel=3,
         )
-        sub_s = np.array([sigmas[i], 0.5 * (sigmas[i] + sigmas[i + 1]), sigmas[i + 1]])
-        sub_t = np.array([ts[j], 0.5 * (ts[j] + ts[j + 1]), ts[j + 1]])
-        gs, gt = np.meshgrid(sub_s, sub_t)
-        sub_pts = gs + 1j * gt
-        hsub = _h_at(sub_pts.ravel(), cfg).reshape(3, 3)
-        subgrids[(j, i)] = (sub_pts, hsub)
-        sbs = hsub > 0.0
-        for jj in range(2):
-            for ii in range(2):
-                for (ka, kb) in _cell_segments(sbs, jj, ii, False):
-                    ea = ("s", j, i, ka)
-                    eb = ("s", j, i, kb)
-                    segments.append((ea, eb))
-                    needed_edges.update((ea, eb))
+    sub_s = np.stack((sigmas[di], 0.5 * (sigmas[di] + sigmas[di + 1]), sigmas[di + 1]), axis=-1)
+    sub_t = np.stack((ts[dj], 0.5 * (ts[dj] + ts[dj + 1]), ts[dj + 1]), axis=-1)
+    sub = sub_s[:, None, :] + 1j * sub_t[:, :, None]
+    h_sub = _h_at(sub.ravel(), cfg).reshape(sub.shape)
+    sub_cells = (dj + row_lo) * n_col + di
+    sub_first = sub_base + _SUB_EDGES * sub_cells[:, None, None]
+    rr, cc = np.mgrid[:2, :2]
 
-    # refine every needed edge once
-    edge_list = sorted(needed_edges)
-    pa, pb, ha, hb = [], [], [], []
-    for e in edge_list:
-        if e[0] == "s":
-            _, j, i, (kind, jj, ii) = e
-            pts, vals = subgrids[(j, i)]
-        else:
-            kind, jj, ii = e
-            pts, vals = grid_pts, h
-        jb, ib = (jj, ii + 1) if kind == "h" else (jj + 1, ii)
-        pa.append(pts[jj, ii])
-        pb.append(pts[jb, ib])
-        ha.append(vals[jj, ii])
-        hb.append(vals[jb, ib])
+    # every other crossed cell, with its centre sign where it is a saddle
+    gj, gi = np.nonzero(hot & ~degenerate)
+    corners = _corners(sb, gj, gi)
+    c00, c10, c01, c11 = corners.T
+    saddle = np.flatnonzero((c00 == c11) & (c10 == c01) & (c00 != c10))
+    sj, si = gj[saddle], gi[saddle]
+    centre = np.zeros(len(gj) + 4 * len(dj), dtype=bool)
+    mids = 0.5 * (sigmas[si] + sigmas[si + 1]) + 0.5j * (ts[sj] + ts[sj + 1])
+    centre[saddle] = _h_at(mids, cfg) > 0.0
+
+    segments = _cell_segments(
+        np.concatenate((corners, _corners(h_sub > 0.0, rr, cc).reshape(-1, 4))),
+        centre,
+        np.concatenate(
+            (
+                _cell_edges(0, n_col, v_base, n_col + 1, gj + row_lo, gi),
+                _cell_edges(sub_first, 3, sub_first + 9, 3, rr, cc).reshape(-1, 4),
+            )
+        ),
+    )
+
+    # each used edge's end points, indexed into the band grid followed by
+    # the subdivisions, from its id
+    ids = np.sort(segments, axis=None)  # np.unique would import numpy.ma
+    ids = ids[np.diff(ids, prepend=-1) > 0]
+    horiz, vert = ids < sub_base, ids >= v_base
+    a = np.where(horiz, ids + ids // n_col, ids - v_base) - row_lo * (n_col + 1)
+    b = a + np.where(horiz, 1, n_col + 1)
+    inner = ~(horiz | vert)
+    cell, pos = np.divmod(ids[inner] - sub_base, _SUB_EDGES)
+    a[inner] = grid.size + 9 * np.searchsorted(sub_cells, cell) + pos % 9
+    b[inner] = a[inner] + np.where(pos < 9, 1, 3)
+    pts = np.concatenate((grid.ravel(), sub.ravel()))
+    vals = np.concatenate((h.ravel(), h_sub.ravel()))
     # sign changes of h (+-inf at a zero or pole of X), pinned to 4 ulp
-    refined = _bracket_roots(partial(_h_at, cfg=cfg), *map(np.array, (pa, pb, ha, hb)))
-    global_segments = []
-    vertex_of = {}
-    for e, v in zip(edge_list, refined):
-        vertex_of[_globalize(e, row_lo)] = complex(v)
-    for ea, eb in segments:
-        global_segments.append((_globalize(ea, row_lo), _globalize(eb, row_lo)))
-    return global_segments, vertex_of
-
-
-def _globalize(edge, row_lo: int):
-    kind = edge[0]
-    if kind in ("h", "v"):
-        _, j, i = edge
-        return (kind, j + row_lo, i)
-    _, j, i, sub = edge
-    return ("s", j + row_lo, i, sub)
+    vertices = _bracket_roots(partial(_h_at, cfg=cfg), pts[a], pts[b], vals[a], vals[b])
+    return segments, ids, vertices
 
 
 def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, worker_map=None):
@@ -491,55 +452,30 @@ def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, 
     only the bounded branches remain.  Each crossing edge is refined by
     bracketed false position to within 4 ulp, which puts every vertex v
     at |log|X(v)|| < 1e-10.  Cells containing a zero or pole of X are
-    subdivided once and flagged with DegenerateCellWarning.
+    subdivided once and flagged with DegenerateCellWarning.  Every edge
+    of the window's grid, and of each subdivision, has one integer id
+    (see _SUB_EDGES), and segments are pairs of ids; every crossed cell
+    of a band is classified in one array pass.
 
     `worker_map` (a map-like callable) lets the caller run horizontal
-    grid bands in parallel; chaining is always a single deterministic
-    pass, so output does not depend on the banding.
+    grid bands in parallel.  Bands own disjoint cell rows, and chaining
+    is one deterministic pass over the sorted segments, so output does
+    not depend on the banding.
     """
     cfg = _settings(settings)
     win = _as_rect(window)
     if not step > 0.0:
         raise DomainError("step must be positive")
-    ts = _axis(win.t_min, win.t_max, step, snap_line=False)
-    n_rows = len(ts) - 1
-    bands = 1 if worker_map is None else max(1, min(8, n_rows // 16 or 1))
-    bounds = [
-        (n_rows * b // bands, n_rows * (b + 1) // bands) for b in range(bands)
-    ]
-    tasks = [(win, step, lo, hi, cfg) for lo, hi in bounds if lo < hi]
+    n_rows = len(_axis(win.t_min, win.t_max, step, snap_line=False)) - 1
+    bands = 1 if worker_map is None else min(8, max(1, n_rows // 16))
+    cuts = [n_rows * b // bands for b in range(bands + 1)]
     mapper = map if worker_map is None else worker_map
-    results = list(mapper(_trace_band_task, tasks))
-
-    segments = []
-    vertex_of = {}
-    seen = set()
-    for segs, verts in results:
-        vertex_of.update(verts)
-        for seg in segs:
-            key = tuple(sorted(seg))
-            if key in seen:
-                continue
-            seen.add(key)
-            segments.append(seg)
-    segments.sort()
-
+    parts = mapper(_trace_band, repeat(win), repeat(step), cuts[:-1], cuts[1:], repeat(cfg))
+    segments, ids, vertices = (np.concatenate(p) for p in zip(*parts))
+    segments = segments[np.lexsort(segments.T[::-1])]
+    vertex_of = dict(zip(ids.tolist(), vertices.tolist()))
     excludes = win.sigma_min <= 0.5 <= win.sigma_max
-    polylines = []
-    for cid, (verts, closed) in enumerate(_chain_segments(segments, vertex_of)):
-        polylines.append(
-            CurvePolyline(
-                component_id=cid,
-                vertices=tuple(ComplexPoint.from_complex(v) for v in verts),
-                closed=closed,
-                excludes_line=excludes,
-            )
-        )
-    return polylines
-
-
-def _trace_band_task(args):
-    return _trace_band(*args)
+    return _chain_segments(segments.tolist(), vertex_of, excludes)
 
 
 # ----------------------------------------------------------------------
@@ -619,49 +555,44 @@ def kappa(settings: EvalSettings | None = None) -> float:
 
 
 _EDGE_CAP = 4096
+_PHASE_ROUNDS = 24
 
 
-def _phase_changes(points: np.ndarray, values: np.ndarray, cfg: EvalSettings) -> np.ndarray:
-    """Phase change of f along each sampled polyline, a row of `points`
-    with the f values in the same row of `values`.
+def _phase_changes(points, values, row, cfg: EvalSettings) -> np.ndarray:
+    """Phase change of f along every sampled polyline of one flat array.
 
-    The paths whose phase steps are all below pi/2 sum them at once.
-    Every round then bisects each step of pi/2 or more on every other
-    path, with one f_batch call for all of them, until no such step is
-    left.  Raises BoundaryZeroError when a sample comes within the
-    boundary guard of a zero and UndersampledError when a path outgrows
-    _EDGE_CAP samples or the rounds run out.
+    `points` holds the samples of every path in order, path after path,
+    `values` the f values there and `row` the path number of each sample
+    (0, 1, ... in order; paths may differ in length).  A round takes the
+    phase steps between consecutive samples of one path; if any is pi/2
+    or more, one f_batch call evaluates f at the midpoints of all such
+    steps and one np.insert adds them, for up to _PHASE_ROUNDS rounds.
+    Returns the summed steps of each path.  Raises BoundaryZeroError when
+    a sample comes within the boundary guard of a zero and
+    UndersampledError when a path outgrows _EDGE_CAP samples or a step
+    is still pi/2 or more after the last round.
     """
-    dphi = np.angle(values[:, 1:] / values[:, :-1])
-    totals = dphi.sum(axis=1)
-    pending = np.flatnonzero((np.abs(dphi) >= 0.5 * math.pi).any(axis=1))
-    paths = {k: (points[k], values[k]) for k in pending}
-    for _ in range(24):
-        bad_steps = {}
-        for k in pending:
-            vals = paths[k][1]
-            dphi = np.angle(vals[1:] / vals[:-1])
-            bad = np.nonzero(np.abs(dphi) >= 0.5 * math.pi)[0]
-            if len(bad) == 0:
-                totals[k] = float(dphi.sum())
-                continue
-            if len(vals) + len(bad) > _EDGE_CAP:
-                raise UndersampledError(
-                    f"phase steps unresolved with {len(vals)} boundary samples"
-                )
-            bad_steps[k] = bad
-        if not bad_steps:
-            return totals
-        mids = [0.5 * (paths[k][0][b] + paths[k][0][b + 1]) for k, b in bad_steps.items()]
-        mvals, _ = f_batch(np.concatenate(mids), cfg)
+    for done in range(_PHASE_ROUNDS + 1):
+        inside = row[1:] == row[:-1]
+        dphi = np.angle(values[1:] / values[:-1])
+        bad = np.flatnonzero(inside & (np.abs(dphi) >= 0.5 * math.pi))
+        if len(bad) == 0:
+            return np.bincount(row[1:][inside], weights=dphi[inside], minlength=row[-1] + 1)
+        if done == _PHASE_ROUNDS:
+            raise UndersampledError("phase refinement did not settle within its budget")
+        count = np.bincount(row)
+        over = np.flatnonzero(count + np.bincount(row[bad], minlength=len(count)) > _EDGE_CAP)
+        if len(over):
+            raise UndersampledError(
+                f"phase steps unresolved with {count[over[0]]} boundary samples"
+            )
+        mids = 0.5 * (points[bad] + points[bad + 1])
+        mvals, _ = f_batch(mids, cfg)
         if np.abs(mvals).min() < _BOUNDARY_GUARD:
             raise BoundaryZeroError(f"a zero sits within {_BOUNDARY_GUARD} of a sampled boundary")
-        pieces = np.split(mvals, np.cumsum([len(m) for m in mids])[:-1])
-        for (k, b), mp, mv in zip(bad_steps.items(), mids, pieces):
-            pts, vals = paths[k]
-            paths[k] = (np.insert(pts, b + 1, mp), np.insert(vals, b + 1, mv))
-        pending = list(bad_steps)
-    raise UndersampledError("phase refinement did not settle within its budget")
+        points, values, row = (
+            np.insert(a, bad + 1, m) for a, m in ((points, mids), (values, mvals), (row, row[bad]))
+        )
 
 
 def _grid_counts(s_cuts, t_cuts, samples: int, cfg: EvalSettings) -> np.ndarray:
@@ -695,13 +626,14 @@ def _grid_counts(s_cuts, t_cuts, samples: int, cfg: EvalSettings) -> np.ndarray:
     h_vals = vals[: h_pts.size].reshape(h_pts.shape)
     v_vals = vals[h_pts.size :].reshape(v_pts.shape)
 
-    rows = []  # one row of samples per edge, horizontal edges first
+    flat = []  # points, then values: each edge's samples in turn, horizontal edges first
     for h, v in ((h_pts, v_pts), (h_vals, v_vals)):
         across = sliding_window_view(h, samples + 1, axis=1)[:, ::samples]
         corner = h[:, ::samples, None]
         up = np.concatenate((corner[:-1], v, corner[1:]), axis=2)
-        rows.append(np.concatenate((across.reshape(-1, samples + 1), up.reshape(-1, samples + 1))))
-    phases = _phase_changes(*rows, cfg)
+        flat.append(np.concatenate((across.ravel(), up.ravel())))
+    edge = np.arange(len(flat[0]) // (samples + 1)).repeat(samples + 1)
+    phases = _phase_changes(*flat, edge, cfg)
     horiz = phases[: (n_row + 1) * n_col].reshape(n_row + 1, n_col)
     vert = phases[(n_row + 1) * n_col :].reshape(n_row, n_col + 1)
     total = horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1]

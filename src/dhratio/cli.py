@@ -107,6 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, help="parallel window count")
 
     point_help = "points a+bi; write -- before them when one has a negative real part: -- -2+5i"
+    rect_help = "sigma0,sigma1,t0,t1; write --%s=-2,3,-1,1 when sigma0 is negative"
     p = sub.add_parser("eval", help="evaluate the function at points a+bi")
     p.add_argument("point", nargs="+", help=point_help)
     common(p)
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("curve", help="trace the |X| = 1 level set in a window")
-    p.add_argument("--window", required=True, help="sigma0,sigma1,t0,t1")
+    p.add_argument("--window", required=True, help=rect_help % "window")
     p.add_argument("--step", type=float, default=0.01)
     common(p)
 
@@ -124,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("zeros", help="survey every zero in a rectangle")
-    p.add_argument("--rect", required=True, help="sigma0,sigma1,t0,t1")
+    p.add_argument("--rect", required=True, help=rect_help % "rect")
     common(p)
 
     p = sub.add_parser("scan", help="scan the critical line for zeros")
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("audit", help="survey a window and emit claim evidence")
-    p.add_argument("--rect", default="0,1,0,200", help="sigma0,sigma1,t0,t1")
+    p.add_argument("--rect", default="0,1,0,200", help=rect_help % "rect")
     common(p)
 
     return parser

@@ -25,7 +25,7 @@ from dhratio.analysis import (
     survey_zeros,
     trace_unit_curve,
 )
-from dhratio.dhfun import z_function
+from dhratio.dhfun import f_batch, z_function
 from dhratio.errors import (
     AccuracyWarning,
     BoundaryZeroError,
@@ -33,6 +33,7 @@ from dhratio.errors import (
     DegenerateCellWarning,
     DivergedError,
     DomainError,
+    UndersampledError,
 )
 from dhratio.specfun import DEFAULT_SETTINGS, EvalSettings
 from dhratio.xratio import logabsx_many
@@ -136,6 +137,69 @@ def test_trace_warns_on_singular_cells_far_left():
         trace_unit_curve(Rect(-104.0, -102.0, -1.0, 1.0), 0.5)
 
 
+def test_trace_warning_names_the_caller():
+    with pytest.warns(DegenerateCellWarning) as caught:
+        trace_unit_curve(Rect(1.2, 3.2, -1.0, 1.0), 1.0)
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_trace_does_not_depend_on_worker_map():
+    rect = Rect(-2.0, 3.0, -2.2, 2.2)  # 220 cell rows: eight bands
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = trace_unit_curve(rect, 0.02, worker_map=pool.map)
+    assert threaded == trace_unit_curve(rect, 0.02)
+
+
+def test_trace_subdivides_every_singular_cell():
+    # crossed cells around the zeros of X at -3 and -1 and its pole at 2
+    with pytest.warns(DegenerateCellWarning) as caught:
+        polys = trace_unit_curve(Rect(-8.6, 3.2, -1.0, 1.0), 1.0)
+    assert len(caught) == 3
+    verts = np.array([v.z for p in polys for v in p.vertices])
+    assert len(verts) > 10
+    assert np.abs(logabsx_many(verts)).max() < 1e-10
+
+
+# Marching-squares segments of one cell, keyed by its corner signs
+# (bottom-left, bottom-right, top-left, top-right), for the two centre
+# signs; only saddles read the centre.
+B, L, R, T = "bottom", "left", "right", "top"
+CELL_SEGMENTS = {
+    "0000": ([], []),
+    "1111": ([], []),
+    "1000": ([(B, L)], [(B, L)]),
+    "0111": ([(B, L)], [(B, L)]),
+    "0100": ([(B, R)], [(B, R)]),
+    "1011": ([(B, R)], [(B, R)]),
+    "0010": ([(L, T)], [(L, T)]),
+    "1101": ([(L, T)], [(L, T)]),
+    "0001": ([(R, T)], [(R, T)]),
+    "1110": ([(R, T)], [(R, T)]),
+    "1100": ([(L, R)], [(L, R)]),
+    "0011": ([(L, R)], [(L, R)]),
+    "1010": ([(B, T)], [(B, T)]),
+    "0101": ([(B, T)], [(B, T)]),
+    # saddles: centre sign equal to the bottom-left corner's, or not
+    "1001": ([(B, L), (T, R)], [(B, R), (L, T)]),
+    "0110": ([(B, R), (L, T)], [(B, L), (T, R)]),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(CELL_SEGMENTS))
+@pytest.mark.parametrize("centre", [False, True])
+def test_cell_segments_table(pattern, centre):
+    c00, c10, c01, c11 = (c == "1" for c in pattern)
+    signs = np.array([[c00, c10], [c01, c11]])  # row 0 is the bottom row
+    corners = analysis._corners(signs, np.array([0]), np.array([0]))
+    segs = analysis._cell_segments(corners, np.array([centre]), np.array([[0, 1, 2, 3]]))
+    names = (B, L, R, T)
+    assert [(names[a], names[b]) for a, b in segs] == CELL_SEGMENTS[pattern][centre]
+
+
+def test_trace_without_crossings_is_empty():
+    assert trace_unit_curve(Rect(0.0, 1.0, 5.0, 6.0), 0.5) == []
+
+
 def test_trace_rejects_bad_step():
     with pytest.raises(DomainError):
         trace_unit_curve(Rect(0.0, 1.0, 0.0, 1.0), 0.0)
@@ -176,6 +240,30 @@ def test_count_validation_and_boundary_guard():
         count_zeros_rect(Rect(0.3, 0.7, 14.404003112277501, 15.0), 4, max_retries=0)
     # with retries enabled the window inflates past the zero
     assert count_zeros_rect(Rect(0.3, 0.7, 14.404003112277501, 15.0), 16) == 1
+
+
+def test_phase_changes_check_the_last_round(monkeypatch):
+    # f turns by about -2.76 rad from 0.3+14.1i to 0.3+14.7i, past the
+    # zero at 1/2+14.404i; one bisection leaves two steps near -1.38
+    path = np.array([0.3 + 14.1j, 0.3 + 14.7j, 0.35 + 14.7j])
+    vals, _ = f_batch(path, DEFAULT_SETTINGS)
+    row = np.array([0, 0, 1])
+    want = analysis._phase_changes(path, vals, row, DEFAULT_SETTINGS)
+    assert want[0] == pytest.approx(-2.76, abs=0.01)
+    monkeypatch.setattr(analysis, "_PHASE_ROUNDS", 1)
+    got = analysis._phase_changes(path, vals, row, DEFAULT_SETTINGS)
+    np.testing.assert_array_equal(got, want)
+    monkeypatch.setattr(analysis, "_PHASE_ROUNDS", 0)
+    with pytest.raises(UndersampledError):
+        analysis._phase_changes(path, vals, row, DEFAULT_SETTINGS)
+
+
+def test_phase_changes_cap_samples_per_path(monkeypatch):
+    path = np.array([0.3 + 14.1j, 0.3 + 14.7j])
+    vals, _ = f_batch(path, DEFAULT_SETTINGS)
+    monkeypatch.setattr(analysis, "_EDGE_CAP", 2)
+    with pytest.raises(UndersampledError, match="with 2 boundary samples"):
+        analysis._phase_changes(path, vals, np.zeros(2, dtype=int), DEFAULT_SETTINGS)
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,16 @@ def test_curve_rejects_malformed_window(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_negative_window_needs_equals_sign(capsys):
+    # argparse reads "-2,..." as an option unless it is joined with "="
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--window", "-2,-1,0.9,1.5", "--step", "0.5"])
+    assert exc.value.code == BAD_INPUT
+    assert "expected one argument" in capsys.readouterr().err
+    status, _, _ = run(["curve", "--window=-2,-1,0.9,1.5", "--step", "0.5"], capsys)
+    assert status == OK
+
+
 def test_curve_csv_schema(capsys):
     status, out, _ = run(
         ["curve", "--window", "0,1,0.9,1.5", "--step", "0.05"], capsys
