@@ -5,7 +5,7 @@ Each input file becomes one panel; components are drawn as separate
 lines in the (sigma, t) plane with the critical line dashed for
 reference.  Typical use, reproducing the wide/strip/apex triptych:
 
-    dhratio curve --window -6,7,-4,4     --step 0.01  --out wide.csv
+    dhratio curve --window=-6,7,-4,4     --step 0.01  --out wide.csv
     dhratio curve --window 0,1,-2,2      --step 0.005 --out strip.csv
     dhratio curve --window 0.3,0.7,1.15,1.25 --step 0.0005 --out apex.csv
     python3 scripts/plot_curve.py wide.csv strip.csv apex.csv -o curve.png

@@ -54,9 +54,7 @@ from .errors import (
     UndersampledError,
 )
 from .specfun import (
-    DEFAULT_SETTINGS,
     ComplexPoint,
-    EvalSettings,
     cpow,
     digamma,
     hurwitz_zeta,
@@ -89,11 +87,9 @@ __all__ = [
     "ComplexPoint",
     "ConvergenceError",
     "CurvePolyline",
-    "DEFAULT_SETTINGS",
     "DegenerateCellWarning",
     "DivergedError",
     "DomainError",
-    "EvalSettings",
     "FnValue",
     "KappaResult",
     "LINE_TOL",

@@ -19,7 +19,7 @@ Four instruments:
   * audits that attach measured numbers to a fixed list of externally
     numbered claims, reporting values only and never a verdict.
 
-Everything is a pure function of its inputs and EvalSettings.  Survey
+Everything is a pure function of its inputs.  Survey
 winding counts (over bands of cell rows) and band traces expose
 `worker_map` hooks so a caller may run disjoint pieces in parallel; the
 localization batches depend on the window alone and merges are
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -46,7 +46,7 @@ from .errors import (
     DomainError,
     UndersampledError,
 )
-from .specfun import ComplexPoint, EvalSettings, _settings, lgamma
+from .specfun import ComplexPoint, lgamma
 from .xratio import (
     _gamma_args,
     _pole_mask,
@@ -199,7 +199,7 @@ class AuditReport:
 _H_CHUNK = 1 << 18
 
 
-def _h_at(pts: np.ndarray, cfg: EvalSettings) -> np.ndarray:
+def _h_at(pts: np.ndarray) -> np.ndarray:
     """Deflated field h = log|X| / (sigma - 1/2) at arbitrary points.
 
     On the line itself h is the limiting value d(log|X|)/dsigma, which
@@ -212,9 +212,9 @@ def _h_at(pts: np.ndarray, cfg: EvalSettings) -> np.ndarray:
         on = chunk.real == 0.5
         off = ~on
         if off.any():
-            vals[off] = logabsx_many(chunk[off], cfg) / (chunk.real[off] - 0.5)
+            vals[off] = logabsx_many(chunk[off]) / (chunk.real[off] - 0.5)
         if on.any():
-            vals[on] = dsigma_logabsx(chunk[on], cfg)
+            vals[on] = dsigma_logabsx(chunk[on])
         out[lo : lo + _H_CHUNK] = vals
     return out
 
@@ -361,11 +361,14 @@ def _chain_segments(segments, vertex_of, excludes_line: bool) -> list[CurvePolyl
     return chains
 
 
-def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSettings):
+def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int):
     """Segments and refined vertices for grid rows row_lo..row_hi.
 
-    Returns (segments, ids, vertices): an (m, 2) array of edge-id pairs,
-    the sorted ids of the edges they join, and each edge's vertex.
+    Returns (segments, ids, vertices, flagged): an (m, 2) array of
+    edge-id pairs, the sorted ids of the edges they join, each edge's
+    vertex, and the bounds (sigma0, sigma1, t0, t1) of every crossed cell
+    that holds a zero or pole of X, one row each.  The caller warns about
+    the flagged cells, so a warning reaches it even from a pool worker.
     """
     sigmas = _axis(window.sigma_min, window.sigma_max, step, snap_line=True)
     ts_all = _axis(window.t_min, window.t_max, step, snap_line=False)
@@ -374,7 +377,7 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
     sub_base = len(ts_all) * n_col
     v_base = sub_base + (len(ts_all) - 1) * n_col * _SUB_EDGES
     grid = sigmas[None, :] + 1j * ts[:, None]
-    h = _h_at(grid.ravel(), cfg).reshape(grid.shape)
+    h = _h_at(grid.ravel()).reshape(grid.shape)
     sb = h > 0.0
     low = sb[:-1, :-1]  # bottom-left corners
     hot = (low != sb[:-1, 1:]) | (low != sb[1:, :-1]) | (low != sb[1:, 1:])  # crossed cells
@@ -387,19 +390,13 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
         sing = ints[_pole_mask(ints) | _zero_mask(ints)].real
         degenerate[j, np.clip(np.searchsorted(sigmas, sing, side="right") - 1, 0, n_col - 1)] = True
 
-    # subdivide crossed degenerate cells once, then flag them
+    # subdivide crossed degenerate cells once, and flag them
     dj, di = np.nonzero(hot & degenerate)
-    for j, i in zip(dj, di):
-        warnings.warn(
-            f"grid cell [{sigmas[i]:.6g},{sigmas[i+1]:.6g}]x[{ts[j]:.6g},{ts[j+1]:.6g}] "
-            "contains a zero or pole of the traced ratio",
-            DegenerateCellWarning,
-            stacklevel=3,
-        )
+    flagged = np.stack((sigmas[di], sigmas[di + 1], ts[dj], ts[dj + 1]), axis=-1)
     sub_s = np.stack((sigmas[di], 0.5 * (sigmas[di] + sigmas[di + 1]), sigmas[di + 1]), axis=-1)
     sub_t = np.stack((ts[dj], 0.5 * (ts[dj] + ts[dj + 1]), ts[dj + 1]), axis=-1)
     sub = sub_s[:, None, :] + 1j * sub_t[:, :, None]
-    h_sub = _h_at(sub.ravel(), cfg).reshape(sub.shape)
+    h_sub = _h_at(sub.ravel()).reshape(sub.shape)
     sub_cells = (dj + row_lo) * n_col + di
     sub_first = sub_base + _SUB_EDGES * sub_cells[:, None, None]
     rr, cc = np.mgrid[:2, :2]
@@ -412,7 +409,7 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
     sj, si = gj[saddle], gi[saddle]
     centre = np.zeros(len(gj) + 4 * len(dj), dtype=bool)
     mids = 0.5 * (sigmas[si] + sigmas[si + 1]) + 0.5j * (ts[sj] + ts[sj + 1])
-    centre[saddle] = _h_at(mids, cfg) > 0.0
+    centre[saddle] = _h_at(mids) > 0.0
 
     segments = _cell_segments(
         np.concatenate((corners, _corners(h_sub > 0.0, rr, cc).reshape(-1, 4))),
@@ -439,11 +436,11 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int, cfg: EvalSe
     pts = np.concatenate((grid.ravel(), sub.ravel()))
     vals = np.concatenate((h.ravel(), h_sub.ravel()))
     # sign changes of h (+-inf at a zero or pole of X), pinned to 4 ulp
-    vertices = _bracket_roots(partial(_h_at, cfg=cfg), pts[a], pts[b], vals[a], vals[b])
-    return segments, ids, vertices
+    vertices = _bracket_roots(_h_at, pts[a], pts[b], vals[a], vals[b])
+    return segments, ids, vertices, flagged
 
 
-def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, worker_map=None):
+def trace_unit_curve(window, step: float, worker_map=None):
     """Marching-squares extraction of the off-line part of |X| = 1.
 
     Classifies cells on the deflated field h = log|X| / (sigma - 1/2),
@@ -452,7 +449,8 @@ def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, 
     only the bounded branches remain.  Each crossing edge is refined by
     bracketed false position to within 4 ulp, which puts every vertex v
     at |log|X(v)|| < 1e-10.  Cells containing a zero or pole of X are
-    subdivided once and flagged with DegenerateCellWarning.  Every edge
+    subdivided once and flagged with DegenerateCellWarning, raised here
+    in band order after every band is traced.  Every edge
     of the window's grid, and of each subdivision, has one integer id
     (see _SUB_EDGES), and segments are pairs of ids; every crossed cell
     of a band is classified in one array pass.
@@ -462,7 +460,6 @@ def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, 
     is one deterministic pass over the sorted segments, so output does
     not depend on the banding.
     """
-    cfg = _settings(settings)
     win = _as_rect(window)
     if not step > 0.0:
         raise DomainError("step must be positive")
@@ -470,8 +467,15 @@ def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, 
     bands = 1 if worker_map is None else min(8, max(1, n_rows // 16))
     cuts = [n_rows * b // bands for b in range(bands + 1)]
     mapper = map if worker_map is None else worker_map
-    parts = mapper(_trace_band, repeat(win), repeat(step), cuts[:-1], cuts[1:], repeat(cfg))
-    segments, ids, vertices = (np.concatenate(p) for p in zip(*parts))
+    parts = mapper(_trace_band, repeat(win), repeat(step), cuts[:-1], cuts[1:])
+    segments, ids, vertices, flagged = (np.concatenate(p) for p in zip(*parts))
+    for s0, s1, t0, t1 in flagged:
+        warnings.warn(
+            f"grid cell [{s0:.6g},{s1:.6g}]x[{t0:.6g},{t1:.6g}] "
+            "contains a zero or pole of the traced ratio",
+            DegenerateCellWarning,
+            stacklevel=2,
+        )
     segments = segments[np.lexsort(segments.T[::-1])]
     vertex_of = dict(zip(ids.tolist(), vertices.tolist()))
     excludes = win.sigma_min <= 0.5 <= win.sigma_max
@@ -483,24 +487,20 @@ def trace_unit_curve(window, step: float, settings: EvalSettings | None = None, 
 # ----------------------------------------------------------------------
 
 
-def _kappa_root(cfg: EvalSettings) -> float:
+@cache
+def _kappa_root() -> float:
     """Root of d(log|X|)/dsigma on the line, t > 0, by `_bracket_roots`."""
     ends = np.array([0.0, 2.0])
-    g = dsigma_logabsx(0.5 + 1j * ends, cfg)
+    g = dsigma_logabsx(0.5 + 1j * ends)
     if not (g[0] > 0.0 > g[1]):
         raise ConvergenceError("no sign change in the strip-crossing bracket (0, 2)")
     root = _bracket_roots(
-        lambda t: dsigma_logabsx(0.5 + 1j * t, cfg), ends[:1], ends[1:], g[:1], g[1:]
+        lambda t: dsigma_logabsx(0.5 + 1j * t), ends[:1], ends[1:], g[:1], g[1:]
     )
     return float(root[0])
 
 
-@lru_cache(maxsize=8)
-def _kappa_cached(cfg: EvalSettings) -> float:
-    return _kappa_root(cfg)
-
-
-def kappa_detail(settings: EvalSettings | None = None) -> KappaResult:
+def kappa_detail() -> KappaResult:
     """The strip height bound by two independent methods.
 
     Primary: trace the level curve in the strip, zoom on the apex, and
@@ -510,10 +510,9 @@ def kappa_detail(settings: EvalSettings | None = None) -> KappaResult:
     flat, so the fit rather than a raw vertex maximum supplies the
     trace value.
     """
-    cfg = _settings(settings)
-    root = _kappa_cached(cfg)
+    root = _kappa_root()
 
-    polys = trace_unit_curve(Rect(0.0, 1.0, 0.8, 1.6), 0.004, cfg)
+    polys = trace_unit_curve(Rect(0.0, 1.0, 0.8, 1.6), 0.004)
     verts = [v for p in polys for v in p.vertices]
     if not verts:
         raise ConvergenceError("no level-curve vertices found in the strip")
@@ -525,7 +524,7 @@ def kappa_detail(settings: EvalSettings | None = None) -> KappaResult:
         apex.t - 0.003,
         apex.t + 0.0015,
     )
-    polys = trace_unit_curve(zoom, 1e-4, cfg)
+    polys = trace_unit_curve(zoom, 1e-4)
     pts = np.array(
         [
             (v.sigma, v.t)
@@ -544,9 +543,9 @@ def kappa_detail(settings: EvalSettings | None = None) -> KappaResult:
     return KappaResult(trace_value=trace_val, root_value=root)
 
 
-def kappa(settings: EvalSettings | None = None) -> float:
+def kappa() -> float:
     """The height bound of the off-line |X| = 1 branch in the strip."""
-    return kappa_detail(settings).trace_value
+    return kappa_detail().trace_value
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +557,7 @@ _EDGE_CAP = 4096
 _PHASE_ROUNDS = 24
 
 
-def _phase_changes(points, values, row, cfg: EvalSettings) -> np.ndarray:
+def _phase_changes(points, values, row) -> np.ndarray:
     """Phase change of f along every sampled polyline of one flat array.
 
     `points` holds the samples of every path in order, path after path,
@@ -587,7 +586,7 @@ def _phase_changes(points, values, row, cfg: EvalSettings) -> np.ndarray:
                 f"phase steps unresolved with {count[over[0]]} boundary samples"
             )
         mids = 0.5 * (points[bad] + points[bad + 1])
-        mvals, _ = f_batch(mids, cfg)
+        mvals, _ = f_batch(mids)
         if np.abs(mvals).min() < _BOUNDARY_GUARD:
             raise BoundaryZeroError(f"a zero sits within {_BOUNDARY_GUARD} of a sampled boundary")
         points, values, row = (
@@ -595,7 +594,7 @@ def _phase_changes(points, values, row, cfg: EvalSettings) -> np.ndarray:
         )
 
 
-def _grid_counts(s_cuts, t_cuts, samples: int, cfg: EvalSettings) -> np.ndarray:
+def _grid_counts(s_cuts, t_cuts, samples: int) -> np.ndarray:
     """Winding counts of every cell of the grid s_cuts x t_cuts.
 
     Every edge of the grid is sampled once, with `samples` steps in one
@@ -617,7 +616,7 @@ def _grid_counts(s_cuts, t_cuts, samples: int, cfg: EvalSettings) -> np.ndarray:
     rise = (t_cuts[:-1, None] + np.diff(t_cuts)[:, None] * lam)[:, 1:]
     h_pts = line[None, :] + 1j * t_cuts[:, None]
     v_pts = s_cuts[None, :, None] + 1j * rise[:, None, :]
-    vals, _ = f_batch(np.concatenate((h_pts.ravel(), v_pts.ravel())), cfg)
+    vals, _ = f_batch(np.concatenate((h_pts.ravel(), v_pts.ravel())))
     if np.abs(vals).min() < _BOUNDARY_GUARD:
         raise BoundaryZeroError(
             f"a zero sits within {_BOUNDARY_GUARD} of a cell boundary "
@@ -633,19 +632,14 @@ def _grid_counts(s_cuts, t_cuts, samples: int, cfg: EvalSettings) -> np.ndarray:
         up = np.concatenate((corner[:-1], v, corner[1:]), axis=2)
         flat.append(np.concatenate((across.ravel(), up.ravel())))
     edge = np.arange(len(flat[0]) // (samples + 1)).repeat(samples + 1)
-    phases = _phase_changes(*flat, edge, cfg)
+    phases = _phase_changes(*flat, edge)
     horiz = phases[: (n_row + 1) * n_col].reshape(n_row + 1, n_col)
     vert = phases[(n_row + 1) * n_col :].reshape(n_row, n_col + 1)
     total = horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1]
     return np.rint(total / (2.0 * math.pi)).astype(int)
 
 
-def count_zeros_rect(
-    rect,
-    samples_per_side: int,
-    settings: EvalSettings | None = None,
-    max_retries: int = 3,
-) -> int:
+def count_zeros_rect(rect, samples_per_side: int, max_retries: int = 3) -> int:
     """Number of zeros inside a rectangle by boundary winding.
 
     The rectangle is a one-cell grid for `_grid_counts`: each side is
@@ -656,7 +650,6 @@ def count_zeros_rect(
     inflated by half a sample step and retried, up to `max_retries`
     times, before BoundaryZeroError is raised.
     """
-    cfg = _settings(settings)
     r = _as_rect(rect)
     if samples_per_side < 4:
         raise DomainError("samples_per_side must be at least 4")
@@ -666,7 +659,7 @@ def count_zeros_rect(
         s_cuts = (r.sigma_min - pad, r.sigma_max + pad)
         t_cuts = (r.t_min - pad, r.t_max + pad)
         try:
-            return int(_grid_counts(s_cuts, t_cuts, samples_per_side, cfg)[0, 0])
+            return int(_grid_counts(s_cuts, t_cuts, samples_per_side)[0, 0])
         except BoundaryZeroError:
             continue
     raise BoundaryZeroError(
@@ -678,8 +671,12 @@ def count_zeros_rect(
 # refinement
 # ----------------------------------------------------------------------
 
+# Newton stops once |f| < _NEWTON_TOL and gives up after _NEWTON_MAX_ITER steps.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 40
 
-def _line_polish(t_seeds: np.ndarray, cfg: EvalSettings) -> np.ndarray:
+
+def _line_polish(t_seeds: np.ndarray) -> np.ndarray:
     """Pin line zeros' heights by sign changes of the rotated real form.
 
     Brackets of growing half-width around every seed are tried in
@@ -687,30 +684,29 @@ def _line_polish(t_seeds: np.ndarray, cfg: EvalSettings) -> np.ndarray:
     round, until Z changes sign; one `_bracket_roots` call pins them all.
     NaN where no bracket up to 1e-3 changes sign.
     """
-    z_of = partial(z_function, settings=cfg)
     delta = 1e-8 * np.maximum(1.0, np.abs(t_seeds))
     ends, z_ends = np.empty((2, len(t_seeds))), np.empty((2, len(t_seeds)))
     found = np.zeros(len(t_seeds), dtype=bool)
     tried = np.flatnonzero(delta <= 1e-3)
     while len(tried):
         ends[:, tried] = t_seeds[tried] - delta[tried], t_seeds[tried] + delta[tried]
-        z_ends[:, tried] = z_of(ends[:, tried].ravel()).reshape(2, -1)
+        z_ends[:, tried] = z_function(ends[:, tried].ravel()).reshape(2, -1)
         za, zb = z_ends[:, tried]
         found[tried] = (za == 0.0) | (zb == 0.0) | ((za > 0.0) != (zb > 0.0))
         delta[tried] *= 4.0
         tried = tried[~found[tried] & (delta[tried] <= 1e-3)]
     out = np.full(len(t_seeds), np.nan)
-    out[found] = _bracket_roots(z_of, *ends[:, found], *z_ends[:, found])
+    out[found] = _bracket_roots(z_function, *ends[:, found], *z_ends[:, found])
     return out
 
 
-def _finish_records(locs, iterations, cfg: EvalSettings) -> list[ZeroRecord]:
+def _finish_records(locs, iterations) -> list[ZeroRecord]:
     """Records of refined zeros, from one f_batch call over the locations
     and their mirrors and one logabsx_many call."""
     locs = np.asarray(locs, dtype=np.complex128)
-    vals, _ = f_batch(np.concatenate((locs, 1.0 - locs)), cfg)
-    abs_x = np.exp(logabsx_many(locs, cfg))
-    kap = _kappa_cached(cfg)
+    vals, _ = f_batch(np.concatenate((locs, 1.0 - locs)))
+    abs_x = np.exp(logabsx_many(locs))
+    kap = _kappa_root()
     return [
         ZeroRecord(
             location=loc,
@@ -726,7 +722,7 @@ def _finish_records(locs, iterations, cfg: EvalSettings) -> list[ZeroRecord]:
     ]
 
 
-def _refine_many(seeds: np.ndarray, trust_radii: np.ndarray, cfg: EvalSettings):
+def _refine_many(seeds: np.ndarray, trust_radii: np.ndarray):
     """`refine_zero` for every seed at once: each Newton round is one
     evaluation pass over the live iterates (f and f' together, with `f`'s
     AccuracyWarning per point), and one `_line_polish` call re-polishes
@@ -737,11 +733,11 @@ def _refine_many(seeds: np.ndarray, trust_radii: np.ndarray, cfg: EvalSettings):
     iterations = np.zeros(len(s), dtype=int)
     errors: list[Exception | None] = [None] * len(s)
     live = np.arange(len(s))
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if not len(live):
             break
-        fv, fp, _ = _evaluate(s[live], cfg, True, warn=True)
-        step = ~(np.abs(fv) < cfg.newton_tol)
+        fv, fp, _ = _evaluate(s[live], True, warn=True)
+        step = ~(np.abs(fv) < _NEWTON_TOL)
         for k in live[step & (fp == 0)]:
             errors[k] = ConvergenceError(f"derivative vanished at {complex(s[k])}")
         step &= fp != 0
@@ -755,38 +751,37 @@ def _refine_many(seeds: np.ndarray, trust_radii: np.ndarray, cfg: EvalSettings):
                 f"{trust_radii[k]} around {complex(seeds[k])}"
             )
         live = live[~gone]
-    for k, v in zip(live, _evaluate(s[live], cfg, False, warn=True)[0]):  # budget spent
-        if not abs(v) < cfg.newton_tol:
+    for k, v in zip(live, _evaluate(s[live], False, warn=True)[0]):  # budget spent
+        if not abs(v) < _NEWTON_TOL:
             errors[k] = ConvergenceError(
-                f"|f| = {abs(v):.3g} after {iterations[k]} iterations, above {cfg.newton_tol}"
+                f"|f| = {abs(v):.3g} after {iterations[k]} iterations, above {_NEWTON_TOL}"
             )
     ok = np.array([e is None for e in errors], dtype=bool)
     near = np.flatnonzero(ok & (np.abs(s.real - 0.5) < LINE_TOL))
-    t_star = _line_polish(s.imag[near], cfg)
+    t_star = _line_polish(s.imag[near])
     s[near[np.isfinite(t_star)]] = 0.5 + 1j * t_star[np.isfinite(t_star)]
     return s, iterations, errors
 
 
-def refine_zero(seed, settings: EvalSettings | None = None, trust_radius: float = 0.5) -> ZeroRecord:
+def refine_zero(seed, trust_radius: float = 0.5) -> ZeroRecord:
     """Newton refinement of a zero from a seed point.
 
     Iterates s -> s - f(s)/f'(s), both from one evaluation pass (with
-    `f`'s AccuracyWarning), until |f| < newton_tol, raising
+    `f`'s AccuracyWarning), until |f| < 1e-10, raising
     DivergedError if an iterate leaves the trust disk around the seed
-    and ConvergenceError if the budget runs out.  A result that lands
+    and ConvergenceError if the budget of 40 steps runs out.  A result that lands
     within 1e-6 of the critical line is re-polished along the line
     itself (sign change of the rotated real form, pinned by
     `_bracket_roots`), so line zeros carry sigma = 1/2 exactly.  This is
     the one-seed case of the lockstep refinement that surveys run.
     """
-    cfg = _settings(settings)
     s0 = seed.z if isinstance(seed, ComplexPoint) else complex(seed)
     if not (math.isfinite(s0.real) and math.isfinite(s0.imag)):
         raise DomainError("seed must be finite")
-    locs, iterations, errors = _refine_many(np.array([s0]), np.array([trust_radius]), cfg)
+    locs, iterations, errors = _refine_many(np.array([s0]), np.array([trust_radius]))
     if errors[0] is not None:
         raise errors[0]
-    return _finish_records(locs, iterations, cfg)[0]
+    return _finish_records(locs, iterations)[0]
 
 
 # ----------------------------------------------------------------------
@@ -794,9 +789,7 @@ def refine_zero(seed, settings: EvalSettings | None = None, trust_radius: float 
 # ----------------------------------------------------------------------
 
 
-def scan_critical_line(
-    t0: float, t1: float, step: float, settings: EvalSettings | None = None
-) -> list[ZeroRecord]:
+def scan_critical_line(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     """Line zeros from sign changes of the rotated real form.
 
     Z is sampled on a grid of spacing `step`; grid points where Z is 0
@@ -806,21 +799,19 @@ def scan_critical_line(
     can be missed; halve the step to confirm stability of the record
     set.
     """
-    cfg = _settings(settings)
     if not (t0 < t1 and step > 0.0):
         raise DomainError("need t0 < t1 and a positive step")
     ts = _axis(t0, t1, step, snap_line=False)
-    z_of = partial(z_function, settings=cfg)
-    zv = z_of(ts)
+    zv = z_function(ts)
     flip = (zv[:-1] * zv[1:]) < 0.0
-    pinned = _bracket_roots(z_of, ts[:-1][flip], ts[1:][flip], zv[:-1][flip], zv[1:][flip])
+    pinned = _bracket_roots(z_function, ts[:-1][flip], ts[1:][flip], zv[:-1][flip], zv[1:][flip])
     roots = sorted(np.concatenate((ts[zv == 0.0], pinned)).tolist())
 
     kept: list[float] = []
     for t_root in roots:
         if not (kept and abs(t_root - kept[-1]) < 1e-9):
             kept.append(t_root)
-    return _finish_records(0.5 + 1j * np.array(kept), np.zeros(len(kept), dtype=int), cfg)
+    return _finish_records(0.5 + 1j * np.array(kept), np.zeros(len(kept), dtype=int))
 
 
 # ----------------------------------------------------------------------
@@ -855,7 +846,7 @@ def _tiling(rect: Rect, cell_size: float, t_offset: float):
     return s_cuts, t_cuts
 
 
-def _localize(cells, cfg: EvalSettings) -> list[ZeroRecord]:
+def _localize(cells) -> list[ZeroRecord]:
     """Records of the zeros of every (cell, count) pair, found in rounds.
 
     Each round refines the centres of all count-1 cells in one lockstep
@@ -873,7 +864,7 @@ def _localize(cells, cfg: EvalSettings) -> list[ZeroRecord]:
             complex(0.5 * (c.sigma_min + c.sigma_max), 0.5 * (c.t_min + c.t_max)) for c in ones
         ]
         radii = [max(0.5, c.width + c.height) for c in ones]
-        refined = iter(zip(*_refine_many(np.array(seeds), np.array(radii), cfg)))
+        refined = iter(zip(*_refine_many(np.array(seeds), np.array(radii))))
         parts = []
         for cell, count, depth in pending:
             if count == 1:
@@ -888,7 +879,7 @@ def _localize(cells, cfg: EvalSettings) -> list[ZeroRecord]:
                 s_cuts = (cell.sigma_min, cell.sigma_min + frac * cell.width, cell.sigma_max)
                 t_cuts = (cell.t_min, cell.t_min + frac * cell.height, cell.t_max)
                 try:
-                    counts = _grid_counts(s_cuts, t_cuts, _SURVEY_SAMPLES, cfg)
+                    counts = _grid_counts(s_cuts, t_cuts, _SURVEY_SAMPLES)
                 except BoundaryZeroError:
                     continue
                 if counts.sum() == count:
@@ -901,7 +892,7 @@ def _localize(cells, cfg: EvalSettings) -> list[ZeroRecord]:
                 if c
             )
         pending = parts
-    return _finish_records(locs, iterations, cfg)
+    return _finish_records(locs, iterations)
 
 
 def _by_height(records: list[ZeroRecord]) -> list[ZeroRecord]:
@@ -917,12 +908,7 @@ def _by_height(records: list[ZeroRecord]) -> list[ZeroRecord]:
     return [rec for run in runs for rec in sorted(run, key=lambda r: r.location.sigma)]
 
 
-def survey_zeros(
-    rect,
-    settings: EvalSettings | None = None,
-    cell_size: float = 0.25,
-    worker_map=None,
-) -> list[ZeroRecord]:
+def survey_zeros(rect, cell_size: float = 0.25, worker_map=None) -> list[ZeroRecord]:
     """Every zero in a rectangle, by exhaustive cell subdivision.
 
     The rectangle is tiled into cells of side about `cell_size`, grouped
@@ -941,14 +927,13 @@ def survey_zeros(
     records are sorted by t, then sigma where t agrees to 1e-9 relative,
     and are identical for any `worker_map`.
     """
-    cfg = _settings(settings)
     r = _as_rect(rect)
     mapper = map if worker_map is None else worker_map
     last_error: Exception | None = None
     for offset in _T_OFFSETS:
         s_cuts, t_cuts = _tiling(r, cell_size, offset)
         bands = [t_cuts[lo : lo + _BAND_ROWS + 1] for lo in range(0, len(t_cuts) - 1, _BAND_ROWS)]
-        count_band = partial(_grid_counts, s_cuts, samples=_SURVEY_SAMPLES, cfg=cfg)
+        count_band = partial(_grid_counts, s_cuts, samples=_SURVEY_SAMPLES)
         try:
             counted = list(mapper(count_band, bands))
         except BoundaryZeroError as exc:
@@ -960,7 +945,7 @@ def survey_zeros(
             for (j, i), c in np.ndenumerate(counts)
         ]
         total = sum(count for _, count in cells)
-        records = _localize(cells, cfg)
+        records = _localize(cells)
         if total != len(records):
             raise ConvergenceError(
                 f"winding counted {total} zeros but {len(records)} were refined"
@@ -990,12 +975,7 @@ def survey_zeros(
 # ----------------------------------------------------------------------
 
 
-def limit_probe(
-    zero: ZeroRecord,
-    direction: str,
-    radii,
-    settings: EvalSettings | None = None,
-) -> list[tuple[float, float]]:
+def limit_probe(zero: ZeroRecord, direction: str, radii) -> list[tuple[float, float]]:
     """|X| = sqrt(P/Q) along a ray approaching a refined zero.
 
     direction "along_t" probes sigma_n + i(t_n + r); "along_sigma"
@@ -1003,7 +983,6 @@ def limit_probe(
     the limiting behavior is observable next to the direct evaluation
     of |X| at the zero itself.
     """
-    cfg = _settings(settings)
     if direction not in ("along_t", "along_sigma"):
         raise DomainError(f"direction must be along_t or along_sigma, got {direction!r}")
     if not zero.residual < 1e-8:
@@ -1017,9 +996,9 @@ def limit_probe(
     out = []
     for r in radii:
         if direction == "along_t":
-            p, q = pq(zero.location.sigma, zero.location.t + r, cfg)
+            p, q = pq(zero.location.sigma, zero.location.t + r)
         else:
-            p, q = pq(zero.location.sigma + r, zero.location.t, cfg)
+            p, q = pq(zero.location.sigma + r, zero.location.t)
         out.append((r, math.sqrt(abs(p) / abs(q))))
     return out
 
@@ -1028,50 +1007,50 @@ def _zero_tag(rec: ZeroRecord) -> str:
     return f"zero at {rec.location.sigma:.12g}+{rec.location.t:.12g}i"
 
 
-# Evidence metrics of one refined zero z, given the settings and kappa.
+# Evidence metrics of one refined zero z, given kappa.
 # Like the evidence functions below, they reach the library through module
 # globals at call time, so a wrapper swapped into a module binding sees
 # every call.
 _ZERO_METRICS = {
-    "abs_f": lambda z, cfg, kap: z.residual,
-    "abs_f_paired": lambda z, cfg, kap: z.paired_residual,
-    "abs_x": lambda z, cfg, kap: z.abs_x_here,
-    "abs_x_minus_1": lambda z, cfg, kap: abs(z.abs_x_here - 1.0),
-    "t": lambda z, cfg, kap: z.location.t,
-    "kappa": lambda z, cfg, kap: kap,
-    "t_over_kappa": lambda z, cfg, kap: z.location.t / kap,
-    "within_kappa": lambda z, cfg, kap: z.within_kappa,
-    "dlogabsx_dt": lambda z, cfg, kap: dlogabsx_dt(z.location.z, 200000, cfg),
+    "abs_f": lambda z, kap: z.residual,
+    "abs_f_paired": lambda z, kap: z.paired_residual,
+    "abs_x": lambda z, kap: z.abs_x_here,
+    "abs_x_minus_1": lambda z, kap: abs(z.abs_x_here - 1.0),
+    "t": lambda z, kap: z.location.t,
+    "kappa": lambda z, kap: kap,
+    "t_over_kappa": lambda z, kap: z.location.t / kap,
+    "within_kappa": lambda z, kap: z.within_kappa,
+    "dlogabsx_dt": lambda z, kap: dlogabsx_dt(z.location.z, 200000),
 }
 
 
 def _zero_metrics(*names):
     """Evidence function: one entry per zero with the named _ZERO_METRICS."""
 
-    def evidence(z: ZeroRecord, cfg: EvalSettings, kap: float) -> list[dict]:
-        return [{"input": _zero_tag(z), **{n: _ZERO_METRICS[n](z, cfg, kap) for n in names}}]
+    def evidence(z: ZeroRecord, kap: float) -> list[dict]:
+        return [{"input": _zero_tag(z), **{n: _ZERO_METRICS[n](z, kap) for n in names}}]
 
     return evidence
 
 
-def _gamma_ray(s: complex, cfg: EvalSettings, kap: float) -> list[dict]:
-    upper, lower = (math.exp(lgamma(arg, cfg).real) for arg in _gamma_args(s))
+def _gamma_ray(s: complex, kap: float) -> list[dict]:
+    upper, lower = (math.exp(lgamma(arg).real) for arg in _gamma_args(s))
     return [
         {
             "input": f"sigma={s.real:g}, t={s.imag:g}",
             "gamma_upper_modulus": upper,
             "gamma_lower_modulus": lower,
-            "dgamma_upper_dt": gamma_modulus_dt(s, "upper", 200000, cfg),
-            "dgamma_lower_dt": gamma_modulus_dt(s, "lower", 200000, cfg),
-            "log_abs_x": float(logabsx_many(s, cfg)),
+            "dgamma_upper_dt": gamma_modulus_dt(s, "upper", 200000),
+            "dgamma_lower_dt": gamma_modulus_dt(s, "lower", 200000),
+            "log_abs_x": float(logabsx_many(s)),
         }
     ]
 
 
-def _puzzle1(z: ZeroRecord, cfg: EvalSettings, kap: float) -> list[dict]:
+def _puzzle1(z: ZeroRecord, kap: float) -> list[dict]:
     # one f_batch per zero, so a zero's values do not depend on which other
     # zeros the window holds
-    vals, _ = f_batch(np.array([z.location.z, z.paired_location.z]), cfg)
+    vals, _ = f_batch(np.array([z.location.z, z.paired_location.z]))
     here, mirror = complex(vals[0]), complex(vals[1])
     return [
         {
@@ -1086,14 +1065,14 @@ def _puzzle1(z: ZeroRecord, cfg: EvalSettings, kap: float) -> list[dict]:
 _PROBE_RADII = [10.0 ** (-k) for k in range(1, 7)]
 
 
-def _appendix_a(direction: str, z: ZeroRecord, cfg: EvalSettings, kap: float) -> list[dict]:
+def _appendix_a(direction: str, z: ZeroRecord, kap: float) -> list[dict]:
     return [
         {
             "input": f"{_zero_tag(z)}, {direction}, radius={r:g}",
             "abs_x_probe": ax,
             "abs_x_direct": z.abs_x_here,
         }
-        for r, ax in limit_probe(z, direction, _PROBE_RADII, cfg)
+        for r, ax in limit_probe(z, direction, _PROBE_RADII)
     ]
 
 
@@ -1128,9 +1107,7 @@ _CLAIMS = (
 CLAIM_IDS = tuple(claim for claim, *_ in _CLAIMS)
 
 
-def audit_claims(
-    zeros: list[ZeroRecord], settings: EvalSettings | None = None
-) -> list[AuditReport]:
+def audit_claims(zeros: list[ZeroRecord]) -> list[AuditReport]:
     """Numerical evidence for the fixed list of externally numbered claims.
 
     Reports measured quantities only: moduli, derivatives, bounds, and
@@ -1138,8 +1115,7 @@ def audit_claims(
     is adjudicated; the verdict_note of each report states what was
     measured, never what it means.
     """
-    cfg = _settings(settings)
-    kap = _kappa_cached(cfg)
+    kap = _kappa_root()
     offline = [z for z in zeros if not z.on_line]
     online = [z for z in zeros if z.on_line]
     populations = {
@@ -1150,6 +1126,6 @@ def audit_claims(
         "gamma_rays": [complex(sigma, t) for sigma in (0.3, 0.7) for t in (10.0, 20.0, 40.0, 80.0)],
     }
     return [
-        AuditReport(claim, tuple(e for m in populations[pop] for e in evidence(m, cfg, kap)), note)
+        AuditReport(claim, tuple(e for m in populations[pop] for e in evidence(m, kap)), note)
         for claim, pop, evidence, note in _CLAIMS
     ]

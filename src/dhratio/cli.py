@@ -4,9 +4,9 @@ Eight subcommands over the library: eval (series values), ratio
 (reflection factor), curve (level-set export), kappa (strip height
 bound), zeros (exhaustive survey), scan (line scan), verify (invariant
 suites), audit (claim evidence).  Output is CSV (17-significant-digit
-round-trip floats) or JSON (settings echoed); both are deterministic
-for a fixed configuration and identical for any --jobs value, because
-parallel pieces merge in sorted order.
+round-trip floats) or JSON (the command named, and verify's seed
+echoed); both are deterministic for a fixed invocation and identical
+for any --jobs value, because parallel pieces merge in sorted order.
 
 Exit status: 0 success, 1 failed verify checks, 2 configuration
 errors, 3 convergence failures, 4 I/O errors.  In JSON mode errors
@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 
 from .analysis import (
@@ -38,8 +37,7 @@ from .errors import (
     PoleError,
     UndersampledError,
 )
-from .specfun import EvalSettings
-from .suites import SUITE_NAMES, run_suites
+from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
 from .xratio import x_of
 
 __all__ = ["RunConfig", "main"]
@@ -56,6 +54,7 @@ class RunConfig:
     t1: float | None = None
     points: tuple[complex, ...] = ()
     suites: tuple[str, ...] = ()
+    seed: int = DEFAULT_SEED
     jobs: int = 1
     out_path: str | None = None
     format: str = "json"
@@ -103,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the settings rng seed")
         p.add_argument("--jobs", type=int, default=1, help="parallel window count")
 
     point_help = "points a+bi; write -- before them when one has a negative real part: -- -2+5i"
@@ -142,6 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="suite name (repeatable); default all",
     )
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the suites' draws")
     common(p)
 
     p = sub.add_parser("audit", help="survey a window and emit claim evidence")
@@ -167,25 +166,11 @@ def _resolve_config(args: argparse.Namespace, fmt: str) -> RunConfig:
         t1=getattr(args, "t1", None),
         points=points,
         suites=suites,
+        seed=getattr(args, "seed", DEFAULT_SEED),
         jobs=args.jobs,
         out_path=args.out,
         format=fmt,
     )
-
-
-def _load_settings(seed: int | None) -> EvalSettings:
-    path = os.environ.get("DH_SETTINGS")
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise DomainError("DH_SETTINGS must contain a JSON object")
-        cfg = EvalSettings(**data)
-    else:
-        cfg = EvalSettings()
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, rng_seed=seed)
-    return cfg
 
 
 # ----------------------------------------------------------------------
@@ -252,19 +237,19 @@ def _point_row(val, **extra) -> dict:
     return {"sigma": at.sigma, "t": at.t, "value_re": value.sigma, "value_im": value.t, **extra}
 
 
-def _eval(config: RunConfig, cfg: EvalSettings, worker_map):
+def _eval(config: RunConfig, worker_map):
     rows = []
     for p in config.points:
-        val = f(p, cfg)
+        val = f(p)
         rows.append(_point_row(val, abs_value=abs(val.value.z), est_abs_err=val.est_abs_err))
     columns = ["sigma", "t", "value_re", "value_im", "abs_value", "est_abs_err"]
     return {"records": rows}, columns, rows, 0
 
 
-def _ratio(config: RunConfig, cfg: EvalSettings, worker_map):
+def _ratio(config: RunConfig, worker_map):
     rows = []
     for p in config.points:
-        val = x_of(p, cfg)
+        val = x_of(p)
         rows.append(
             _point_row(val, log_abs=val.log_abs, arg_cont=val.arg_cont, zero_flag=val.zero_flag)
         )
@@ -272,8 +257,8 @@ def _ratio(config: RunConfig, cfg: EvalSettings, worker_map):
     return {"records": rows}, columns, rows, 0
 
 
-def _curve(config: RunConfig, cfg: EvalSettings, worker_map):
-    polys = trace_unit_curve(config.window, config.step, cfg, worker_map=worker_map)
+def _curve(config: RunConfig, worker_map):
+    polys = trace_unit_curve(config.window, config.step, worker_map=worker_map)
     components = [
         {
             "component_id": poly.component_id,
@@ -291,8 +276,8 @@ def _curve(config: RunConfig, cfg: EvalSettings, worker_map):
     return {"components": components}, ["component_id", "sigma", "t"], rows, 0
 
 
-def _kappa(config: RunConfig, cfg: EvalSettings, worker_map):
-    kd = kappa_detail(cfg)
+def _kappa(config: RunConfig, worker_map):
+    kd = kappa_detail()
     fields = {
         "kappa": kd.trace_value,
         "trace_value": kd.trace_value,
@@ -303,20 +288,20 @@ def _kappa(config: RunConfig, cfg: EvalSettings, worker_map):
     return fields, ["metric", "value"], rows, 0
 
 
-def _zeros(config: RunConfig, cfg: EvalSettings, worker_map):
-    rows = _record_rows(survey_zeros(config.window, cfg, worker_map=worker_map))
+def _zeros(config: RunConfig, worker_map):
+    rows = _record_rows(survey_zeros(config.window, worker_map=worker_map))
     return {"records": rows}, list(_RECORD_FIELDS), rows, 0
 
 
-def _scan(config: RunConfig, cfg: EvalSettings, worker_map):
+def _scan(config: RunConfig, worker_map):
     if config.t0 is None or config.t1 is None or config.step is None:
         raise DomainError("scan requires --t0, --t1, --step")
-    rows = _record_rows(scan_critical_line(config.t0, config.t1, config.step, cfg))
+    rows = _record_rows(scan_critical_line(config.t0, config.t1, config.step))
     return {"records": rows}, list(_RECORD_FIELDS), rows, 0
 
 
-def _verify(config: RunConfig, cfg: EvalSettings, worker_map):
-    results = run_suites(config.suites, cfg, worker_map=worker_map)
+def _verify(config: RunConfig, worker_map):
+    results = run_suites(config.suites, config.seed, worker_map=worker_map)
     columns = ["suite", "check", "passed", "measured", "threshold"]
     rows = [
         {
@@ -338,12 +323,12 @@ def _verify(config: RunConfig, cfg: EvalSettings, worker_map):
         for suite in results
     ]
     all_passed = all(s.passed for s in results)
-    payload = {"suites": suites_payload, "all_passed": all_passed}
+    payload = {"seed": config.seed, "suites": suites_payload, "all_passed": all_passed}
     return payload, columns, rows, 0 if all_passed else 1
 
 
-def _audit(config: RunConfig, cfg: EvalSettings, worker_map):
-    reports = audit_claims(survey_zeros(config.window, cfg, worker_map=worker_map), cfg)
+def _audit(config: RunConfig, worker_map):
+    reports = audit_claims(survey_zeros(config.window, worker_map=worker_map))
     reports_payload = [
         {
             "claim_id": rep.claim_id,
@@ -374,9 +359,9 @@ _COMMANDS = {
 }
 
 
-def _run(config: RunConfig, cfg: EvalSettings, worker_map) -> tuple[dict, list[str], list[dict], int]:
-    fields, columns, rows, status = _COMMANDS[config.command](config, cfg, worker_map)
-    payload = {"command": config.command, "settings": dataclasses.asdict(cfg), **fields}
+def _run(config: RunConfig, worker_map) -> tuple[dict, list[str], list[dict], int]:
+    fields, columns, rows, status = _COMMANDS[config.command](config, worker_map)
+    payload = {"command": config.command, **fields}
     return payload, columns, rows, status
 
 
@@ -401,8 +386,7 @@ def main(argv=None) -> int:
     fmt = args.format or ("csv" if args.command == "curve" else "json")
     try:
         config = _resolve_config(args, fmt)
-        cfg = _load_settings(args.seed)
-    except (DomainError, ValueError, KeyError, OSError) as exc:
+    except DomainError as exc:
         return _fail(2, exc, fmt)
 
     executor = None
@@ -413,7 +397,7 @@ def main(argv=None) -> int:
 
             executor = ProcessPoolExecutor(max_workers=config.jobs)
             worker_map = executor.map
-        payload, columns, rows, status = _run(config, cfg, worker_map)
+        payload, columns, rows, status = _run(config, worker_map)
     except (DomainError, PoleError, KeyError) as exc:
         return _fail(2, exc, config.format)
     except (ConvergenceError, BoundaryZeroError, UndersampledError) as exc:

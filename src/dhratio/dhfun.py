@@ -39,11 +39,9 @@ import numpy as np
 from .errors import AccuracyWarning, DomainError
 from .specfun import (
     ComplexPoint,
-    EvalSettings,
     _dirichlet_sum,
     _em_tail,
     _hurwitz_batch,
-    _settings,
     _sin_cos_pi,
     as_points,
     digamma,
@@ -69,6 +67,9 @@ __all__ = [
 _LN5 = math.log(5.0)
 _LN10PI = math.log(10.0 * math.pi)
 _EPS = np.finfo(float).eps
+# With `warn`, `_evaluate` flags a point whose error estimate exceeds this
+# share of |f| + 1.
+_WARN_REL_ERR = 1e-6
 
 # ----------------------------------------------------------------------
 # coefficients
@@ -168,7 +169,7 @@ def _phi1(x: np.ndarray, deriv: bool = False):
     return out, dout
 
 
-def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
+def _f_direct(s: np.ndarray, deriv: bool):
     """Hurwitz-combination route with the s = 1 pole pair deflated.
 
     Valid for Re s > -1 (and exact at s = 1), with each point's own
@@ -184,14 +185,14 @@ def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     Re s, where every term is at most 1.  `deriv` adds f' in closed form.
     """
     a = DEFAULT_TABLE.array
-    n_split = em_split_point(np.abs(s.imag), 0.0, cfg)
+    n_split = em_split_point(np.abs(s.imag), 0.0)
     direct, ddirect, scale = _dirichlet_sum(  # column k is m = 5 (k // 4) + k % 4 + 1
         s, 4 * n_split, lambda k: (np.log(5 * (k // 4) + k % 4 + 1.0), a[k % 4 + 1]), deriv
     )
 
     r = np.arange(1.0, 5.0)[:, None]  # one row per residue class
     coef = a[1:, None]
-    bracket, dbracket, omitted = _em_tail(s, n_split + r / 5.0, cfg.bernoulli_order, deriv)
+    bracket, dbracket, omitted = _em_tail(s, n_split + r / 5.0, deriv)
     log_x = np.log(5.0 * n_split + r)
     xs = np.exp(-log_x * s)
     tail = (coef * xs * bracket).sum(axis=0)
@@ -217,7 +218,7 @@ def _f_direct(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     return values, derivs, errs
 
 
-def _f_reflected(s: np.ndarray, cfg: EvalSettings, deriv: bool):
+def _f_reflected(s: np.ndarray, deriv: bool):
     """Reflected route for Re s <= -1, where Re (1-s) >= 2.
 
     Exact integer reduction inside sin(pi z / 2) and cos(pi z / 2) makes
@@ -231,7 +232,7 @@ def _f_reflected(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     dtotal = np.zeros_like(s)
     tot_err = np.zeros(len(s))
     for m in (1, 2, 3, 4):
-        val, dval, err = _hurwitz_batch(z, m / 5.0, cfg, deriv)
+        val, dval, err = _hurwitz_batch(z, m / 5.0, deriv)
         total += _S_REFLECT[m - 1] * val
         if deriv:
             dtotal += _S_REFLECT[m - 1] * dval
@@ -250,7 +251,7 @@ def _f_reflected(s: np.ndarray, cfg: EvalSettings, deriv: bool):
     return values, derivs, errs
 
 
-def _evaluate(arr: np.ndarray, cfg: EvalSettings, deriv: bool, warn: bool = False):
+def _evaluate(arr: np.ndarray, deriv: bool, warn: bool = False):
     """f, and with `deriv` also f', at every point of a 1-D array.
 
     The one evaluation path, behind `f_batch`, `f`, `f_prime` and Newton:
@@ -259,8 +260,8 @@ def _evaluate(arr: np.ndarray, cfg: EvalSettings, deriv: bool, warn: bool = Fals
     point sums with the split N of its own height, so it gets the same N
     alone or in any batch; the kernel shares the sigma and phase rows of
     the points and bounds its own memory.  With `warn`, every point whose
-    error estimate says it lost more than 1e6 * rel_tol of relative
-    accuracy gets an AccuracyWarning.
+    error estimate exceeds _WARN_REL_ERR (1e-6) of |f| + 1 gets an
+    AccuracyWarning.
 
     Returns (values, derivs or None, errs) in input order; DomainError
     where |f| overflows float64.
@@ -272,13 +273,13 @@ def _evaluate(arr: np.ndarray, cfg: EvalSettings, deriv: bool, warn: bool = Fals
     with np.errstate(over="ignore", invalid="ignore"):
         for mask, route in ((~left, _f_direct), (left, _f_reflected)):
             if mask.any():
-                values[mask], dvals, errs[mask] = route(arr[mask], cfg, deriv)
+                values[mask], dvals, errs[mask] = route(arr[mask], deriv)
                 if deriv:
                     derivs[mask] = dvals
     bad = ~np.isfinite(values)
     if bad.any():
         raise DomainError(f"|f| overflows float64 at s = {complex(arr[bad][0])}")
-    lost = np.flatnonzero(errs > 1e6 * cfg.rel_tol * (np.abs(values) + 1.0)) if warn else ()
+    lost = np.flatnonzero(errs > _WARN_REL_ERR * (np.abs(values) + 1.0)) if warn else ()
     for k in lost:
         warnings.warn(
             f"cancellation inflated the error estimate to {errs[k]:.3g} at s = {complex(arr[k])}",
@@ -288,27 +289,27 @@ def _evaluate(arr: np.ndarray, cfg: EvalSettings, deriv: bool, warn: bool = Fals
     return values, derivs, errs
 
 
-def f_batch(s, settings: EvalSettings | None = None):
+def f_batch(s):
     """Vectorized f over any collection of points (see `_evaluate`).
 
     Returns (values, est_abs_errs) as numpy arrays, in input order.
     """
     arr, _ = as_points(s)
-    values, _, errs = _evaluate(arr, _settings(settings), False)
+    values, _, errs = _evaluate(arr, False)
     return values, errs
 
 
-def f(s, settings: EvalSettings | None = None) -> FnValue:
+def f(s) -> FnValue:
     """The continued series at a single point (entire; no poles).
 
-    A warning is attached when the internal cancellation estimate says
-    the result lost more than 1e6 * rel_tol of relative accuracy.
+    A warning is attached when the internal cancellation estimate
+    exceeds 1e-6 of |f| + 1.
     Raises DomainError where |f| overflows float64.
     """
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("f takes a single point; use f_batch for arrays")
-    values, _, errs = _evaluate(arr, _settings(settings), False, warn=True)
+    values, _, errs = _evaluate(arr, False, warn=True)
     return FnValue(ComplexPoint.from_complex(arr[0]), ComplexPoint.from_complex(values[0]), errs[0])
 
 
@@ -317,7 +318,7 @@ def f(s, settings: EvalSettings | None = None) -> FnValue:
 # ----------------------------------------------------------------------
 
 
-def f_series(s, n_terms: int, settings: EvalSettings | None = None) -> FnValue:
+def f_series(s, n_terms: int) -> FnValue:
     """Plain partial sum of the Dirichlet series, Re s > 1 only.
 
     est_abs_err is the tail bound 4 n_terms^(1-Re s) / (Re s - 1); the
@@ -352,18 +353,17 @@ def f_series(s, n_terms: int, settings: EvalSettings | None = None) -> FnValue:
 # ----------------------------------------------------------------------
 
 
-def f_prime(s, settings: EvalSettings | None = None) -> ComplexPoint:
+def f_prime(s) -> ComplexPoint:
     """df/ds at a single point, from the same pass that evaluates f.
 
     Every piece is differentiated in closed form: the direct block, the
     Euler-Maclaurin tails, the deflated pole terms and, for Re s <= -1,
     the reflected form, which stays exact at the trivial zeros.
     """
-    cfg = _settings(settings)
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("f_prime takes a single point")
-    _, derivs, _ = _evaluate(arr, cfg, True)
+    _, derivs, _ = _evaluate(arr, True)
     return ComplexPoint.from_complex(complex(derivs[0]))
 
 
@@ -372,16 +372,15 @@ def f_prime(s, settings: EvalSettings | None = None) -> ComplexPoint:
 # ----------------------------------------------------------------------
 
 
-def functional_eq_residual(s, settings: EvalSettings | None = None):
+def functional_eq_residual(s):
     """Relative size of f(s) - X(s) f(1-s): the library's master check.
 
     Scalar in, float out; arrays in, arrays out (one f_batch call over s
     and 1 - s).  Raises PoleError at s = 2, 4, 6, ... where X has poles.
     """
-    cfg = _settings(settings)
     arr, was_scalar = as_points(s)
-    xv, _ = _x_many(arr, cfg)
-    vals, _ = f_batch(np.concatenate((arr, 1.0 - arr)), cfg)
+    xv, _ = _x_many(arr)
+    vals, _ = f_batch(np.concatenate((arr, 1.0 - arr)))
     here, mirror = vals[: len(arr)], vals[len(arr) :]
     res = np.abs(here - xv * mirror) / (np.abs(here) + np.abs(mirror) + 1e-300)
     return float(res[0]) if was_scalar else res
@@ -392,7 +391,7 @@ def functional_eq_residual(s, settings: EvalSettings | None = None):
 # ----------------------------------------------------------------------
 
 
-def z_function(t, settings: EvalSettings | None = None):
+def z_function(t):
     """Real rotated form Z(t) = exp(-i theta(t)/2) f(1/2 + it), with
     theta(t) = Im L(1/2 + it) (xratio's log form of X).
 
@@ -400,13 +399,12 @@ def z_function(t, settings: EvalSettings | None = None):
     the critical line, so Z is real there; sign changes of Z are line
     zeros of f.  Scalar in, scalar out; arrays accepted.
     """
-    cfg = _settings(settings)
     tarr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     was_scalar = np.asarray(t).ndim == 0
     if not np.all(np.isfinite(tarr)):
         raise DomainError("non-finite height t")
-    vals, _ = f_batch(0.5 + 1j * tarr, cfg)
-    rotated = np.exp(-0.5j * _log_form(0.5 + 1j * tarr, cfg).imag) * vals
+    vals, _ = f_batch(0.5 + 1j * tarr)
+    rotated = np.exp(-0.5j * _log_form(0.5 + 1j * tarr).imag) * vals
     bound = 1e-8 * (1.0 + np.abs(rotated.real))
     if np.any(np.abs(rotated.imag) > bound):
         worst = float(np.abs(rotated.imag).max())
@@ -419,17 +417,16 @@ def z_function(t, settings: EvalSettings | None = None):
     return float(out[0]) if was_scalar else out
 
 
-def pq(sigma: float, t: float, settings: EvalSettings | None = None):
+def pq(sigma: float, t: float):
     """The squared-modulus pair (P, Q) = (|f(s)|^2, |f(1-s)|^2).
 
     Computed literally as f(s) f(s*) and f(1-s) f(1-s*); conjugate
     symmetry makes both products real, which is checked (relative
     1e-10) before the imaginary parts are discarded.
     """
-    cfg = _settings(settings)
     sv = complex(float(sigma), float(t))
     pts = np.array([sv, sv.conjugate(), 1.0 - sv, 1.0 - sv.conjugate()])
-    vals, _ = f_batch(pts, cfg)
+    vals, _ = f_batch(pts)
     p = vals[0] * vals[1]
     q = vals[2] * vals[3]
     for name, prod in (("P", p), ("Q", q)):

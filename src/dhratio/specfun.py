@@ -45,8 +45,6 @@ from .errors import DomainError, PoleError
 
 __all__ = [
     "ComplexPoint",
-    "EvalSettings",
-    "DEFAULT_SETTINGS",
     "lgamma",
     "digamma",
     "hurwitz_zeta",
@@ -88,51 +86,6 @@ class ComplexPoint:
     def mirror(self) -> "ComplexPoint":
         """The reflected point 1 - s."""
         return ComplexPoint(1.0 - self.sigma, -self.t)
-
-
-@dataclass(frozen=True)
-class EvalSettings:
-    """Evaluation knobs shared across the library.
-
-    hurwitz_cutoff   minimum Euler-Maclaurin split point N; the effective
-                     split adapts upward with each point's own height,
-                     N_eff = max(hurwitz_cutoff, ceil(0.673 |Im s|))
-                     (em_split_point), in any batch
-    bernoulli_order  highest Bernoulli index 2k used in tail series
-    rel_tol          relative accuracy target for series truncation
-    fd_step          step for finite-difference derivatives
-    newton_tol       |f| stopping tolerance for Newton refinement
-    newton_max_iter  iteration cap for Newton refinement
-    rng_seed         seed for every randomized grid in the library
-    """
-
-    hurwitz_cutoff: int = 20
-    bernoulli_order: int = 24
-    rel_tol: float = 1e-12
-    fd_step: float = 1e-4
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 40
-    rng_seed: int = 20260822
-
-    def __post_init__(self) -> None:
-        if self.hurwitz_cutoff < 1:
-            raise DomainError("hurwitz_cutoff must be a positive integer")
-        if not (2 <= self.bernoulli_order <= 30 and self.bernoulli_order % 2 == 0):
-            raise DomainError("bernoulli_order must be an even integer in [2, 30]")
-        for name in ("rel_tol", "fd_step", "newton_tol"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
-        if self.newton_max_iter < 1:
-            raise DomainError("newton_max_iter must be >= 1")
-        if self.rng_seed < 0:
-            raise DomainError("rng_seed must be a non-negative integer")
-
-
-DEFAULT_SETTINGS = EvalSettings()
-
-
-def _settings(settings: EvalSettings | None) -> EvalSettings:
-    return DEFAULT_SETTINGS if settings is None else settings
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +180,7 @@ def _shifted_series(z, what: str, step, coef):
     return w, acc, ser, winv2, was_scalar
 
 
-def lgamma(z, settings: EvalSettings | None = None):
+def lgamma(z):
     """Principal-branch log Gamma.
 
     Recurrence-shifts the argument to Re w >= 10, accumulating
@@ -244,7 +197,7 @@ def lgamma(z, settings: EvalSettings | None = None):
     return _unpack(out, was_scalar)
 
 
-def digamma(z, settings: EvalSettings | None = None):
+def digamma(z):
     """psi(z) = Gamma'(z)/Gamma(z).
 
     Upward recurrence psi(z) = psi(z+1) - 1/z to Re w >= 10, then the
@@ -263,30 +216,38 @@ def digamma(z, settings: EvalSettings | None = None):
 # ----------------------------------------------------------------------
 
 
-# Split per unit height.  At bernoulli_order 24 the first omitted tail term,
-# |B_26/26! s(s+1)...(s+24)| x^-25 with x >= N, is about (1/pi) (|t|/(2 pi N))^25
-# for |t| >> |sigma| + 24; it is below eps = 2^-52 from N = |t|/(2 pi eps^(1/25))
-# ~ 0.673 |t| on (Johansson, Numer. Algorithms 69, 2015; Edwards, Riemann's Zeta
-# Function, 1974, sec. 6.4).  Lower orders keep it: order 2 would need 26000 |t|.
+# Euler-Maclaurin parameters: the smallest split N, the highest Bernoulli
+# index 2k in the tail, and the split per unit height.  At order 24 the first
+# omitted tail term, |B_26/26! s(s+1)...(s+24)| x^-25 with x >= N, is about
+# (1/pi) (|t|/(2 pi N))^25 for |t| >> |sigma| + 24; it is below eps = 2^-52
+# from N = |t|/(2 pi eps^(1/25)) ~ 0.673 |t| on (Johansson, Numer. Algorithms
+# 69, 2015; Edwards, Riemann's Zeta Function, 1974, sec. 6.4).  The three
+# values hold together: a lower order or a smaller cutoff leaves the omitted
+# term above eps (order 2 would need 26000 |t|).
+_SPLIT_CUTOFF = 20
+_BERNOULLI_ORDER = 24
 _SPLIT_PER_HEIGHT = 1.0 / (2.0 * math.pi * np.finfo(float).eps ** (1.0 / 25.0))
 
 
-def em_split_point(abs_t, re, settings: EvalSettings | None = None):
+def em_split_point(abs_t, re, _unused=None):
     """Euler-Maclaurin split point N for a point of height |Im s| = abs_t
     and real part re; arrays give one split per point.
 
     For Re s >= -2 the split grows with the height just enough for the
     first omitted Bernoulli term to drop below double-precision epsilon:
-    N = max(hurwitz_cutoff, ceil(0.673 |Im s|)) (see _SPLIT_PER_HEIGHT).
-    For deeper negative Re s the direct block grows like (N+a)^|Re s| and
-    would drown the small function value in roundoff, so N is kept as
-    small as the tail's convergence condition 2 pi N > |Im s| permits.
+    N = max(20, ceil(0.673 |Im s|)) (see _SPLIT_PER_HEIGHT).  For deeper
+    negative Re s the direct block grows like (N+a)^|Re s| and would
+    drown the small function value in roundoff, so N is kept as small as
+    the tail's convergence condition 2 pi N > |Im s| permits.
+
+    The third parameter is ignored.  It stays because the benchmark's
+    tracer (bench/tracer.py) passes a third argument when it prices
+    Euler-Maclaurin terms.
     """
-    cfg = _settings(settings)
     abs_t = np.asarray(abs_t, dtype=np.float64)
     n = np.where(
         np.asarray(re) >= -2.0,
-        np.maximum(cfg.hurwitz_cutoff, np.ceil(_SPLIT_PER_HEIGHT * abs_t)),
+        np.maximum(_SPLIT_CUTOFF, np.ceil(_SPLIT_PER_HEIGHT * abs_t)),
         np.maximum(8, np.ceil(0.32 * abs_t) + 8),
     ).astype(np.int64)
     return int(n) if n.ndim == 0 else n
@@ -371,12 +332,12 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
     return sums[0], (sums[1] if deriv else None), scale[back]
 
 
-def _em_tail(s: np.ndarray, x, order: int, deriv: bool = False):
+def _em_tail(s: np.ndarray, x, deriv: bool = False):
     """Euler-Maclaurin bracket at the split x = N + a.
 
     Returns (bracket, dbracket, omitted) with
 
-        bracket = 1/2 + sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1),
+        bracket = 1/2 + sum_{k=1..12} B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1),
 
     dbracket its s-derivative (None unless `deriv`) and omitted the
     size of the first dropped term; the tail of the sum is
@@ -389,7 +350,7 @@ def _em_tail(s: np.ndarray, x, order: int, deriv: bool = False):
     ser = dser = 0.0
     poch, dpoch = s, 1.0
     fac = inv_x
-    for k in range(order // 2):
+    for k in range(_BERNOULLI_ORDER // 2):
         ser = ser + _EM_COEF[k] * poch * fac
         lo, hi = s + (2 * k + 1), s + (2 * k + 2)
         if deriv:
@@ -397,25 +358,21 @@ def _em_tail(s: np.ndarray, x, order: int, deriv: bool = False):
             dpoch = dpoch * lo * hi + poch * (lo + hi)
         poch = poch * lo * hi
         fac = fac * inv_x2
-    omitted = (
-        abs(_EM_COEF[order // 2]) * np.abs(poch) * fac
-        if order // 2 < len(_EM_COEF)
-        else np.zeros(np.shape(ser))
-    )
+    omitted = abs(_EM_COEF[_BERNOULLI_ORDER // 2]) * np.abs(poch) * fac
     return 0.5 + ser, (dser if deriv else None), omitted
 
 
-def _hurwitz_batch(s: np.ndarray, a: float, cfg: EvalSettings, deriv: bool = False):
+def _hurwitz_batch(s: np.ndarray, a: float, deriv: bool = False):
     """zeta(s, a) on an array of points, none equal to 1, as (values,
     derivs or None, errs): Euler-Maclaurin with x = N + a and each
     point's own split N, the direct block sum_{n<N} (n+a)^-s by
     `_dirichlet_sum`, the tail x^-s * bracket(s, x) by `_em_tail` and
     the pole part x^(1-s)/(s-1)."""
-    n_split = em_split_point(np.abs(s.imag), s.real, cfg)
+    n_split = em_split_point(np.abs(s.imag), s.real)
     direct, ddirect, scale = _dirichlet_sum(s, n_split, lambda k: (np.log(k + a), 1.0), deriv)
     x = n_split + a
     log_x = np.log(x)
-    bracket, dbracket, omitted = _em_tail(s, x, cfg.bernoulli_order, deriv)
+    bracket, dbracket, omitted = _em_tail(s, x, deriv)
     xs = np.exp(-s * log_x)
     pole = np.exp((1.0 - s) * log_x) / (s - 1.0)
     out = direct + xs * bracket + pole
@@ -427,31 +384,30 @@ def _hurwitz_batch(s: np.ndarray, a: float, cfg: EvalSettings, deriv: bool = Fal
     return out, dout, err
 
 
-def hurwitz_zeta_any(s, a: float, settings: EvalSettings | None = None):
+def hurwitz_zeta_any(s, a: float):
     """Hurwitz zeta for any real parameter a > 0 (recurrence-friendly)."""
-    cfg = _settings(settings)
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"parameter a = {a} must be positive")
     arr, was_scalar = as_points(s)
     if np.any(arr == 1.0):
         raise PoleError("Hurwitz zeta pole at s = 1")
-    out, _, _ = _hurwitz_batch(arr, float(a), cfg)
+    out, _, _ = _hurwitz_batch(arr, float(a))
     return _unpack(out, was_scalar)
 
 
-def hurwitz_zeta(s, a: float, settings: EvalSettings | None = None):
+def hurwitz_zeta(s, a: float):
     """Analytic continuation of sum_{n>=0} (n+a)^-s for a in (0, 1].
 
-    Euler-Maclaurin with split point N_eff = max(hurwitz_cutoff,
-    ceil(0.673 |Im s|)) at each point's own height (see em_split_point),
-    so a point gets the same value alone or in any array, and Bernoulli
-    corrections up to index bernoulli_order.  Raises PoleError at s = 1
+    Euler-Maclaurin with split point N_eff = max(20, ceil(0.673 |Im s|))
+    at each point's own height (see em_split_point), so a point gets the
+    same value alone or in any array, and Bernoulli corrections up to
+    index 24.  Raises PoleError at s = 1
     and DomainError for a outside (0, 1] (use hurwitz_zeta_any for
     shifted parameters).
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"parameter a = {a} must lie in (0, 1]")
-    return hurwitz_zeta_any(s, a, settings)
+    return hurwitz_zeta_any(s, a)
 
 
 # ----------------------------------------------------------------------

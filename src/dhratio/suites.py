@@ -3,8 +3,9 @@
 Each suite bundles the library-level invariants of one module into
 seeded, self-describing checks: every check reports the quantity it
 measured and the threshold it was held to, so a verify run doubles as
-a numerical health report.  All randomness flows from the rng_seed in
-EvalSettings, making runs reproducible and parallel runs identical.
+a numerical health report.  All randomness flows from the one seed a
+run is given (DEFAULT_SEED unless the caller picks one), making runs
+reproducible and parallel runs identical.
 """
 from __future__ import annotations
 
@@ -15,16 +16,15 @@ import numpy as np
 
 from .analysis import Rect, kappa_detail, refine_zero, survey_zeros, trace_unit_curve
 from .dhfun import f_batch, f_series, functional_eq_residual
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .specfun import (
-    EvalSettings,
-    _settings,
     digamma,
     hurwitz_zeta,
     hurwitz_zeta_any,
     lgamma,
 )
 from .xratio import (
+    _gamma_args,
     _log_form,
     _x_many,
     dlogabsx_dt,
@@ -36,9 +36,11 @@ from .xratio import (
     MirrorPair,
 )
 
-__all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "DEFAULT_SEED", "run_suite", "run_suites"]
 
 SUITE_NAMES = ("specfun", "dhfun", "xratio", "analysis")
+DEFAULT_SEED = 20260822
+_FD_STEP = 1e-4  # finite-difference step of the digamma and d/dsigma log|X| checks
 
 _KNOWN_OFF_LINE_ZEROS = (
     0.808517 + 85.699348j,
@@ -71,10 +73,6 @@ def _check(name: str, measured: float, threshold: float) -> CheckResult:
     return CheckResult(name, bool(measured < threshold), measured, threshold)
 
 
-def _rng(cfg: EvalSettings) -> np.random.Generator:
-    return np.random.default_rng(cfg.rng_seed)
-
-
 def _random_points(rng, n, re_lo, re_hi, im_lo, im_hi, avoid=(), radius=0.05):
     """n seeded random points in a box, outside disks around `avoid`."""
     out = np.empty(0, dtype=np.complex128)
@@ -85,41 +83,47 @@ def _random_points(rng, n, re_lo, re_hi, im_lo, im_hi, avoid=(), radius=0.05):
     return out[:n]
 
 
+def _drawn_pairs(rng, n, re_lo, re_hi, im_lo, im_hi) -> np.ndarray:
+    """n points re + i im, drawn in one call but equal, bit for bit, to n
+    draws of complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))."""
+    re, im = rng.uniform(np.tile([re_lo, im_lo], n), np.tile([re_hi, im_hi], n)).reshape(n, 2).T
+    return re + 1j * im
+
+
 # ----------------------------------------------------------------------
 # specfun
 # ----------------------------------------------------------------------
 
 
-def _suite_specfun(cfg: EvalSettings, worker_map=None) -> SuiteResult:
-    rng = _rng(cfg)
+def _suite_specfun(rng, worker_map=None) -> SuiteResult:
     checks = []
 
     z = _random_points(
         rng, 400, -10.0, 10.0, -100.0, 100.0,
         avoid=[complex(-k, 0.0) for k in range(0, 11)], radius=0.05,
     )
-    gap = lgamma(z + 1.0, cfg) - lgamma(z, cfg) - np.log(z)
+    gap = lgamma(z + 1.0) - lgamma(z) - np.log(z)
     checks.append(_check("lgamma_recurrence", np.abs(gap).max(), 1e-12))
 
     checks.append(
         _check(
             "lgamma_conjugate",
-            np.abs(lgamma(np.conj(z), cfg) - np.conj(lgamma(z, cfg))).max(),
+            np.abs(lgamma(np.conj(z)) - np.conj(lgamma(z))).max(),
             1e-12,
         )
     )
     checks.append(
         _check(
             "digamma_conjugate",
-            np.abs(digamma(np.conj(z), cfg) - np.conj(digamma(z, cfg))).max(),
+            np.abs(digamma(np.conj(z)) - np.conj(digamma(z))).max(),
             1e-12,
         )
     )
 
     s = _random_points(rng, 60, -6.0, 6.0, -40.0, 40.0, avoid=[1.0 + 0.0j], radius=0.05)
     a = rng.uniform(0.05, 1.0, 60)
-    hz = np.array([hurwitz_zeta(sv, av, cfg) for sv, av in zip(s, a)])
-    hzc = np.array([hurwitz_zeta(sv.conjugate(), av, cfg) for sv, av in zip(s, a)])
+    hz = np.array([hurwitz_zeta(sv, av) for sv, av in zip(s, a)])
+    hzc = np.array([hurwitz_zeta(sv.conjugate(), av) for sv, av in zip(s, a)])
     checks.append(_check("hurwitz_conjugate", np.abs(hzc - np.conj(hz)).max(), 1e-11))
 
     # the finite-difference grid stays half a unit clear of the poles,
@@ -128,10 +132,10 @@ def _suite_specfun(cfg: EvalSettings, worker_map=None) -> SuiteResult:
         rng, 200, -10.0, 10.0, -100.0, 100.0,
         avoid=[complex(-k, 0.0) for k in range(0, 11)], radius=0.5,
     )
-    h = cfg.fd_step
-    fd = (lgamma(zfd + h, cfg) - lgamma(zfd - h, cfg)) / (2.0 * h)
+    h = _FD_STEP
+    fd = (lgamma(zfd + h) - lgamma(zfd - h)) / (2.0 * h)
     checks.append(
-        _check("digamma_is_dlgamma", np.abs(fd - digamma(zfd, cfg)).max(), 1e-7)
+        _check("digamma_is_dlgamma", np.abs(fd - digamma(zfd)).max(), 1e-7)
     )
 
     # recurrence defect relative to the size of its three terms: a^-s
@@ -141,8 +145,8 @@ def _suite_specfun(cfg: EvalSettings, worker_map=None) -> SuiteResult:
     arec = rng.uniform(0.05, 1.0, 60)
     rel = []
     for sv, av in zip(srec, arec):
-        here = hurwitz_zeta_any(sv, av, cfg)
-        shifted = hurwitz_zeta_any(sv, av + 1.0, cfg)
+        here = hurwitz_zeta_any(sv, av)
+        shifted = hurwitz_zeta_any(sv, av + 1.0)
         power = np.exp(-sv * np.log(av))
         rel.append(abs(here - shifted - power) / (abs(here) + abs(shifted) + abs(power)))
     checks.append(_check("hurwitz_recurrence", max(rel), 1e-10))
@@ -153,7 +157,7 @@ def _suite_specfun(cfg: EvalSettings, worker_map=None) -> SuiteResult:
         sv = complex(3.0, rng.uniform(-50.0, 50.0))
         av = float(rng.uniform(0.05, 1.0))
         brute = np.exp(-sv * np.log(terms + av)).sum()
-        worst = max(worst, abs(hurwitz_zeta(sv, av, cfg) - brute))
+        worst = max(worst, abs(hurwitz_zeta(sv, av) - brute))
     checks.append(_check("hurwitz_bruteforce", worst, 1e-10))
 
     return SuiteResult("specfun", tuple(checks))
@@ -168,13 +172,12 @@ def _x_pole_points(re_lo: float, re_hi: float):
     return [complex(p, 0.0) for p in range(2, int(re_hi) + 1, 2) if p >= re_lo]
 
 
-def _suite_dhfun(cfg: EvalSettings, worker_map=None) -> SuiteResult:
-    rng = _rng(cfg)
+def _suite_dhfun(rng, worker_map=None) -> SuiteResult:
     checks = []
 
     s = _random_points(rng, 40, -8.0, 8.0, -40.0, 40.0)
-    vals, _ = f_batch(s, cfg)
-    conj_vals, _ = f_batch(np.conj(s), cfg)
+    vals, _ = f_batch(s)
+    conj_vals, _ = f_batch(np.conj(s))
     scale = np.abs(vals) + 1.0
     checks.append(
         _check("conjugate_symmetry", (np.abs(conj_vals - np.conj(vals)) / scale).max(), 1e-12)
@@ -183,24 +186,24 @@ def _suite_dhfun(cfg: EvalSettings, worker_map=None) -> SuiteResult:
     pts = _random_points(
         rng, 1000, -10.0, 11.0, -50.0, 50.0, avoid=_x_pole_points(-10.0, 11.0), radius=0.05
     )
-    checks.append(_check("functional_equation", functional_eq_residual(pts, cfg).max(), 1e-9))
+    checks.append(_check("functional_equation", functional_eq_residual(pts).max(), 1e-9))
 
-    triv, _ = f_batch(-(2.0 * np.arange(6) + 1.0), cfg)
+    triv, _ = f_batch(-(2.0 * np.arange(6) + 1.0))
     checks.append(_check("trivial_zeros", np.abs(triv).max(), 1e-9))
 
     # f_series, the oracle, stays one call per point
     pts = np.array([complex(rng.uniform(2.0, 6.0), rng.uniform(-50.0, 50.0)) for _ in range(50)])
-    vals, errs = f_batch(pts, cfg)
+    vals, errs = f_batch(pts)
     worst = 0.0
     for sv, val, err in zip(pts, vals, errs):
-        oracle = f_series(sv, 200_000, cfg)
+        oracle = f_series(sv, 200_000)
         budget = err + oracle.est_abs_err + 1e-12
         worst = max(worst, abs(complex(val) - oracle.value.z) / budget)
     checks.append(_check("oracle_series", worst, 1.0))
 
     t = rng.uniform(-200.0, 200.0, 200)
-    line_vals, _ = f_batch(0.5 + 1j * t, cfg)
-    rotated = np.exp(-0.5j * _log_form(0.5 + 1j * t, cfg).imag) * line_vals
+    line_vals, _ = f_batch(0.5 + 1j * t)
+    rotated = np.exp(-0.5j * _log_form(0.5 + 1j * t).imag) * line_vals
     rel_im = np.abs(rotated.imag) / (1.0 + np.abs(rotated.real))
     checks.append(_check("z_realness", rel_im.max(), 1e-8))
 
@@ -212,19 +215,24 @@ def _suite_dhfun(cfg: EvalSettings, worker_map=None) -> SuiteResult:
 # ----------------------------------------------------------------------
 
 
-def _logabsx_fd(sv: complex, step: complex, cfg: EvalSettings) -> float:
-    """d log|X| at sv along `step` by (4 D(h/2) - D(h))/3, D the central
-    difference, h = |step|: O(h^4), so it holds next to the poles of X."""
-    v = logabsx_many(sv + step * np.array([1.0, -1.0, 0.5, -0.5]), cfg)
+def _logabsx_fd(pts: np.ndarray, step: complex) -> np.ndarray:
+    """d log|X| at every point along `step` by (4 D(h/2) - D(h))/3, D the
+    central difference, h = |step|: O(h^4), so it holds next to the poles
+    of X.  One logabsx_many call."""
+    v = logabsx_many(pts[:, None] + step * np.array([1.0, -1.0, 0.5, -0.5])).reshape(-1, 4).T
     return (4.0 * (v[2] - v[3]) - 0.5 * (v[0] - v[1])) / (3.0 * abs(step))
 
 
-def _suite_xratio(cfg: EvalSettings, worker_map=None) -> SuiteResult:
-    rng = _rng(cfg)
+def _worst_rel(series, fd) -> float:
+    """max |series - fd| / max(|fd|, 1e-12), 0 over no points."""
+    return float(np.max(np.abs(series - fd) / np.maximum(np.abs(fd), 1e-12), initial=0.0))
+
+
+def _suite_xratio(rng, worker_map=None) -> SuiteResult:
     checks = []
 
     t = rng.uniform(-100.0, 100.0, 1000)
-    g = logabsx_many(0.5 + 1j * t, cfg)
+    g = logabsx_many(0.5 + 1j * t)
     checks.append(_check("unit_circle", np.abs(np.expm1(g)).max(), 1e-12))
 
     worst = 0.0
@@ -233,14 +241,14 @@ def _suite_xratio(cfg: EvalSettings, worker_map=None) -> SuiteResult:
         tv = float(rng.uniform(-50.0, 50.0))
         ev = float(rng.uniform(-5.0, 5.0))
         try:
-            worst = max(worst, reflection_defect(MirrorPair(tv, ev), cfg))
+            worst = max(worst, reflection_defect(MirrorPair(tv, ev)))
         except PoleError:
             continue
         tried += 1
     checks.append(_check("reflection_identity", worst, 1e-12))
 
     for delta in (1e-3, 1e-5):
-        worst = max(reciprocity_defect(n, delta, cfg) for n in range(3))
+        worst = max(reciprocity_defect(n, delta) for n in range(3))
         checks.append(_check(f"reciprocity_delta_{delta:g}", worst / delta, 1.0))
 
     h = 1e-3
@@ -254,46 +262,36 @@ def _suite_xratio(cfg: EvalSettings, worker_map=None) -> SuiteResult:
         sig = rng.uniform(sig_lo, sig_hi, 100)
         tv = rng.uniform(t_lo, t_hi, 100)
         pts = sig + 1j * tv
-        fd = (logabsx_many(pts + 1j * h, cfg) - logabsx_many(pts - 1j * h, cfg)) / (2 * h)
+        fd = (logabsx_many(pts + 1j * h) - logabsx_many(pts - 1j * h)) / (2 * h)
         expected = np.sign(tv * (0.5 - sig))
         worst_bad_signs += int((np.sign(fd) != expected).sum())
     checks.append(_check("monotone_quadrant_signs", float(worst_bad_signs), 1.0))
 
-    worst = 0.0
-    for _ in range(20):
-        sv = complex(rng.uniform(-4.0, 5.0), rng.uniform(-20.0, 20.0))
-        if abs(sv.real - 0.5) < 0.05 or abs(sv.imag) < 0.05:
-            continue
-        series = dlogabsx_dt(sv, 300_000, cfg)
-        fd = _logabsx_fd(sv, 1j * h, cfg)
-        worst = max(worst, abs(series - fd) / max(abs(fd), 1e-12))
-    checks.append(_check("dlogabsx_dt_vs_fd", worst, 1e-6))
+    pts = _drawn_pairs(rng, 20, -4.0, 5.0, -20.0, 20.0)
+    pts = pts[(np.abs(pts.real - 0.5) >= 0.05) & (np.abs(pts.imag) >= 0.05)]
+    series = np.array([dlogabsx_dt(sv, 300_000) for sv in pts])  # one point per call
+    checks.append(_check("dlogabsx_dt_vs_fd", _worst_rel(series, _logabsx_fd(pts, 1j * h)), 1e-6))
 
-    worst = 0.0
-    for _ in range(20):
-        sv = complex(rng.uniform(-4.0, 5.0), rng.uniform(-20.0, 20.0))
-        series = dsigma_logabsx(sv, cfg)
-        fd = _logabsx_fd(sv, cfg.fd_step, cfg)
-        worst = max(worst, abs(series - fd) / max(abs(fd), 1e-12))
-    checks.append(_check("dsigma_logabsx_vs_fd", worst, 1e-6))
+    pts = _drawn_pairs(rng, 20, -4.0, 5.0, -20.0, 20.0)
+    fd = _logabsx_fd(pts, _FD_STEP)
+    checks.append(_check("dsigma_logabsx_vs_fd", _worst_rel(dsigma_logabsx(pts), fd), 1e-6))
 
-    worst = 0.0
     h_gm = 3e-4  # slow 1/(4 n_max) series tail needs the FD extra-tight
-    for which in ("upper", "lower"):
-        for _ in range(3):
-            sv = complex(rng.uniform(-2.0, 3.0), rng.uniform(1.0, 8.0))
-            series = gamma_modulus_dt(sv, which, 5_000_000, cfg)
-            arg = 1.0 - 0.5 * sv if which == "upper" else 0.5 * (1.0 + sv)
-            sign = 1.0 if which == "lower" else -1.0
-            up = math.exp(lgamma(arg + 0.5j * h_gm * sign, cfg).real)
-            dn = math.exp(lgamma(arg - 0.5j * h_gm * sign, cfg).real)
-            fd = (up - dn) / (2 * h_gm)
-            worst = max(worst, abs(series - fd) / max(abs(fd), 1e-12))
-    checks.append(_check("gamma_modulus_dt_vs_fd", worst, 1e-6))
+    pts = _drawn_pairs(rng, 6, -2.0, 3.0, 1.0, 8.0)
+    which = np.repeat(["upper", "lower"], 3)
+    series = np.array([gamma_modulus_dt(sv, w, 5_000_000) for sv, w in zip(pts, which)])
+    upper = which == "upper"
+    args = np.where(upper, *_gamma_args(pts))
+    nudge = 0.5j * h_gm * np.where(upper, -1.0, 1.0)  # a step of h_gm in t
+    # math.exp, which gamma_modulus_dt takes its modulus with; numpy's exp
+    # can differ in the last bit
+    up, dn = ([math.exp(v) for v in lgamma(args + d).real] for d in (nudge, -nudge))
+    fd = (np.array(up) - np.array(dn)) / (2 * h_gm)
+    checks.append(_check("gamma_modulus_dt_vs_fd", _worst_rel(series, fd), 1e-6))
 
     s = _random_points(rng, 40, -6.0, 7.0, -40.0, 40.0, avoid=_x_pole_points(-6.0, 7.0))
-    direct, _ = _x_many(s, cfg)
-    conj, _ = _x_many(np.conj(s), cfg)
+    direct, _ = _x_many(s)
+    conj, _ = _x_many(np.conj(s))
     checks.append(
         _check(
             "x_conjugate",
@@ -310,31 +308,31 @@ def _suite_xratio(cfg: EvalSettings, worker_map=None) -> SuiteResult:
 # ----------------------------------------------------------------------
 
 
-def _suite_analysis(cfg: EvalSettings, worker_map=None) -> SuiteResult:
+def _suite_analysis(rng, worker_map=None) -> SuiteResult:
     checks = []
 
-    polys = trace_unit_curve(Rect(-2.0, 3.0, -2.2, 2.2), 0.02, cfg, worker_map=worker_map)
+    polys = trace_unit_curve(Rect(-2.0, 3.0, -2.2, 2.2), 0.02, worker_map=worker_map)
     verts = np.array([v.z for p in polys for v in p.vertices])
-    g = logabsx_many(verts, cfg)
+    g = logabsx_many(verts)
     checks.append(_check("curve_soundness", np.abs(g).max(), 1e-10))
     mirrored = 1.0 - np.conj(verts)
     sym = np.abs(verts[None, :] - mirrored[:, None]).min(axis=1).max()
     checks.append(_check("curve_symmetry", sym, 2 * 0.02))
 
-    kd = kappa_detail(cfg)
+    kd = kappa_detail()
     checks.append(_check("kappa_two_methods", kd.agreement, 1e-6))
     checks.append(_check("kappa_reference_value", abs(kd.trace_value - 1.21164), 1e-3))
 
     worst_dist = 0.0
     worst_res = 0.0
     for seed in _KNOWN_OFF_LINE_ZEROS:
-        rec = refine_zero(seed, cfg)
+        rec = refine_zero(seed)
         worst_dist = max(worst_dist, abs(rec.location.z - seed))
         worst_res = max(worst_res, rec.residual)
     checks.append(_check("known_zero_distance", worst_dist, 1e-4))
     checks.append(_check("known_zero_residual", worst_res, 1e-8))
 
-    records = survey_zeros(Rect(0.0, 1.0, 0.0, 120.0), cfg, worker_map=worker_map)
+    records = survey_zeros(Rect(0.0, 1.0, 0.0, 120.0), worker_map=worker_map)
     pairing = max(rec.paired_residual for rec in records)
     checks.append(_check("pairing", pairing, 1e-6))
     off = [rec for rec in records if not rec.on_line]
@@ -352,15 +350,17 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, settings: EvalSettings | None = None, worker_map=None) -> SuiteResult:
-    """Run one named invariant suite and return its check results."""
-    cfg = _settings(settings)
+def run_suite(name: str, seed: int = DEFAULT_SEED, worker_map=None) -> SuiteResult:
+    """Run one named invariant suite, its draws seeded by `seed`, and
+    return its check results."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
-    return _SUITES[name](cfg, worker_map)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError("seed must be a non-negative integer")
+    return _SUITES[name](np.random.default_rng(seed), worker_map)
 
 
-def run_suites(names, settings: EvalSettings | None = None, worker_map=None) -> list[SuiteResult]:
+def run_suites(names, seed: int = DEFAULT_SEED, worker_map=None) -> list[SuiteResult]:
     """Run several suites ('all' expands to every suite, in order)."""
     expanded: list[str] = []
     for n in names:
@@ -368,4 +368,4 @@ def run_suites(names, settings: EvalSettings | None = None, worker_map=None) -> 
             expanded.extend(SUITE_NAMES)
         else:
             expanded.append(n)
-    return [run_suite(n, settings, worker_map) for n in expanded]
+    return [run_suite(n, seed, worker_map) for n in expanded]

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DomainError, PoleError
 from .specfun import (
     ComplexPoint,
-    EvalSettings,
     as_points,
     digamma,
     lgamma,
@@ -140,7 +139,7 @@ def _gamma_args(s):
     return 1.0 - 0.5 * s, 0.5 * (1.0 + s)
 
 
-def _log_form(arr: np.ndarray, cfg: EvalSettings | None) -> np.ndarray:
+def _log_form(arr: np.ndarray) -> np.ndarray:
     """L(s) = (1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1+s)/2).
 
     The one place L is formed: log|X| is Re L, and on the line s = 1/2 +
@@ -149,11 +148,11 @@ def _log_form(arr: np.ndarray, cfg: EvalSettings | None) -> np.ndarray:
     at t = 0).  Callers must keep pole and zero points of X out of
     `arr`; the lgamma pole check converts stray hits into PoleError.
     """
-    upper, lower = (lgamma(arg, cfg) for arg in _gamma_args(arr))
+    upper, lower = (lgamma(arg) for arg in _gamma_args(arr))
     return (0.5 - arr) * _LN_5_OVER_PI + upper - lower
 
 
-def _x_many(arr: np.ndarray, cfg: EvalSettings | None):
+def _x_many(arr: np.ndarray):
     """(X, L) on an array: PoleError at s = 2, 4, ...; X = 0 and L = -inf
     at s = -1, -3, ...; DomainError where |X| overflows float64 (log|X|
     = Re L stays finite there, and `logabsx_many` returns it)."""
@@ -162,7 +161,7 @@ def _x_many(arr: np.ndarray, cfg: EvalSettings | None):
         raise PoleError(f"X has a pole at s = {complex(arr[pole][0])}")
     zero = _zero_mask(arr)
     combos = np.full(len(arr), complex(-math.inf, math.nan))
-    combos[~zero] = _log_form(arr[~zero], cfg)
+    combos[~zero] = _log_form(arr[~zero])
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.where(zero, 0.0, np.exp(combos))
     bad = ~np.isfinite(values)
@@ -174,7 +173,7 @@ def _x_many(arr: np.ndarray, cfg: EvalSettings | None):
     return values, combos
 
 
-def x_of(s, settings: EvalSettings | None = None) -> RatioValue:
+def x_of(s) -> RatioValue:
     """Evaluate X at one point.
 
     Raises PoleError at s = 2, 4, 6, ...; returns a zero-flagged
@@ -185,7 +184,7 @@ def x_of(s, settings: EvalSettings | None = None) -> RatioValue:
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("x_of takes a single point; use logabsx_many for grids")
-    values, combos = _x_many(arr, settings)
+    values, combos = _x_many(arr)
     return RatioValue(
         at=ComplexPoint.from_complex(complex(arr[0])),
         value=ComplexPoint.from_complex(complex(values[0])),
@@ -195,7 +194,7 @@ def x_of(s, settings: EvalSettings | None = None) -> RatioValue:
     )
 
 
-def logabsx_many(s, settings: EvalSettings | None = None):
+def logabsx_many(s):
     """log|X| on arbitrary point collections, for field scans.
 
     Exact poles evaluate to +inf and exact zeros to -inf instead of
@@ -210,7 +209,7 @@ def logabsx_many(s, settings: EvalSettings | None = None):
     out[pole] = math.inf
     out[zero] = -math.inf
     if rest.any():
-        out[rest] = _log_form(arr[rest], settings).real
+        out[rest] = _log_form(arr[rest]).real
     return float(out[0]) if was_scalar else out
 
 
@@ -219,7 +218,7 @@ def logabsx_many(s, settings: EvalSettings | None = None):
 # ----------------------------------------------------------------------
 
 
-def reflection_defect(p: MirrorPair, settings: EvalSettings | None = None) -> float:
+def reflection_defect(p: MirrorPair) -> float:
     """max deviation of X(s+) X(s-*) and X(s-) X(s+*) from 1.
 
     Each product pairs a point with the conjugate-mirror partner
@@ -233,12 +232,12 @@ def reflection_defect(p: MirrorPair, settings: EvalSettings | None = None) -> fl
         pts = np.array([first, second])
         if _pole_mask(pts).any() or _zero_mask(pts).any():
             raise PoleError(f"mirror pair touches a pole or zero of X at {pts}")
-        combos = _log_form(pts, settings)
+        combos = _log_form(pts)
         defect = max(defect, abs(np.expm1(complex(combos[0] + combos[1]))))
     return defect
 
 
-def reciprocity_defect(n: int, delta: float, settings: EvalSettings | None = None) -> float:
+def reciprocity_defect(n: int, delta: float) -> float:
     """|X(-(2n+1) + delta) X(2n+2 - delta) - 1| on the real axis.
 
     The two arguments sum to 1, so this probes the zero/pole
@@ -249,7 +248,7 @@ def reciprocity_defect(n: int, delta: float, settings: EvalSettings | None = Non
     if not delta > 0.0:
         raise DomainError("delta must be positive")
     pts = np.array([-(2.0 * n + 1.0) + delta + 0.0j, (2.0 * n + 2.0) - delta + 0.0j])
-    combos = _log_form(pts, settings)
+    combos = _log_form(pts)
     return abs(np.expm1(complex(combos[0] + combos[1])))
 
 
@@ -274,7 +273,7 @@ def _partial_sum(term, sv: complex, n_max: int | None) -> float:
     return total
 
 
-def dlogabsx_dt(s, n_max: int | None = None, settings: EvalSettings | None = None) -> float:
+def dlogabsx_dt(s, n_max: int | None = None) -> float:
     """d(log|X|)/dt as the partial sum
 
         sum_{n=1..n_max} 8 t (1/2 - sigma) (n - 1/4)
@@ -301,7 +300,7 @@ def dlogabsx_dt(s, n_max: int | None = None, settings: EvalSettings | None = Non
     return 8.0 * t * (0.5 - sigma) * _partial_sum(term, sv, n_max)
 
 
-def dsigma_logabsx(s, settings: EvalSettings | None = None):
+def dsigma_logabsx(s):
     """d(log|X|)/dsigma = -ln(5/pi) - Re[psi(1 - s/2) + psi((1+s)/2)]/2.
 
     Scalar in, float out; arrays in, arrays out.  Raises PoleError when
@@ -309,17 +308,12 @@ def dsigma_logabsx(s, settings: EvalSettings | None = None):
     poles and zeros of X).
     """
     arr, was_scalar = as_points(s)
-    upper, lower = (digamma(arg, settings) for arg in _gamma_args(arr))
+    upper, lower = (digamma(arg) for arg in _gamma_args(arr))
     out = -_LN_5_OVER_PI - 0.5 * (upper.real + lower.real)
     return float(out[0]) if was_scalar else out
 
 
-def gamma_modulus_dt(
-    s,
-    which: str,
-    n_max: int | None = None,
-    settings: EvalSettings | None = None,
-) -> float:
+def gamma_modulus_dt(s, which: str, n_max: int | None = None) -> float:
     """t-derivative of a Gamma-factor modulus as a partial sum.
 
     which = "upper":  d/dt |Gamma(1 - s/2)|
@@ -344,5 +338,5 @@ def gamma_modulus_dt(
 
     total = _partial_sum(term, sv, n_max)
     upper, lower = _gamma_args(sv)
-    modulus = math.exp(lgamma(upper if which == "upper" else lower, settings).real)
+    modulus = math.exp(lgamma(upper if which == "upper" else lower).real)
     return -t * modulus * total

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dhratio import analysis
+from dhratio import analysis, dhfun
 from dhratio.analysis import (
     CLAIM_IDS,
     ComplexPoint,
@@ -35,7 +35,6 @@ from dhratio.errors import (
     DomainError,
     UndersampledError,
 )
-from dhratio.specfun import DEFAULT_SETTINGS, EvalSettings
 from dhratio.xratio import logabsx_many
 
 KAPPA_REF = 1.2116357919123534
@@ -143,6 +142,14 @@ def test_trace_warning_names_the_caller():
     assert [w.filename for w in caught] == [__file__]
 
 
+def test_trace_warning_reaches_the_caller_from_a_worker_process():
+    # the band is traced in a pool worker, which hands its flagged cell back
+    with ProcessPoolExecutor(2) as pool:
+        with pytest.warns(DegenerateCellWarning) as caught:
+            trace_unit_curve(Rect(1.2, 3.2, -1.0, 1.0), 1.0, worker_map=pool.map)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_trace_does_not_depend_on_worker_map():
     rect = Rect(-2.0, 3.0, -2.2, 2.2)  # 220 cell rows: eight bands
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -246,24 +253,24 @@ def test_phase_changes_check_the_last_round(monkeypatch):
     # f turns by about -2.76 rad from 0.3+14.1i to 0.3+14.7i, past the
     # zero at 1/2+14.404i; one bisection leaves two steps near -1.38
     path = np.array([0.3 + 14.1j, 0.3 + 14.7j, 0.35 + 14.7j])
-    vals, _ = f_batch(path, DEFAULT_SETTINGS)
+    vals, _ = f_batch(path)
     row = np.array([0, 0, 1])
-    want = analysis._phase_changes(path, vals, row, DEFAULT_SETTINGS)
+    want = analysis._phase_changes(path, vals, row)
     assert want[0] == pytest.approx(-2.76, abs=0.01)
     monkeypatch.setattr(analysis, "_PHASE_ROUNDS", 1)
-    got = analysis._phase_changes(path, vals, row, DEFAULT_SETTINGS)
+    got = analysis._phase_changes(path, vals, row)
     np.testing.assert_array_equal(got, want)
     monkeypatch.setattr(analysis, "_PHASE_ROUNDS", 0)
     with pytest.raises(UndersampledError):
-        analysis._phase_changes(path, vals, row, DEFAULT_SETTINGS)
+        analysis._phase_changes(path, vals, row)
 
 
 def test_phase_changes_cap_samples_per_path(monkeypatch):
     path = np.array([0.3 + 14.1j, 0.3 + 14.7j])
-    vals, _ = f_batch(path, DEFAULT_SETTINGS)
+    vals, _ = f_batch(path)
     monkeypatch.setattr(analysis, "_EDGE_CAP", 2)
     with pytest.raises(UndersampledError, match="with 2 boundary samples"):
-        analysis._phase_changes(path, vals, np.zeros(2, dtype=int), DEFAULT_SETTINGS)
+        analysis._phase_changes(path, vals, np.zeros(2, dtype=int))
 
 
 # ----------------------------------------------------------------------
@@ -295,12 +302,12 @@ def test_refine_diverges_cleanly_far_from_zeros():
         refine_zero(8.0 + 0.3j, trust_radius=0.5)
 
 
-def test_lockstep_newton_warns_per_point():
-    cfg = EvalSettings(rel_tol=1e-30)  # every evaluation counts as inaccurate
+def test_lockstep_newton_warns_per_point(monkeypatch):
+    monkeypatch.setattr(dhfun, "_WARN_REL_ERR", 1e-24)  # every evaluation counts as inaccurate
     seeds = np.array([0.808517 + 85.699348j, 0.650830 + 114.163343j])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        analysis._refine_many(seeds, np.full(2, 0.5), cfg)
+        analysis._refine_many(seeds, np.full(2, 0.5))
     assert caught and all(issubclass(w.category, AccuracyWarning) for w in caught)
     for z, w in zip(seeds, caught[:2]):  # the first round names both seeds
         assert f"at s = {complex(z)}" in str(w.message)
@@ -432,7 +439,7 @@ def test_band_counts_match_single_cell_counts():
     rect = Rect(0.0, 1.0, 84.0, 87.0)
     s_cuts, t_cuts = analysis._tiling(rect, 0.25, 0.0)
     samples = analysis._SURVEY_SAMPLES
-    counts = analysis._grid_counts(s_cuts, t_cuts, samples, DEFAULT_SETTINGS)
+    counts = analysis._grid_counts(s_cuts, t_cuts, samples)
     assert counts.shape == (len(t_cuts) - 1, len(s_cuts) - 1)
     for (j, i), c in np.ndenumerate(counts):
         cell = Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1])
@@ -469,9 +476,9 @@ def test_survey_raises_when_dedupe_loses_a_zero(monkeypatch):
     assert len(honest) >= 2
     real_localize = analysis._localize
 
-    def collapsing(cells, cfg):
+    def collapsing(cells):
         # every cell's Newton run lands on the same zero
-        return [honest[0]] * len(real_localize(cells, cfg))
+        return [honest[0]] * len(real_localize(cells))
 
     monkeypatch.setattr(analysis, "_localize", collapsing)
     with pytest.raises(ConvergenceError):
@@ -489,8 +496,8 @@ def test_survey_retries_next_offset_after_a_lost_zero(monkeypatch):
         offsets.append(t_offset)
         return real_tiling(r, cell_size, t_offset)
 
-    def collapsing_first(cells, cfg):
-        found = real_localize(cells, cfg)
+    def collapsing_first(cells):
+        found = real_localize(cells)
         return [honest[0]] * len(found) if len(offsets) == 1 else found
 
     monkeypatch.setattr(analysis, "_tiling", tiling)
@@ -520,7 +527,7 @@ def test_refine_zero_matches_the_lockstep_batch(refined_sample):
     # refine_zero is the one-seed case of the lockstep refinement that the
     # survey runs on all its cells at once
     seeds = np.array([0.5 + 14.404j, 0.808517 + 85.699348j, 0.650830 + 114.163343j])
-    locs, _, errors = analysis._refine_many(seeds, np.full(3, 0.5), DEFAULT_SETTINGS)
+    locs, _, errors = analysis._refine_many(seeds, np.full(3, 0.5))
     assert errors == [None, None, None]
     for z, rec in zip(locs, refined_sample):
         assert abs(z - rec.location.z) < 1e-12

@@ -42,7 +42,7 @@ def test_eval_json_payload(capsys):
     want = f(0.3 + 2j).value.z
     assert abs(complex(pt["value_re"], pt["value_im"]) - want) < 1e-14
     assert pt["est_abs_err"] < 1e-10
-    assert "settings" in payload
+    assert list(payload) == ["command", "records"]
 
 
 def test_eval_accepts_j_suffix_and_csv(capsys):
@@ -186,6 +186,35 @@ def test_verify_single_suite(capsys):
     assert all(c["passed"] for s in payload["suites"] for c in s["checks"])
 
 
+def test_verify_seed_is_echoed_and_seeds_the_draws(capsys):
+    measured = {}
+    for seed in ("7", "42"):
+        args = ["verify", "--suite", "xratio", "--seed", seed, "--format", "json"]
+        status, out, _ = run(args, capsys)
+        assert status == OK
+        payload = json.loads(out)
+        assert payload["seed"] == int(seed)
+        measured[seed] = [c["measured"] for s in payload["suites"] for c in s["checks"]]
+    assert measured["7"] != measured["42"]
+
+
+def test_verify_negative_seed_is_an_input_error(capsys):
+    args = ["verify", "--suite", "xratio", "--seed", "-1", "--format", "json"]
+    status, _, err = run(args, capsys)
+    assert status == BAD_INPUT
+    assert json.loads(err) == {
+        "error": "DomainError",
+        "message": "seed must be a non-negative integer",
+    }
+
+
+def test_seed_is_a_verify_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "3+0i", "--seed", "7"])
+    capsys.readouterr()
+    assert exc.value.code == BAD_INPUT
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
@@ -204,33 +233,8 @@ def test_audit_csv_long_format(capsys):
 
 
 # ----------------------------------------------------------------------
-# settings plumbing
+# output files
 # ----------------------------------------------------------------------
-
-
-def test_seed_flag_changes_echoed_settings(capsys):
-    _, out_a, _ = run(["eval", "3+0i", "--format", "json", "--seed", "7"], capsys)
-    _, out_b, _ = run(["eval", "3+0i", "--format", "json"], capsys)
-    assert json.loads(out_a)["settings"]["rng_seed"] == 7
-    assert json.loads(out_b)["settings"]["rng_seed"] != 7
-
-
-def test_settings_file_env(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "settings.json"
-    cfg.write_text(json.dumps({"newton_tol": 1e-9, "rng_seed": 99}))
-    monkeypatch.setenv("DH_SETTINGS", str(cfg))
-    status, out, _ = run(["eval", "3+0i", "--format", "json"], capsys)
-    assert status == OK
-    echoed = json.loads(out)["settings"]
-    assert echoed["newton_tol"] == 1e-9
-    assert echoed["rng_seed"] == 99
-
-
-def test_settings_file_missing_is_config_error(monkeypatch, capsys):
-    monkeypatch.setenv("DH_SETTINGS", "/nonexistent/settings.json")
-    status, _, err = run(["eval", "3+0i", "--format", "json"], capsys)
-    assert status == BAD_INPUT
-    assert json.loads(err)["error"] == "FileNotFoundError"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

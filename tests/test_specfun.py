@@ -18,7 +18,6 @@ from dhratio import specfun, suites
 from dhratio.errors import DomainError, PoleError
 from dhratio.specfun import (
     ComplexPoint,
-    EvalSettings,
     cpow,
     digamma,
     em_split_point,
@@ -53,7 +52,7 @@ GAMMA_1_PLUS_I_ABS = 0.5215640468649398411582
 
 
 # ----------------------------------------------------------------------
-# point and settings types
+# point type
 # ----------------------------------------------------------------------
 
 
@@ -70,15 +69,6 @@ def test_complex_point_rejects_nonfinite():
         ComplexPoint(math.inf, 0.0)
     with pytest.raises(DomainError):
         ComplexPoint(0.0, math.nan)
-
-
-def test_settings_validation():
-    with pytest.raises(DomainError):
-        EvalSettings(hurwitz_cutoff=0)
-    with pytest.raises(DomainError):
-        EvalSettings(rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        EvalSettings(newton_max_iter=0)
 
 
 # ----------------------------------------------------------------------
@@ -301,8 +291,8 @@ def test_hurwitz_recurrence_check_catches_a_broken_recurrence(monkeypatch):
     # the suite's relative defect must still see a 1e-7 error in the a^-s step
     real = suites.hurwitz_zeta_any
 
-    def broken(s, a, settings=None):
-        value = real(s, a, settings)
+    def broken(s, a):
+        value = real(s, a)
         return value + 1e-7 * np.exp(-s * np.log(a - 1.0)) if a > 1.0 else value
 
     monkeypatch.setattr(suites, "hurwitz_zeta_any", broken)
@@ -391,11 +381,10 @@ def test_em_split_point_bounds_the_omitted_term():
     # Bernoulli term the tail drops is below 1e-15, largest at t = 30, just
     # past where the height rule takes over from the cutoff; and N stays
     # near the 0.673 |t| that bound needs
-    cfg = EvalSettings()
     for sigma in (-0.9, 0.5, 2.0):
         for t in (0.0, 10.0, 30.0, 100.0, 1000.0, 1e4):
-            n = em_split_point(t, sigma, cfg)
+            n = em_split_point(t, sigma)
             s = np.array([complex(sigma, t)])
-            _, _, omitted = specfun._em_tail(s, float(n), cfg.bernoulli_order)
+            _, _, omitted = specfun._em_tail(s, float(n))
             assert omitted[0] <= 1e-15, f"omitted {omitted[0]:.3g} at {sigma}+{t}i, N = {n}"
-            assert n <= max(cfg.hurwitz_cutoff, 0.68 * t + 1.0)
+            assert n <= max(specfun._SPLIT_CUTOFF, 0.68 * t + 1.0)

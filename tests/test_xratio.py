@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from dhratio import suites
 from dhratio.errors import DomainError, PoleError
-from dhratio.specfun import EvalSettings
 from dhratio.xratio import (
     MirrorPair,
     dlogabsx_dt,
@@ -198,13 +197,12 @@ def test_suite_fd_checks_hold_near_a_pole_and_catch_a_wrong_series(monkeypatch):
     # seed 7 samples 3.83+0.074i, next to the pole of X at s = 4, where a
     # plain central difference misread the slope by 2.3e-5; the suite's
     # Richardson difference passes there and still sees a 1e-5 error
-    cfg = EvalSettings(rng_seed=7)
     names = ("dlogabsx_dt_vs_fd", "dsigma_logabsx_vs_fd")
-    checks = {c.name: c for c in suites.run_suite("xratio", cfg).checks}
+    checks = {c.name: c for c in suites.run_suite("xratio", 7).checks}
     assert all(checks[n].passed for n in names)
-    monkeypatch.setattr(suites, "dlogabsx_dt", lambda s, n, c: (1 + 1e-5) * dlogabsx_dt(s, n, c))
-    monkeypatch.setattr(suites, "dsigma_logabsx", lambda s, c: (1 + 1e-5) * dsigma_logabsx(s, c))
-    checks = {c.name: c for c in suites.run_suite("xratio", cfg).checks}
+    monkeypatch.setattr(suites, "dlogabsx_dt", lambda s, n: (1 + 1e-5) * dlogabsx_dt(s, n))
+    monkeypatch.setattr(suites, "dsigma_logabsx", lambda s: (1 + 1e-5) * dsigma_logabsx(s))
+    checks = {c.name: c for c in suites.run_suite("xratio", 7).checks}
     assert all(not checks[n].passed and checks[n].measured > 5e-6 for n in names)
 
 
