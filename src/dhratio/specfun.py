@@ -1,10 +1,11 @@
 """Self-contained complex special-function kernel.
 
 Everything downstream (the Dirichlet series, the functional-equation
-ratio, the curve and zero machinery) reduces to four primitives over the
+ratio, the curve and zero machinery) reduces to five primitives over the
 complex plane:
 
     lgamma(z)        principal-branch log Gamma, shift + Stirling series
+    log_abs_gamma(z) its real part log|Gamma(z)|, real-only through the shift
     digamma(z)       psi(z), shift + asymptotic series
     hurwitz_zeta(s,a) Euler-Maclaurin continuation of sum (n+a)^-s
     cpow(b, s)       b^s = exp(s ln b) for real b > 0
@@ -16,12 +17,13 @@ row per distinct |t|, so points that share a height (or a sigma column)
 share the transcendental work; a real multiply-reduce combines the rows
 per point.
 
-All four accept Python scalars (complex/float/int), `ComplexPoint`, or
+All five accept Python scalars (complex/float/int), `ComplexPoint`, or
 numpy arrays of points; scalar in, scalar out.  Accuracy is engineered
 for IEEE double precision:
 
-    lgamma   ~1e-13 absolute in log space (|Im z| <= 300), so exp of the
-             result tracks Gamma(z) to ~1e-13 relative
+    lgamma   real part within 2.6e-15 of max(1, |lgamma|) against mpmath for
+             Re z in [-199.3, 450], |Im z| in [0.3, 1e8]; log_abs_gamma agrees
+             with it to 1.8e-15 there (the specfun tests assert 4e-15)
     digamma  ~1e-12 for |z| <= 500
     hurwitz  <= 4.5e-12 of max(1, |zeta|) for -2 <= Re s <= 5, |Im s| <= 1000,
              2.2e-11 at 3000 (against mpmath); below Re s = -2 roundoff in
@@ -46,6 +48,7 @@ from .errors import DomainError, PoleError
 __all__ = [
     "ComplexPoint",
     "lgamma",
+    "log_abs_gamma",
     "digamma",
     "hurwitz_zeta",
     "hurwitz_zeta_any",
@@ -152,11 +155,11 @@ def _nonpositive_integer_mask(arr: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _shifted_series(z, what: str, step, coef):
-    """The part of log Gamma and digamma that they share: the pole check
-    at z = 0, -1, -2, ..., the upward shift to Re w >= 10 that
-    accumulates -step(z) - step(z+1) - ..., and the Horner sum of `coef`
-    in 1/w^2.  Returns (w, acc, ser, 1/w^2, was_scalar)."""
+def _shifted_series(z, what: str, step, coef, group: int = 1):
+    """The part of log Gamma, log|Gamma| and digamma that they share: the
+    pole check at z = 0, -1, ..., the shift to Re w >= 10 in rounds of
+    k <= `group` unit steps from w, each adding -step(w, k), and the Horner
+    sum of `coef` in 1/w^2.  Returns (w, acc, ser, 1/w^2, was_scalar)."""
     arr, was_scalar = as_points(z)
     bad = _nonpositive_integer_mask(arr)
     if bad.any():
@@ -164,12 +167,13 @@ def _shifted_series(z, what: str, step, coef):
 
     w = arr.copy()
     acc = np.zeros_like(arr)
-    for _ in range(_MAX_SHIFT):
+    for _ in range(0, _MAX_SHIFT, group):
         mask = w.real < _SHIFT_RE
         if not mask.any():
             break
-        acc[mask] -= step(w[mask])
-        w[mask] += 1.0
+        k = np.minimum(group, np.ceil(_SHIFT_RE - w.real[mask]))
+        acc[mask] -= step(w[mask], k)
+        w[mask] += k
     else:
         raise DomainError("argument real part too negative for the shift budget")
 
@@ -192,9 +196,28 @@ def lgamma(z):
 
     Raises PoleError at the poles z = 0, -1, -2, ...
     """
-    w, acc, ser, _, was_scalar = _shifted_series(z, "log Gamma", np.log, _STIRLING_COEF)
+    w, acc, ser, _, was_scalar = _shifted_series(
+        z, "log Gamma", lambda v, k: np.log(v), _STIRLING_COEF
+    )
     out = (w - 0.5) * np.log(w) - w + _HALF_LN_2PI + ser / w + acc
     return _unpack(out, was_scalar)
+
+
+def log_abs_gamma(z):
+    """log|Gamma(z)| = Re lgamma(z) with one real log per round of up to
+    eight shift steps, not a complex log per step, and one complex log for
+    the Stirling part.  Scalar in, float out; PoleError at z = 0, -1, ...
+    """
+    def steps(v, k):  # each factor |v + j| / max(1, |v|) lies in (0, 8]
+        scale = np.maximum(1.0, np.abs(v))
+        prod = np.ones(len(v))
+        for j in range(int(k.max())):
+            prod *= np.where(j < k, np.abs(v + j) / scale, 1.0)
+        return k * np.log(scale) + np.log(prod)
+
+    w, acc, ser, _, was_scalar = _shifted_series(z, "log Gamma", steps, _STIRLING_COEF, 8)
+    out = ((w - 0.5) * np.log(w) - w + ser / w).real + _HALF_LN_2PI + acc.real
+    return float(out[0]) if was_scalar else out
 
 
 def digamma(z):
@@ -205,7 +228,7 @@ def digamma(z):
     Raises PoleError at the poles z = 0, -1, -2, ...
     """
     w, acc, ser, winv2, was_scalar = _shifted_series(
-        z, "digamma", lambda v: 1.0 / v, _DIGAMMA_COEF
+        z, "digamma", lambda v, k: 1.0 / v, _DIGAMMA_COEF
     )
     out = np.log(w) - 0.5 / w - ser * winv2 + acc
     return _unpack(out, was_scalar)

@@ -13,10 +13,10 @@ Everything here works in log-modulus form: the combination
 
     L(s) = (1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1 + s)/2)
 
-is evaluated once, giving log|X| = Re L and a continuous argument
-Im L, and products like X(s) X(1 - s*) are formed by adding L-values
-before a single exp, which keeps reflection defects at roundoff level
-even where |X| alone would overflow.
+is evaluated once, giving log|X| = Re L (real-only in `logabsx_many`)
+and a continuous argument Im L, and products like X(s) X(1 - s*) are
+formed by adding L-values before a single exp, which keeps reflection
+defects at roundoff level even where |X| alone would overflow.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .specfun import (
     as_points,
     digamma,
     lgamma,
+    log_abs_gamma,
 )
 
 __all__ = [
@@ -142,10 +143,10 @@ def _gamma_args(s):
 def _log_form(arr: np.ndarray) -> np.ndarray:
     """L(s) = (1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1+s)/2).
 
-    The one place L is formed: log|X| is Re L, and on the line s = 1/2 +
-    it, Im L is the rotation phase of `dhfun.z_function` (both lgamma
-    arguments keep real part 3/4 there, so it is continuous in t and 0
-    at t = 0).  Callers must keep pole and zero points of X out of
+    The one place L is formed; `logabsx_many` takes Re L without it.  On
+    s = 1/2 + it, Im L is the rotation phase of `dhfun.z_function` (both
+    lgamma arguments keep real part 3/4 there, so it is continuous in t
+    and 0 at t = 0).  Callers must keep pole and zero points of X out of
     `arr`; the lgamma pole check converts stray hits into PoleError.
     """
     upper, lower = (lgamma(arg) for arg in _gamma_args(arr))
@@ -195,7 +196,8 @@ def x_of(s) -> RatioValue:
 
 
 def logabsx_many(s):
-    """log|X| on arbitrary point collections, for field scans.
+    """log|X| on arbitrary point collections, for field scans, by the
+    real-only `log_abs_gamma`: exactly 0 on Re s = 1/2 (conjugate arguments).
 
     Exact poles evaluate to +inf and exact zeros to -inf instead of
     raising, so grid passes over windows containing them classify
@@ -209,7 +211,8 @@ def logabsx_many(s):
     out[pole] = math.inf
     out[zero] = -math.inf
     if rest.any():
-        out[rest] = _log_form(arr[rest]).real
+        upper, lower = (log_abs_gamma(arg) for arg in _gamma_args(arr[rest]))
+        out[rest] = (0.5 - arr.real[rest]) * _LN_5_OVER_PI + upper - lower
     return float(out[0]) if was_scalar else out
 
 
@@ -256,7 +259,7 @@ def reciprocity_defect(n: int, delta: float) -> float:
 # derivative series
 # ----------------------------------------------------------------------
 
-_SERIES_CHUNK = 1 << 20
+_SERIES_CHUNK = 1 << 16
 
 
 def _partial_sum(term, sv: complex, n_max: int | None) -> float:

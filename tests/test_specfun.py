@@ -24,6 +24,7 @@ from dhratio.specfun import (
     hurwitz_zeta,
     hurwitz_zeta_any,
     lgamma,
+    log_abs_gamma,
 )
 
 # ----------------------------------------------------------------------
@@ -104,6 +105,23 @@ def test_lgamma_vectorized_matches_scalar():
     batch = lgamma(z)
     for k, zk in enumerate(z):
         assert batch[k] == lgamma(complex(zk))
+
+
+@pytest.mark.parametrize("re", [-199.3, -60.2, -0.4, 0.75, 3.0, 450.0])
+def test_log_abs_gamma_matches_lgamma(re):
+    z = re + 1j * np.array([0.3, 50.0, 1e3, 1e4, 1e5, 1e8])
+    z = np.concatenate((z, np.conj(z)))
+    ref = lgamma(z).real
+    gap = np.abs(log_abs_gamma(z) - ref) / np.maximum(1.0, np.abs(ref))
+    assert gap.max() <= 4e-15, f"log|Gamma| off by {gap.max():.3g} at Re z = {re}"
+
+
+def test_log_abs_gamma_poles_and_scalars():
+    for bad in (0.0, -1.0, -7.0):
+        with pytest.raises(PoleError):
+            log_abs_gamma(bad + 0.0j)
+    got = log_abs_gamma(3.0)
+    assert type(got) is float and abs(got - math.log(2.0)) < 4e-15
 
 
 @pytest.mark.parametrize("z, want", DIGAMMA_CASES)

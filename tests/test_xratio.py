@@ -139,6 +139,12 @@ def test_unit_circle_on_critical_line():
     assert np.abs(np.expm1(g)).max() < 1e-12
 
 
+def test_logabsx_exactly_zero_on_critical_line():
+    # the two Gamma arguments are exact conjugates there
+    t = np.random.default_rng(20260822).uniform(-1e4, 1e4, 100_000)
+    assert not np.any(logabsx_many(0.5 + 1j * t))
+
+
 @given(
     re=st.floats(min_value=-6.0, max_value=7.0),
     im=st.floats(min_value=0.05, max_value=60.0),
