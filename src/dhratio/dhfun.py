@@ -186,7 +186,7 @@ def _f_direct(s: np.ndarray, deriv: bool):
     Re s, where every term is at most 1.  `deriv` adds f' in closed form.
     """
     a = DEFAULT_TABLE.array
-    n_split = em_split_point(np.abs(s.imag), 0.0)
+    n_split = em_split_point(np.abs(s.imag), s.real)
     direct, ddirect, scale = _dirichlet_sum(  # column k is m = 5 (k // 4) + k % 4 + 1
         s, 4 * n_split, lambda k: (np.log(5 * (k // 4) + k % 4 + 1.0), a[k % 4 + 1]), deriv
     )
@@ -196,14 +196,16 @@ def _f_direct(s: np.ndarray, deriv: bool):
     bracket, dbracket, omitted = _em_tail(s, n_split + r / 5.0, deriv)
     log_x = np.log(5.0 * n_split + r)
     xs = np.exp(-log_x * s)
-    tail = (coef * xs * bracket).sum(axis=0)
-    tail_err = (np.abs(coef) * np.abs(xs) * omitted).sum(axis=0)
+    # sum() adds the four residue rows in one fixed order; on complex rows
+    # ndarray.sum(axis=0) pairs them differently for one point than for many
+    tail = sum(coef * xs * bracket)
+    tail_err = sum(np.abs(coef) * np.abs(xs) * omitted)
 
     u = np.log1p(r / (5.0 * n_split))
     phi, dphi = _phi1((1.0 - s) * u, deriv)
     log_n = np.log(n_split)
     power = -np.exp((1.0 - s) * log_n - s * _LN5)
-    residue_sum = (coef * u * phi).sum(axis=0)
+    residue_sum = sum(coef * u * phi)
     pole = power * residue_sum
 
     regular = direct + tail
@@ -211,9 +213,9 @@ def _f_direct(s: np.ndarray, deriv: bool):
     errs = tail_err + 8.0 * _EPS * (4 * n_split * scale + np.abs(regular) + np.abs(pole))
     derivs = None
     if deriv:
-        dtail = (coef * xs * (dbracket - log_x * bracket)).sum(axis=0)
+        dtail = sum(coef * xs * (dbracket - log_x * bracket))
         dpole = power * (
-            -(log_n + _LN5) * residue_sum - (coef * u * u * dphi).sum(axis=0)
+            -(log_n + _LN5) * residue_sum - sum(coef * u * u * dphi)
         )
         derivs = ddirect + dtail + dpole
     return values, derivs, errs

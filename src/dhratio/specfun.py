@@ -25,9 +25,11 @@ for IEEE double precision:
              Re z in [-199.3, 450], |Im z| in [0.3, 1e8]; log_abs_gamma agrees
              with it to 1.8e-15 there (the specfun tests assert 4e-15)
     digamma  ~1e-12 for |z| <= 500
-    hurwitz  <= 4.5e-12 of max(1, |zeta|) for -2 <= Re s <= 5, |Im s| <= 1000,
-             2.2e-11 at 3000 (against mpmath); below Re s = -2 roundoff in
-             EM blocks of size (N+a)^{1+|Re s|} wins (callers reflect instead)
+    hurwitz  <= 1.8e-12 of max(1, |zeta|) for -2 <= Re s <= 5, |Im s| <= 1000,
+             and 6e-14 for |Im s| <= 100; 2.6e-12 at 3000 (against mpmath
+             at 30 digits, 30 random points per height band, a in {0.1,
+             0.2, 0.5, 0.8, 1}); below Re s = -2 roundoff in EM blocks of
+             size (N+a)^{1+|Re s|} wins (callers reflect instead)
 
 The log-gamma branch is the principal one, continuous on the plane cut
 along the negative real axis; the imaginary part is accumulated by the
@@ -37,6 +39,7 @@ continuous argument.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,9 +139,23 @@ _STIRLING_COEF = [
 # Asymptotic series for psi: ln w - 1/(2w) - sum_n B_2n / (2n w^2n)
 _DIGAMMA_COEF = [float(b / (2 * n)) for n, b in enumerate(_BERNOULLI, start=1)]
 
-# Euler-Maclaurin tail for Hurwitz zeta: coefficients B_2k / (2k)!
+# Euler-Maclaurin tail for Hurwitz zeta: B_2k / (2k)! for k = 1..33, through
+# the B_66 that the order-64 tail's omitted term needs.  A literal, because
+# building B_66 from Fractions costs about 12 ms of import; the first 15
+# entries equal float(b / (2k)!) over _BERNOULLI, and the specfun tests
+# rebuild all 33 exactly.
 _EM_COEF = [
-    float(b / math.factorial(2 * k)) for k, b in enumerate(_BERNOULLI, start=1)
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
+    6.514456035233815e-50, -1.6501309906896525e-51, 4.179830628539476e-53,
 ]
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -239,17 +256,36 @@ def digamma(z):
 # ----------------------------------------------------------------------
 
 
-# Euler-Maclaurin parameters: the smallest split N, the highest Bernoulli
-# index 2k in the tail, and the split per unit height.  At order 24 the first
-# omitted tail term, |B_26/26! s(s+1)...(s+24)| x^-25 with x >= N, is about
-# (1/pi) (|t|/(2 pi N))^25 for |t| >> |sigma| + 24; it is below eps = 2^-52
-# from N = |t|/(2 pi eps^(1/25)) ~ 0.673 |t| on (Johansson, Numer. Algorithms
-# 69, 2015; Edwards, Riemann's Zeta Function, 1974, sec. 6.4).  The three
-# values hold together: a lower order or a smaller cutoff leaves the omitted
-# term above eps (order 2 would need 26000 |t|).
-_SPLIT_CUTOFF = 20
-_BERNOULLI_ORDER = 24
-_SPLIT_PER_HEIGHT = 1.0 / (2.0 * math.pi * np.finfo(float).eps ** (1.0 / 25.0))
+# Euler-Maclaurin parameters.  A tail of order 2K (Bernoulli indices up to
+# 2K) first drops |B_(2K+2)/(2K+2)! s(s+1)...(s+2K)| x^-(2K+1), x >= N, which
+# is about (1/pi) (|t|/(2 pi N))^(2K+1) for |t| >> |sigma| + 2K; it is below
+# eps = 2^-52 from N = |t|/(2 pi eps^(1/(2K+1))) on (Johansson, Numer.
+# Algorithms 69, 2015; Edwards, Riemann's Zeta Function, 1974, sec. 6.4).
+#   - The tail runs to order 64 with N = ceil(0.2771 |t|) + 8, 2.4x fewer
+#     direct columns than order 24's N = 0.673 |t|.  The 8 covers the
+#     factors |s + j|, j <= 64, that exceed |t| at low heights: over
+#     -2 <= sigma <= 10 and |sigma| <= |t| <= 2e4 the omitted term stays
+#     below 6.5e-17, and at sigma = 20 it reaches 6.3e-15 (t = 21.5), where
+#     x^-s <= 14^-20 damps it.
+#   - Points with |Re s| > |Im s| keep order 24 and N = max(20,
+#     ceil(0.673 |t|)) (a lower order or a smaller cutoff leaves the omitted
+#     term above eps; order 2 would need 26000 |t|).  The order-64 products
+#     overflow there first (Re s = 1e7 at t = 200), and the tail is either
+#     damped by x^-s or left to the reflected route.
+# Order 24 below |t| = 100 and order 64 above it ran verify_core no faster
+# than order 64 everywhere (bench/run.py, 10 alternated pairs).
+_BERNOULLI_ORDER = 64
+_SPLIT_PER_HEIGHT = 1.0 / (2.0 * math.pi * np.finfo(float).eps ** (1.0 / 65.0))
+_SPLIT_OFFSET = 8
+_NEAR_AXIS_ORDER = 24
+_NEAR_AXIS_PER_HEIGHT = 1.0 / (2.0 * math.pi * np.finfo(float).eps ** (1.0 / 25.0))
+_NEAR_AXIS_CUTOFF = 20
+
+
+def _em_order(abs_t, re):
+    """Bernoulli order of the Euler-Maclaurin tail per point: 64, or 24
+    where |Re s| > |Im s|."""
+    return np.where(np.abs(re) <= abs_t, _BERNOULLI_ORDER, _NEAR_AXIS_ORDER)
 
 
 def em_split_point(abs_t, re, _unused=None):
@@ -257,20 +293,28 @@ def em_split_point(abs_t, re, _unused=None):
     and real part re; arrays give one split per point.
 
     For Re s >= -2 the split grows with the height just enough for the
-    first omitted Bernoulli term to drop below double-precision epsilon:
-    N = max(20, ceil(0.673 |Im s|)) (see _SPLIT_PER_HEIGHT).  For deeper
-    negative Re s the direct block grows like (N+a)^|Re s| and would
-    drown the small function value in roundoff, so N is kept as small as
-    the tail's convergence condition 2 pi N > |Im s| permits.
+    first omitted Bernoulli term of the point's tail order (_em_order) to
+    drop below double-precision epsilon: N = ceil(0.2771 |Im s|) + 8 at
+    order 64, and N = max(20, ceil(0.673 |Im s|)) at order 24, which the
+    points with |Re s| > |Im s| keep.  For deeper negative Re s the direct
+    block grows like (N+a)^|Re s| and would drown the small function value
+    in roundoff, so N is kept as small as the tail's convergence condition
+    2 pi N > |Im s| permits: N = max(8, ceil(0.32 |Im s|) + 8) at either
+    order.
 
     The third parameter is ignored.  It stays because the benchmark's
     tracer (bench/tracer.py) passes a third argument when it prices
     Euler-Maclaurin terms.
     """
     abs_t = np.asarray(abs_t, dtype=np.float64)
+    re = np.asarray(re, dtype=np.float64)
     n = np.where(
-        np.asarray(re) >= -2.0,
-        np.maximum(_SPLIT_CUTOFF, np.ceil(_SPLIT_PER_HEIGHT * abs_t)),
+        re >= -2.0,
+        np.where(
+            _em_order(abs_t, re) == _BERNOULLI_ORDER,
+            np.ceil(_SPLIT_PER_HEIGHT * abs_t) + _SPLIT_OFFSET,
+            np.maximum(_NEAR_AXIS_CUTOFF, np.ceil(_NEAR_AXIS_PER_HEIGHT * abs_t)),
+        ),
         np.maximum(8, np.ceil(0.32 * abs_t) + 8),
     ).astype(np.int64)
     return int(n) if n.ndim == 0 else n
@@ -282,9 +326,29 @@ def em_split_point(abs_t, re, _unused=None):
 ELEMENT_BUDGET = 1 << 17
 
 # Width of the kernel's column blocks.  Block boundaries sit at multiples of
-# it whatever the batch, so a point's sum is taken in the same order alone
-# or in any batch.
+# it whatever the batch.  In the block where a point's count ends, its row
+# stops at that count rounded up to _COLUMN_ALIGN (the columns past the
+# count zeroed), and the points whose rows stop alike share one einsum.  So
+# einsum meets a point's terms as the same row alone or in any batch, and
+# the point keeps its bits whatever grouping einsum's loop uses inside a row.
+# _COLUMN_ALIGN trades the zero columns a point carries against the number
+# of einsums per block.
 _COLUMN_BLOCK = 512
+_COLUMN_ALIGN = 8
+
+
+def _row_runs(ends: list, lo: int, hi: int, c0: int, width: int):
+    """The rows lo..hi-1 of a column block that starts at c0, as (slice
+    from lo, stop) runs: a row whose count ends at `ends[i]` stops at its
+    count rounded up to _COLUMN_ALIGN, at most `width` columns; the counts
+    ascend, so equal stops are runs."""
+    runs, start = [], lo
+    while start < hi:
+        stop = min(-(-(ends[start] - c0) // _COLUMN_ALIGN) * _COLUMN_ALIGN, width)
+        after = hi if stop == width else bisect.bisect_right(ends, c0 + stop, start, hi)
+        runs.append((slice(start - lo, after - lo), stop))
+        start = after
+    return runs
 
 
 def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
@@ -299,9 +363,10 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
     (cos, sin) row of |t| log_m per distinct |t| (t and -t differ only in
     the sign of the sine part).  In each block of _COLUMN_BLOCK columns,
     the chunk's points whose count reaches into it (a suffix) gather their
-    rows, zero the columns past their count, and reduce them by einsums
-    (never BLAS, so the summation order never depends on threads), with
-    the derivative's -log_m as a third operand.
+    rows, cut at their own count rounded up to _COLUMN_ALIGN, zero the
+    columns past their count, and reduce them by einsums (never BLAS, so
+    the summation order never depends on threads), with the derivative's
+    -log_m as a third operand.
 
     Returns (sums, dsums or None, scale), scale = max_{m < n_cols}
     |w_m m^-sigma|, the largest term.
@@ -323,32 +388,47 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
         hi = min(len(s), max(lo + limit // 3, int(np.searchsorted(level, level[lo] + room))))
         sigmas, i_sigma = np.unique(sigma[lo:hi], return_inverse=True)
         heights, i_height = np.unique(height[lo:hi], return_inverse=True)
-        for c0 in range(0, counts[hi - 1], _COLUMN_BLOCK):
+        widest = counts[hi - 1]
+        end = -(-widest // _COLUMN_ALIGN) * _COLUMN_ALIGN
+        ends = counts[lo:hi].tolist()
+        for c0 in range(0, widest, _COLUMN_BLOCK):
             first = lo + int(np.searchsorted(counts[lo:hi], c0, side="right"))
-            cols = np.arange(c0, min(c0 + _COLUMN_BLOCK, counts[hi - 1]))
-            lg, weights = columns(cols)
-            amp = np.exp(np.multiply.outer(-sigmas, lg)) * weights
+            width = min(_COLUMN_BLOCK, end - c0)
+            live = min(width, widest - c0)  # the columns past the widest count stay zero
+            lg = np.zeros(width)  # zero, and amp zero, past the widest count
+            lg[:live], weights = columns(np.arange(c0, c0 + live))
+            amp = np.multiply.outer(-sigmas, lg)
+            np.exp(amp, out=amp)
+            amp[:, :live] *= weights
+            amp[:, live:] = 0.0
             peak = np.abs(amp).max(axis=1)
             low = i_height[first - lo :].min()  # rows of the active points' heights
-            phases = np.multiply.outer(heights[low:], lg)
-            trig = (np.cos(phases), np.sin(phases, out=phases))  # cos reads phases first
+            trig = np.empty((2, len(heights) - low, width))  # (cos, sin) rows
+            np.multiply.outer(heights[low:], lg, out=trig[1])  # the phases
+            np.cos(trig[1], out=trig[0])
+            np.sin(trig[1], out=trig[1])
             for g0 in range(first, hi, gather):
                 block = slice(g0, min(g0 + gather, hi))
                 local = slice(g0 - lo, block.stop - lo)
-                picked_amp = amp[i_sigma[local]]
+                picked_amp = amp.take(i_sigma[local], axis=0)
                 peaks = peak[i_sigma[local]]
-                short = int(np.searchsorted(counts[block], cols[-1], side="right"))
-                if short:  # counts ending inside this block: a prefix
+                short = int(np.searchsorted(counts[block], c0 + live))
+                if short:  # counts ending inside the live columns: a prefix
                     head = picked_amp[:short]
-                    head[cols >= counts[g0 : g0 + short, None]] = 0.0
+                    head[np.arange(c0, c0 + width) >= counts[g0 : g0 + short, None]] = 0.0
                     peaks[:short] = np.abs(head).max(axis=1)
                 np.maximum(scale[block], peaks, out=scale[block])
-                for k, sign in enumerate((1.0, sine_sign[block])):
-                    picked = trig[k][i_height[local] - low]  # one trig row per point
-                    parts[0, k, block] += sign * np.einsum("pm,pm->p", picked, picked_amp)
-                    if deriv:
-                        parts[1, k, block] -= sign * np.einsum("pm,pm,m->p", picked, picked_amp, lg)
-                    del picked
+                runs = _row_runs(ends, g0 - lo, block.stop - lo, c0, width)
+                for k in range(2):
+                    picked = trig[k].take(i_height[local] - low, axis=0)  # one trig row per point
+                    for rows, stop in runs:
+                        out = slice(g0 + rows.start, g0 + rows.stop)
+                        sign = sine_sign[out] if k else 1.0
+                        terms = (picked[rows, :stop], picked_amp[rows, :stop])
+                        parts[0, k, out] += sign * np.einsum("pm,pm->p", *terms)
+                        if deriv:
+                            parts[1, k, out] -= sign * np.einsum("pm,pm,m->p", *terms, lg[:stop])
+                    del picked, terms
         lo = hi
     back = np.argsort(order)  # to input order
     sums = (parts[:, 0] + 1j * parts[:, 1])[:, back]
@@ -360,29 +440,56 @@ def _em_tail(s: np.ndarray, x, deriv: bool = False):
 
     Returns (bracket, dbracket, omitted) with
 
-        bracket = 1/2 + sum_{k=1..12} B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1),
+        bracket = 1/2 + sum_{k=1..K} B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1),
 
-    dbracket its s-derivative (None unless `deriv`) and omitted the
-    size of the first dropped term; the tail of the sum is
-    x^-s * bracket, with x^-s left to the caller so it can fold other
-    powers into the same exponent.  x may be a column of several splits,
-    which broadcasts against the points to one row per split.
+    2K the point's order (12 or 32 terms, see _em_order), dbracket its
+    s-derivative (None unless `deriv`) and omitted the size of the first
+    dropped term; the tail of the sum is x^-s * bracket, with x^-s left to
+    the caller so it can fold other powers into the same exponent.  x holds
+    one split for all points, one per point, or several rows of them, one
+    row per split.
+
+    The points of each order run one loop to it, so a point gets the same
+    bits alone or in any batch.  At order 64 the Pochhammer symbol alone
+    overflows near |t| = 1e5 and x^-(2k-1) underflows further up, so the
+    loop carries poch * 2^-(2k-1)e and x^-(2k-1) * 2^(2k-1)e, 2^e the
+    largest power of two not above the point's smallest x; scaling by a
+    power of two is exact, so each term keeps the bits of the unscaled
+    product.
     """
-    inv_x = 1.0 / np.asarray(x, dtype=np.float64)
-    inv_x2 = inv_x * inv_x
-    ser = dser = 0.0
-    poch, dpoch = s, 1.0
-    fac = inv_x
-    for k in range(_BERNOULLI_ORDER // 2):
-        ser = ser + _EM_COEF[k] * poch * fac
-        lo, hi = s + (2 * k + 1), s + (2 * k + 2)
+    order = _em_order(np.abs(s.imag), s.real)
+    x = np.asarray(x, dtype=np.float64)
+    x = np.broadcast_to(x, np.broadcast_shapes(x.shape, s.shape))
+    exp2 = np.frexp(x.min(axis=0) if x.ndim > 1 else x)[1] - 1
+    bracket = np.empty(x.shape, dtype=complex)
+    dbracket = np.empty(x.shape, dtype=complex) if deriv else None
+    omitted = np.empty(x.shape)
+    for half in (_NEAR_AXIS_ORDER // 2, _BERNOULLI_ORDER // 2):
+        at = order == 2 * half
+        if not at.any():
+            continue
+        at = slice(None) if at.all() else at  # a view when every point shares the order
+        z, e = s[at], exp2[at]
+        unit = np.ldexp(1.0, -e).astype(complex)  # complex: a real factor costs a cast
+        fac = np.ldexp(1.0 / x[..., at], e)
+        fac2 = fac * fac
+        scale = unit * unit
+        ser = dser = 0.0
+        poch, dpoch = z * unit, unit
+        for k in range(half):
+            ser = ser + _EM_COEF[k] * poch * fac
+            lo, hi = z + (2 * k + 1), z + (2 * k + 2)
+            step = hi * scale  # exact, so poch * lo * step rounds as poch * lo * hi
+            if deriv:
+                dser = dser + _EM_COEF[k] * dpoch * fac
+                dpoch = dpoch * lo * step + poch * ((lo + hi) * scale)
+            poch = poch * lo * step
+            fac = fac * fac2
+        bracket[..., at] = 0.5 + ser
         if deriv:
-            dser = dser + _EM_COEF[k] * dpoch * fac
-            dpoch = dpoch * lo * hi + poch * (lo + hi)
-        poch = poch * lo * hi
-        fac = fac * inv_x2
-    omitted = abs(_EM_COEF[_BERNOULLI_ORDER // 2]) * np.abs(poch) * fac
-    return 0.5 + ser, (dser if deriv else None), omitted
+            dbracket[..., at] = dser
+        omitted[..., at] = abs(_EM_COEF[half]) * np.abs(poch) * fac
+    return bracket, dbracket, omitted
 
 
 def _hurwitz_batch(s: np.ndarray, a: float, deriv: bool = False):
@@ -421,12 +528,14 @@ def hurwitz_zeta_any(s, a: float):
 def hurwitz_zeta(s, a: float):
     """Analytic continuation of sum_{n>=0} (n+a)^-s for a in (0, 1].
 
-    Euler-Maclaurin with split point N_eff = max(20, ceil(0.673 |Im s|))
-    at each point's own height (see em_split_point), so a point gets the
-    same value alone or in any array, and Bernoulli corrections up to
-    index 24.  Raises PoleError at s = 1
-    and DomainError for a outside (0, 1] (use hurwitz_zeta_any for
-    shifted parameters).
+    Euler-Maclaurin with each point's own Bernoulli order and split point
+    (see _em_order and em_split_point), so a point gets the same value
+    alone or in any array: corrections up to index 64 with N =
+    ceil(0.2771 |Im s|) + 8, or, where |Re s| > |Im s|, up to index 24 with
+    N = max(20, ceil(0.673 |Im s|)); below Re s = -2 either order takes
+    N = max(8, ceil(0.32 |Im s|) + 8).  Raises PoleError at s = 1 and
+    DomainError for a outside (0, 1] (use hurwitz_zeta_any for shifted
+    parameters).
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"parameter a = {a} must lie in (0, 1]")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,8 +188,7 @@ def test_hurwitz_array_points_keep_their_own_split():
     pts = np.array([-1.5 + 2.0j, 0.5 + 3000.0j, 3.0 - 700.0j])
     got = hurwitz_zeta(pts, 0.5)
     for sv, g in zip(pts, got):
-        want = hurwitz_zeta(sv, 0.5)
-        assert abs(g - want) <= 1e-15 * abs(want)
+        assert g == hurwitz_zeta(sv, 0.5)
 
 
 def test_hurwitz_pole_and_domain():
@@ -287,6 +287,39 @@ def test_dirichlet_kernel_per_point_counts(monkeypatch, block):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         assert np.all(np.abs(dgot - dwant) <= 1e-13 * np.abs(dwant))
         assert np.allclose(scale, want_scale, rtol=1e-15, atol=0.0)
+
+
+def test_dirichlet_kernel_bits_do_not_depend_on_einsums_grouping(monkeypatch):
+    # a point's row reaches einsum with the same width alone or in any
+    # batch, so the point keeps its bits whatever grouping einsum's loop
+    # uses; here each row reduces as 4 lanes taken 16 terms a step with a
+    # scalar remainder, unlike numpy's own loop
+    real = np.einsum
+
+    def regrouped(spec, *ops):
+        if spec not in ("pm,pm->p", "pm,pm,m->p"):
+            return real(spec, *ops)
+        prod = ops[0] * ops[1] * (ops[2] if len(ops) == 3 else 1.0)
+        main = prod.shape[1] // 16 * 16
+        lanes = np.zeros((len(prod), 4))
+        for j in range(0, main, 4):
+            lanes = lanes + prod[:, j : j + 4]
+        acc = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
+        for j in range(main, prod.shape[1]):
+            acc = acc + prod[:, j]
+        return acc
+
+    monkeypatch.setattr(specfun.np, "einsum", regrouped)
+    rng = np.random.default_rng(5)
+    logs = np.log(np.arange(1.0, 1501.0))
+    columns = _columns(logs, np.cos(np.arange(1500.0)))
+    pts = rng.uniform(-0.5, 1.5, 40) + 1j * rng.uniform(-1000.0, 1000.0, 40)
+    counts = rng.integers(1, len(logs) + 1, len(pts))
+    counts[:4] = (1, 9, 512, 513)
+    got = specfun._dirichlet_sum(pts, counts, columns, deriv=True)
+    for k in range(len(pts)):
+        alone = specfun._dirichlet_sum(pts[k : k + 1], counts[k : k + 1], columns, deriv=True)
+        assert [v[0] for v in alone] == [v[k] for v in got], f"count {counts[k]}"
 
 
 @given(
@@ -395,14 +428,85 @@ def test_sin_pi_matches_cmath_off_axis():
 
 
 def test_em_split_point_bounds_the_omitted_term():
-    # at the chosen N (x = N + a with a -> 0, the worst case) the first
-    # Bernoulli term the tail drops is below 1e-15, largest at t = 30, just
-    # past where the height rule takes over from the cutoff; and N stays
-    # near the 0.673 |t| that bound needs
+    # dense in height: t = 0..400 in steps of 0.5, then up to 2e4 (1e3 and
+    # 1e4 included), and the heights around |sigma|, where the tail order
+    # switches from 24 to 64.  At the chosen N (x = N + a with a -> 0, the
+    # worst case) the first Bernoulli term the tail drops is below 1e-15,
+    # and N follows the rule
+    assert abs(specfun._SPLIT_PER_HEIGHT - 0.2771) < 1e-4
+    assert abs(specfun._NEAR_AXIS_PER_HEIGHT - 0.673) < 1e-3
+    for sigma in (-0.9, 0.5, 2.0, 5.0):
+        near = abs(sigma) + np.array([-0.5, 0.0, 0.5])
+        t = np.concatenate((np.arange(0.0, 400.5, 0.5), np.geomspace(400.0, 2e4, 2000), [1e3, 1e4]))
+        t = np.concatenate((t, near, np.nextafter(near, 0.0)))
+        high = abs(sigma) <= t
+        rule = np.where(
+            high,
+            np.ceil(specfun._SPLIT_PER_HEIGHT * t) + 8,
+            np.maximum(20, np.ceil(specfun._NEAR_AXIS_PER_HEIGHT * t)),
+        )
+        n = em_split_point(t, sigma)
+        assert np.array_equal(n, rule), f"split rule broken at sigma = {sigma}"
+        assert np.array_equal(specfun._em_order(t, sigma), np.where(high, 64, 24))
+        _, _, omitted = specfun._em_tail(sigma + 1j * t, n.astype(float))
+        worst = int(np.argmax(omitted))
+        assert omitted[worst] <= 1e-15, f"omitted {omitted[worst]:.3g} at {sigma}+{t[worst]}i, N = {n[worst]}"
+    # a scalar call, with the third argument the benchmark's tracer passes
+    assert em_split_point(99.5, 0.5, None) == 36 and em_split_point(1000.0, 0.5, None) == 286
+    assert em_split_point(0.0, 0.5) == 20 and type(em_split_point(1000.0, 0.5)) is int
+
+
+@pytest.mark.parametrize("order", [24, 64])
+def test_em_tail_is_finite_far_up(monkeypatch, order):
+    # order 64 needs the scaled products: its Pochhammer symbol alone
+    # overflows near |t| = 1e5 and x^-65 underflows further up; order 24
+    # is forced here, since far up only |Re s| > |Im s| would pick it
+    monkeypatch.setattr(specfun, "_em_order", lambda abs_t, re: np.full(np.shape(abs_t), order))
+    t = np.array([1e5, 1e6, 1e8])
     for sigma in (-0.9, 0.5, 2.0):
-        for t in (0.0, 10.0, 30.0, 100.0, 1000.0, 1e4):
-            n = em_split_point(t, sigma)
-            s = np.array([complex(sigma, t)])
-            _, _, omitted = specfun._em_tail(s, float(n))
-            assert omitted[0] <= 1e-15, f"omitted {omitted[0]:.3g} at {sigma}+{t}i, N = {n}"
-            assert n <= max(specfun._SPLIT_CUTOFF, 0.68 * t + 1.0)
+        s = sigma + 1j * np.concatenate((t, -t))
+        n = em_split_point(np.abs(s.imag), sigma)
+        x = n + np.array([0.2, 0.6, 1.0])[:, None]
+        bracket, dbracket, omitted = specfun._em_tail(s, x, deriv=True)
+        assert np.all(np.isfinite(bracket)) and np.all(np.isfinite(dbracket))
+        assert np.all(np.isfinite(omitted)) and omitted.max() <= 1e-15
+
+
+def test_em_tail_scaling_keeps_the_unscaled_bits():
+    # the loop carries poch and x^-(2k-1) scaled by powers of two, which is
+    # exact: where the plain products neither overflow nor underflow, every
+    # bracket, derivative and omitted term has their bits
+    def plain(s, x, order):
+        inv_x = 1.0 / x
+        ser = dser = 0.0
+        poch, dpoch, fac = s, 1.0, inv_x
+        for k in range(order // 2):
+            ser = ser + specfun._EM_COEF[k] * poch * fac
+            lo, hi = s + (2 * k + 1), s + (2 * k + 2)
+            dser = dser + specfun._EM_COEF[k] * dpoch * fac
+            dpoch = dpoch * lo * hi + poch * (lo + hi)
+            poch = poch * lo * hi
+            fac = fac * (inv_x * inv_x)
+        return 0.5 + ser, dser, abs(specfun._EM_COEF[order // 2]) * np.abs(poch) * fac
+
+    rng = np.random.default_rng(11)
+    sigma = {64: rng.uniform(-0.9, 3.0, 60), 24: rng.uniform(1.0, 20.0, 60)}
+    height = {64: rng.uniform(3.0, 3000.0, 60), 24: sigma[24] * rng.uniform(0.0, 0.99, 60)}
+    for order in (24, 64):
+        t = height[order] * rng.choice([-1.0, 1.0], 60)
+        s = sigma[order] + 1j * t
+        assert np.all(specfun._em_order(np.abs(t), s.real) == order)
+        x = em_split_point(np.abs(t), s.real) + np.array([0.2, 0.4, 0.6, 0.8])[:, None]
+        for got, want in zip(specfun._em_tail(s, x, deriv=True), plain(s, x, order)):
+            assert np.array_equal(got, want), f"order {order}"
+
+
+def test_em_coefficients_are_the_exact_bernoulli_ratios():
+    # B_2k / (2k)! for k = 1..33, correctly rounded, from exact Bernoulli
+    # numbers (sum_{j <= m} C(m + 1, j) B_j = 0)
+    b = [Fraction(1)]
+    for m in range(1, 67):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    want = [float(b[2 * k] / math.factorial(2 * k)) for k in range(1, 34)]
+    assert specfun._EM_COEF == want
+    assert [Fraction(v) for v in b[2:32:2]] == specfun._BERNOULLI
