@@ -178,7 +178,8 @@ def _f_direct(s: np.ndarray, deriv: bool):
     direct sum, 5^-s (n + r/5)^-s = (5n + r)^-s, taken by
     `_dirichlet_sum` over m < 5N, 5 not dividing m, with weights
     a(m mod 5).  The Euler-Maclaurin tails stay per residue, each with
-    5^-s folded into its exponent, and the pole parts
+    weight (5N + r)^-s = 5^-s x_r^-s, which `_em_tail` carries inside its
+    products, and the pole parts
     5^-s sum_r a_r x_r^(1-s)/(s-1), x_r = N + r/5, are combined into
     -N^w 5^-s sum_r a_r u_r phi1(w u_r) with w = 1 - s, u_r =
     log1p(r/(5N)), which is finite and fully stable through w = 0.  No
@@ -193,13 +194,12 @@ def _f_direct(s: np.ndarray, deriv: bool):
 
     r = np.arange(1.0, 5.0)[:, None]  # one row per residue class
     coef = a[1:, None]
-    bracket, dbracket, omitted = _em_tail(s, n_split + r / 5.0, deriv)
     log_x = np.log(5.0 * n_split + r)
-    xs = np.exp(-log_x * s)
+    tails, dtails, omitted = _em_tail(s, n_split + r / 5.0, np.exp(-log_x * s), deriv)
     # sum() adds the four residue rows in one fixed order; on complex rows
     # ndarray.sum(axis=0) pairs them differently for one point than for many
-    tail = sum(coef * xs * bracket)
-    tail_err = sum(np.abs(coef) * np.abs(xs) * omitted)
+    tail = sum(coef * tails)
+    tail_err = sum(np.abs(coef) * omitted)
 
     u = np.log1p(r / (5.0 * n_split))
     phi, dphi = _phi1((1.0 - s) * u, deriv)
@@ -213,7 +213,7 @@ def _f_direct(s: np.ndarray, deriv: bool):
     errs = tail_err + 8.0 * _EPS * (4 * n_split * scale + np.abs(regular) + np.abs(pole))
     derivs = None
     if deriv:
-        dtail = sum(coef * xs * (dbracket - log_x * bracket))
+        dtail = sum(coef * (dtails - log_x * tails))
         dpole = power * (
             -(log_n + _LN5) * residue_sum - sum(coef * u * u * dphi)
         )

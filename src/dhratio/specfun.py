@@ -7,7 +7,8 @@ complex plane:
     lgamma(z)        principal-branch log Gamma, shift + Stirling series
     log_abs_gamma(z) its real part log|Gamma(z)|, real-only through the shift
     digamma(z)       psi(z), shift + asymptotic series
-    hurwitz_zeta(s,a) Euler-Maclaurin continuation of sum (n+a)^-s
+    hurwitz_zeta(s,a) Euler-Maclaurin continuation of sum (n+a)^-s: one
+                      order-64 tail, one split rule for every point
     cpow(b, s)       b^s = exp(s ln b) for real b > 0
 
 Every direct Dirichlet block, here and in the series evaluator, goes
@@ -26,10 +27,12 @@ for IEEE double precision:
              with it to 1.8e-15 there (the specfun tests assert 4e-15)
     digamma  ~1e-12 for |z| <= 500
     hurwitz  <= 1.8e-12 of max(1, |zeta|) for -2 <= Re s <= 5, |Im s| <= 1000,
-             and 6e-14 for |Im s| <= 100; 2.6e-12 at 3000 (against mpmath
-             at 30 digits, 30 random points per height band, a in {0.1,
-             0.2, 0.5, 0.8, 1}); below Re s = -2 roundoff in EM blocks of
-             size (N+a)^{1+|Re s|} wins (callers reflect instead)
+             and 6.8e-14 for |Im s| <= 100; 3.0e-12 at 3000; near the
+             real axis (|Im s| < |Re s|) 4.7e-14 for -2 <= Re s <= 2 and
+             9.4e-15 for 0.5 <= Re s <= 40 (against mpmath at 30 digits,
+             the worst of the samples taken, 30 random points per band, a
+             in {0.1, 0.2, 0.5, 0.8, 1}); below Re s = -2 roundoff in EM
+             blocks of size (N+a)^{1+|Re s|} wins (callers reflect instead)
 
 The log-gamma branch is the principal one, continuous on the plane cut
 along the negative real axis; the imaginary part is accumulated by the
@@ -256,67 +259,47 @@ def digamma(z):
 # ----------------------------------------------------------------------
 
 
-# Euler-Maclaurin parameters.  A tail of order 2K (Bernoulli indices up to
-# 2K) first drops |B_(2K+2)/(2K+2)! s(s+1)...(s+2K)| x^-(2K+1), x >= N, which
-# is about (1/pi) (|t|/(2 pi N))^(2K+1) for |t| >> |sigma| + 2K; it is below
-# eps = 2^-52 from N = |t|/(2 pi eps^(1/(2K+1))) on (Johansson, Numer.
-# Algorithms 69, 2015; Edwards, Riemann's Zeta Function, 1974, sec. 6.4).
-#   - The tail runs to order 64 with N = ceil(0.2771 |t|) + 8, 2.4x fewer
-#     direct columns than order 24's N = 0.673 |t|.  The 8 covers the
-#     factors |s + j|, j <= 64, that exceed |t| at low heights: over
-#     -2 <= sigma <= 10 and |sigma| <= |t| <= 2e4 the omitted term stays
-#     below 6.5e-17, and at sigma = 20 it reaches 6.3e-15 (t = 21.5), where
-#     x^-s <= 14^-20 damps it.
-#   - Points with |Re s| > |Im s| keep order 24 and N = max(20,
-#     ceil(0.673 |t|)) (a lower order or a smaller cutoff leaves the omitted
-#     term above eps; order 2 would need 26000 |t|).  The order-64 products
-#     overflow there first (Re s = 1e7 at t = 200), and the tail is either
-#     damped by x^-s or left to the reflected route.
-# Order 24 below |t| = 100 and order 64 above it ran verify_core no faster
-# than order 64 everywhere (bench/run.py, 10 alternated pairs).
+# Euler-Maclaurin parameters.  The tail runs to order 64 (Bernoulli indices
+# up to 64) at every point.  It first drops |B_66/66! s(s+1)...(s+64)|
+# x^-65 |x^-s|, x >= N.  The factor before |x^-s| is about
+# (1/pi) (|t|/(2 pi N))^65 for |t| >> |sigma| + 64, below eps = 2^-52 from
+# N = |t|/(2 pi eps^(1/65)) = 0.2771 |t| on (Johansson, Numer. Algorithms
+# 69, 2015; Edwards, Riemann's Zeta Function, 1974, sec. 6.4): 2.4x fewer
+# direct columns than order 24's 0.673 |t|.  So N = ceil(0.2771 h) + 8 with
+# h = max(|Im s|, min(max(Re s, 0), C)):
+#   - The 8 covers the factors |s + j|, j <= 64, that exceed |t| at low
+#     heights, and Re s in h covers them where Re s > |Im s|: over
+#     -2 <= sigma <= 10 and 0 <= |t| <= 2e4 the factor stays below 6.5e-17,
+#     and at sigma = 20 it reaches 6.3e-15 (t = 21.5).
+#   - C = _SPLIT_REAL_CAP = 20 stops N growing with Re s.  Past it x >= 14,
+#     and the tail itself is at most 7.7e-24 (Re s = 20, t = 21.5), far
+#     below the rounding of the sum's first term (a^-s with a <= 1, or 1
+#     for f), so its own accuracy no longer matters; the dropped term times
+#     |x^-s| peaks at 7.6e-38 there and is 0 where x^-s underflows.
+#     Uncapped, f(1e7 + 200i) would sum 11M columns.
+#   - Below Re s = -2 roundoff in the direct block, (N+a)^(1+|Re s|), sets
+#     the error, and callers reflect instead.
 _BERNOULLI_ORDER = 64
 _SPLIT_PER_HEIGHT = 1.0 / (2.0 * math.pi * np.finfo(float).eps ** (1.0 / 65.0))
 _SPLIT_OFFSET = 8
-_NEAR_AXIS_ORDER = 24
-_NEAR_AXIS_PER_HEIGHT = 1.0 / (2.0 * math.pi * np.finfo(float).eps ** (1.0 / 25.0))
-_NEAR_AXIS_CUTOFF = 20
-
-
-def _em_order(abs_t, re):
-    """Bernoulli order of the Euler-Maclaurin tail per point: 64, or 24
-    where |Re s| > |Im s|."""
-    return np.where(np.abs(re) <= abs_t, _BERNOULLI_ORDER, _NEAR_AXIS_ORDER)
+_SPLIT_REAL_CAP = 20.0
 
 
 def em_split_point(abs_t, re, _unused=None):
     """Euler-Maclaurin split point N for a point of height |Im s| = abs_t
     and real part re; arrays give one split per point.
 
-    For Re s >= -2 the split grows with the height just enough for the
-    first omitted Bernoulli term of the point's tail order (_em_order) to
-    drop below double-precision epsilon: N = ceil(0.2771 |Im s|) + 8 at
-    order 64, and N = max(20, ceil(0.673 |Im s|)) at order 24, which the
-    points with |Re s| > |Im s| keep.  For deeper negative Re s the direct
-    block grows like (N+a)^|Re s| and would drown the small function value
-    in roundoff, so N is kept as small as the tail's convergence condition
-    2 pi N > |Im s| permits: N = max(8, ceil(0.32 |Im s|) + 8) at either
-    order.
+    N = ceil(0.2771 max(|Im s|, min(max(Re s, 0), 20))) + 8: the split
+    grows with the height just enough for the first Bernoulli term the
+    order-64 tail drops to stay below double-precision epsilon, and with
+    Re s only up to 20, past which the tail's own x^-s damps that term.
 
     The third parameter is ignored.  It stays because the benchmark's
     tracer (bench/tracer.py) passes a third argument when it prices
     Euler-Maclaurin terms.
     """
-    abs_t = np.asarray(abs_t, dtype=np.float64)
-    re = np.asarray(re, dtype=np.float64)
-    n = np.where(
-        re >= -2.0,
-        np.where(
-            _em_order(abs_t, re) == _BERNOULLI_ORDER,
-            np.ceil(_SPLIT_PER_HEIGHT * abs_t) + _SPLIT_OFFSET,
-            np.maximum(_NEAR_AXIS_CUTOFF, np.ceil(_NEAR_AXIS_PER_HEIGHT * abs_t)),
-        ),
-        np.maximum(8, np.ceil(0.32 * abs_t) + 8),
-    ).astype(np.int64)
+    h = np.maximum(np.asarray(abs_t, dtype=np.float64), np.clip(re, 0.0, _SPLIT_REAL_CAP))
+    n = (np.ceil(_SPLIT_PER_HEIGHT * h) + _SPLIT_OFFSET).astype(np.int64)
     return int(n) if n.ndim == 0 else n
 
 
@@ -435,107 +418,102 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
     return sums[0], (sums[1] if deriv else None), scale[back]
 
 
-def _em_tail(s: np.ndarray, x, deriv: bool = False):
-    """Euler-Maclaurin bracket at the split x = N + a.
+def _em_tail(s: np.ndarray, x, weight, deriv: bool = False):
+    """Euler-Maclaurin tail at the split x = N + a, weighted by x^-s.
 
-    Returns (bracket, dbracket, omitted) with
+    Returns (tail, dtail, omitted) with
 
-        bracket = 1/2 + sum_{k=1..K} B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1),
+        tail = weight * (1/2 + sum_{k=1..32} B_2k/(2k)! * s(s+1)...(s+2k-2) * x^-(2k-1)),
 
-    2K the point's order (12 or 32 terms, see _em_order), dbracket its
-    s-derivative (None unless `deriv`) and omitted the size of the first
-    dropped term; the tail of the sum is x^-s * bracket, with x^-s left to
-    the caller so it can fold other powers into the same exponent.  x holds
-    one split for all points, one per point, or several rows of them, one
-    row per split.
+    dtail the weight times the s-derivative of the bracket (None unless
+    `deriv`; the caller adds -log x * tail) and omitted the size of the
+    first dropped term times |weight|.  The caller passes weight = x^-s,
+    or x^-s times a power it folds into the same exponent.  x holds one
+    split for all points, one per point, or several rows of them, one row
+    per split, and weight has x's shape.
 
-    The points of each order run one loop to it, so a point gets the same
-    bits alone or in any batch.  At order 64 the Pochhammer symbol alone
-    overflows near |t| = 1e5 and x^-(2k-1) underflows further up, so the
-    loop carries poch * 2^-(2k-1)e and x^-(2k-1) * 2^(2k-1)e, 2^e the
-    largest power of two not above the point's smallest x; scaling by a
-    power of two is exact, so each term keeps the bits of the unscaled
-    product.
+    The weight starts the powers x^-(2k-1), so the tail is exactly 0
+    where x^-s underflows.  The Pochhammer symbol is one row per point,
+    shared by x's rows; it overflows near |s| = 1e5, so the loop carries
+    poch * 2^-(2k-1)e and x^-(2k-1) * 2^(2k-1)e, 2^e the largest power of
+    two not above the larger of |s| and the point's smallest x.  Scaled
+    so, poch stays below 18^65 and nothing overflows at Re s >= -2,
+    however far up or right.  Scaling by a power of two is exact, so each
+    term keeps the bits of the unscaled product, and every point runs the
+    same loop, so a point gets the same bits alone or in any batch.
     """
-    order = _em_order(np.abs(s.imag), s.real)
     x = np.asarray(x, dtype=np.float64)
     x = np.broadcast_to(x, np.broadcast_shapes(x.shape, s.shape))
-    exp2 = np.frexp(x.min(axis=0) if x.ndim > 1 else x)[1] - 1
-    bracket = np.empty(x.shape, dtype=complex)
-    dbracket = np.empty(x.shape, dtype=complex) if deriv else None
-    omitted = np.empty(x.shape)
-    for half in (_NEAR_AXIS_ORDER // 2, _BERNOULLI_ORDER // 2):
-        at = order == 2 * half
-        if not at.any():
-            continue
-        at = slice(None) if at.all() else at  # a view when every point shares the order
-        z, e = s[at], exp2[at]
-        unit = np.ldexp(1.0, -e).astype(complex)  # complex: a real factor costs a cast
-        fac = np.ldexp(1.0 / x[..., at], e)
-        fac2 = fac * fac
-        scale = unit * unit
-        ser = dser = 0.0
-        poch, dpoch = z * unit, unit
-        for k in range(half):
-            ser = ser + _EM_COEF[k] * poch * fac
-            lo, hi = z + (2 * k + 1), z + (2 * k + 2)
-            step = hi * scale  # exact, so poch * lo * step rounds as poch * lo * hi
-            if deriv:
-                dser = dser + _EM_COEF[k] * dpoch * fac
-                dpoch = dpoch * lo * step + poch * ((lo + hi) * scale)
-            poch = poch * lo * step
-            fac = fac * fac2
-        bracket[..., at] = 0.5 + ser
+    e = np.frexp(np.maximum(x.min(axis=0) if x.ndim > 1 else x, np.abs(s)))[1] - 1
+    unit = np.ldexp(1.0, -e).astype(complex)  # complex: a real factor costs a cast
+    fac = np.ldexp(1.0 / x, e)
+    # fac^2 overflows only where |s| > 1e154 x, that is where the weight is
+    # 0 (or infinite), and the cap keeps 0 * fac^2 from making a NaN there
+    fac2 = np.minimum(fac * fac, 2.0**1000)
+    fac = fac * weight
+    scale = unit * unit
+    ser = dser = 0.0
+    poch, dpoch = s * unit, unit
+    for k in range(_BERNOULLI_ORDER // 2):
+        ser = ser + _EM_COEF[k] * poch * fac
+        lo, hi = s + (2 * k + 1), s + (2 * k + 2)
+        step = hi * scale  # exact, so poch * lo * step rounds as poch * lo * hi
         if deriv:
-            dbracket[..., at] = dser
-        omitted[..., at] = abs(_EM_COEF[half]) * np.abs(poch) * fac
-    return bracket, dbracket, omitted
+            dser = dser + _EM_COEF[k] * dpoch * fac
+            dpoch = dpoch * lo * step + poch * ((lo + hi) * scale)
+        poch = poch * lo * step
+        fac = fac * fac2
+    omitted = abs(_EM_COEF[_BERNOULLI_ORDER // 2]) * np.abs(poch) * np.abs(fac)
+    return 0.5 * weight + ser, (dser if deriv else None), omitted
 
 
 def _hurwitz_batch(s: np.ndarray, a: float, deriv: bool = False):
     """zeta(s, a) on an array of points, none equal to 1, as (values,
     derivs or None, errs): Euler-Maclaurin with x = N + a and each
     point's own split N, the direct block sum_{n<N} (n+a)^-s by
-    `_dirichlet_sum`, the tail x^-s * bracket(s, x) by `_em_tail` and
-    the pole part x^(1-s)/(s-1)."""
+    `_dirichlet_sum`, the tail by `_em_tail` with weight x^-s and the
+    pole part x^(1-s)/(s-1)."""
     n_split = em_split_point(np.abs(s.imag), s.real)
     direct, ddirect, scale = _dirichlet_sum(s, n_split, lambda k: (np.log(k + a), 1.0), deriv)
     x = n_split + a
     log_x = np.log(x)
-    bracket, dbracket, omitted = _em_tail(s, x, deriv)
-    xs = np.exp(-s * log_x)
+    tail, dtail, omitted = _em_tail(s, x, np.exp(-s * log_x), deriv)
     pole = np.exp((1.0 - s) * log_x) / (s - 1.0)
-    out = direct + xs * bracket + pole
-    err = np.abs(xs) * omitted + 8.0 * np.finfo(float).eps * n_split * scale
+    out = direct + tail + pole
+    err = omitted + 8.0 * np.finfo(float).eps * n_split * scale
     dout = None
     if deriv:
-        dtail = xs * (dbracket - log_x * bracket)
-        dout = ddirect + dtail - pole * (log_x + 1.0 / (s - 1.0))
+        dout = ddirect + dtail - log_x * tail - pole * (log_x + 1.0 / (s - 1.0))
     return out, dout, err
 
 
 def hurwitz_zeta_any(s, a: float):
-    """Hurwitz zeta for any real parameter a > 0 (recurrence-friendly)."""
+    """Hurwitz zeta for any real parameter a > 0 (recurrence-friendly).
+
+    Raises DomainError where |zeta| overflows float64.
+    """
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"parameter a = {a} must be positive")
     arr, was_scalar = as_points(s)
     if np.any(arr == 1.0):
         raise PoleError("Hurwitz zeta pole at s = 1")
-    out, _, _ = _hurwitz_batch(arr, float(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, _, _ = _hurwitz_batch(arr, float(a))
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise DomainError(f"|zeta| overflows float64 at s = {complex(arr[bad][0])}")
     return _unpack(out, was_scalar)
 
 
 def hurwitz_zeta(s, a: float):
     """Analytic continuation of sum_{n>=0} (n+a)^-s for a in (0, 1].
 
-    Euler-Maclaurin with each point's own Bernoulli order and split point
-    (see _em_order and em_split_point), so a point gets the same value
-    alone or in any array: corrections up to index 64 with N =
-    ceil(0.2771 |Im s|) + 8, or, where |Re s| > |Im s|, up to index 24 with
-    N = max(20, ceil(0.673 |Im s|)); below Re s = -2 either order takes
-    N = max(8, ceil(0.32 |Im s|) + 8).  Raises PoleError at s = 1 and
-    DomainError for a outside (0, 1] (use hurwitz_zeta_any for shifted
-    parameters).
+    Euler-Maclaurin with corrections up to Bernoulli index 64 and each
+    point's own split N = ceil(0.2771 max(|Im s|, min(max(Re s, 0), 20)))
+    + 8 (see em_split_point), so a point gets the same value alone or in
+    any array.  Raises PoleError at s = 1, DomainError where |zeta|
+    overflows float64 and DomainError for a outside (0, 1] (use
+    hurwitz_zeta_any for shifted parameters).
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"parameter a = {a} must lie in (0, 1]")

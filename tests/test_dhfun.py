@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dhratio import dhfun, suites
+from dhratio import dhfun, specfun, suites
 from dhratio.dhfun import (
     XI,
     CoefficientTable,
@@ -235,11 +235,13 @@ def test_large_real_part_matches_series(s):
 
 
 def test_far_right_is_one():
-    assert f(1e4).value.z == 1.0
-    assert f(445.0).value.z == 1.0
-    # where |Re s| > |Im s| the tail keeps order 24, whose products stay
-    # finite where the order-64 ones would overflow
-    assert f(1e7 + 200.0j).value.z == 1.0
+    # the tail carries x^-s inside its products, so where x^-s underflows
+    # it is exactly 0, and the split stops growing with Re s
+    for s in (1e4, 445.0, 1e7 + 200.0j, 1e15, 1e300, 1e12 + 5.0j):
+        assert f(s).value.z == 1.0, f"f({s})"
+        assert np.isfinite(f_prime(s).z), f"f'({s})"
+    cap = specfun._SPLIT_REAL_CAP
+    assert specfun.em_split_point(200.0, 1e7) == specfun.em_split_point(200.0, cap)
 
 
 # ----------------------------------------------------------------------
@@ -274,11 +276,17 @@ def test_batch_memory_is_bounded_far_up():
 
 
 def test_batch_matches_single_points_across_heights():
-    # every point takes its own split and tail order, so f and f' come out
-    # bit-identical alone and in one batch, also for points on both sides
-    # of |Re s| = |Im s|, where the tail order switches from 24 to 64
+    # every point takes its own split, so f and f' come out bit-identical
+    # alone and in one batch: points at every height, on both sides of
+    # |Re s| = |Im s|, near the real axis (Re s > |Im s|), reflected
+    # (Re s <= -1) and far right
     rng = np.random.default_rng(20260822)
     pts = rng.uniform(-3.0, 4.0, 300) + 1j * rng.uniform(-1100.0, 1100.0, 300)
+    near = rng.uniform(0.5, 40.0, 30)
+    pts = np.concatenate((pts, near + 1j * near * rng.uniform(-0.99, 0.99, 30)))
+    left = rng.uniform(-6.0, -1.0, 30)
+    pts = np.concatenate((pts, left + 1j * left * rng.uniform(-0.99, 0.99, 30)))
+    pts = np.concatenate((pts, [60.0 + 10.0j, 445.0 + 3.0j, 1e4, 1e7 - 200.0j, 1e12 + 5.0j, 1e300]))
     for sigma in (3.0, -0.7):
         edge = abs(sigma) + np.array([-0.5, 0.0, 0.5])
         pts = np.concatenate((pts, sigma + 1j * edge, sigma - 1j * np.nextafter(edge, 0.0)))

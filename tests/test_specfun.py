@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -184,8 +185,11 @@ def test_hurwitz_reference_values(s, a, want):
 
 
 def test_hurwitz_array_points_keep_their_own_split():
-    # a low point batched with a high one keeps the split of its own height
-    pts = np.array([-1.5 + 2.0j, 0.5 + 3000.0j, 3.0 - 700.0j])
+    # a low point batched with a high one keeps the split of its own
+    # height, and so do near-axis (Re s > |Im s|), Re s < -2 and far-right
+    # points
+    pts = np.array([-1.5 + 2.0j, 0.5 + 3000.0j, 3.0 - 700.0j, 5.0 + 1.0j, 15.0 - 0.5j, -3.5 + 2.0j])
+    pts = np.concatenate((pts, [60.0 + 10.0j, 450.0 + 3.0j, 700.0 - 5.0j]))
     got = hurwitz_zeta(pts, 0.5)
     for sv, g in zip(pts, got):
         assert g == hurwitz_zeta(sv, 0.5)
@@ -201,6 +205,19 @@ def test_hurwitz_pole_and_domain():
     # the unrestricted evaluator accepts any positive offset:
     # zeta(2, 1.5) = zeta(2, 0.5) - 0.5^-2 by one recurrence step
     assert abs(hurwitz_zeta_any(2.0 + 0.0j, 1.5) - (4.934802200544679309417 - 4.0)) < 1e-12
+
+
+def test_hurwitz_overflow_raises_and_far_right_is_one():
+    # 0.2^-s overflows at Re s = 3000 and 1e7; the point Re s = 1e15,
+    # a = 1 is finite, and no numpy warning leaks from either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta in (hurwitz_zeta, hurwitz_zeta_any):
+            for sv in (3000.0 + 0.0j, 1e7 + 200.0j):
+                with pytest.raises(DomainError, match="overflows"):
+                    zeta(sv, 0.2)
+            assert zeta(1e15 + 0.0j, 1.0) == 1.0
+            assert zeta(np.array([1e15, 1e300]), 1.0).tolist() == [1.0, 1.0]
 
 
 def test_hurwitz_brute_force_at_re3():
@@ -429,76 +446,69 @@ def test_sin_pi_matches_cmath_off_axis():
 
 def test_em_split_point_bounds_the_omitted_term():
     # dense in height: t = 0..400 in steps of 0.5, then up to 2e4 (1e3 and
-    # 1e4 included), and the heights around |sigma|, where the tail order
-    # switches from 24 to 64.  At the chosen N (x = N + a with a -> 0, the
-    # worst case) the first Bernoulli term the tail drops is below 1e-15,
-    # and N follows the rule
+    # 1e4 included), and the heights around |sigma|, below which Re s sets
+    # the split.  N follows the rule, and at it (x = N + a with a -> 0, the
+    # worst case) the first Bernoulli term the tail drops is below 1e-15:
+    # bare (weight 1) up to sigma = 10, and times |x^-s| far right, where
+    # the split stops growing with Re s
     assert abs(specfun._SPLIT_PER_HEIGHT - 0.2771) < 1e-4
-    assert abs(specfun._NEAR_AXIS_PER_HEIGHT - 0.673) < 1e-3
-    for sigma in (-0.9, 0.5, 2.0, 5.0):
+    t = np.concatenate((np.arange(0.0, 400.5, 0.5), np.geomspace(400.0, 2e4, 2000), [1e3, 1e4]))
+    for sigma in (-0.9, 0.5, 2.0, 5.0, 10.0, 30.0, 450.0, 1e4, 1e7):
         near = abs(sigma) + np.array([-0.5, 0.0, 0.5])
-        t = np.concatenate((np.arange(0.0, 400.5, 0.5), np.geomspace(400.0, 2e4, 2000), [1e3, 1e4]))
-        t = np.concatenate((t, near, np.nextafter(near, 0.0)))
-        high = abs(sigma) <= t
-        rule = np.where(
-            high,
-            np.ceil(specfun._SPLIT_PER_HEIGHT * t) + 8,
-            np.maximum(20, np.ceil(specfun._NEAR_AXIS_PER_HEIGHT * t)),
-        )
-        n = em_split_point(t, sigma)
-        assert np.array_equal(n, rule), f"split rule broken at sigma = {sigma}"
-        assert np.array_equal(specfun._em_order(t, sigma), np.where(high, 64, 24))
-        _, _, omitted = specfun._em_tail(sigma + 1j * t, n.astype(float))
+        ts = np.concatenate((t, near, np.nextafter(near, 0.0)))
+        h = np.maximum(ts, min(max(sigma, 0.0), specfun._SPLIT_REAL_CAP))
+        n = em_split_point(ts, sigma)
+        assert np.array_equal(n, np.ceil(specfun._SPLIT_PER_HEIGHT * h) + 8), f"split rule broken at sigma = {sigma}"
+        s, x = sigma + 1j * ts, n.astype(float)
+        weight = 1.0 if sigma <= 10.0 else np.exp(-s * np.log(x))
+        _, _, omitted = specfun._em_tail(s, x, weight)
         worst = int(np.argmax(omitted))
-        assert omitted[worst] <= 1e-15, f"omitted {omitted[worst]:.3g} at {sigma}+{t[worst]}i, N = {n[worst]}"
+        assert np.all(np.isfinite(omitted))
+        assert omitted[worst] <= 1e-15, f"omitted {omitted[worst]:.3g} at {sigma}+{ts[worst]}i, N = {n[worst]}"
     # a scalar call, with the third argument the benchmark's tracer passes
     assert em_split_point(99.5, 0.5, None) == 36 and em_split_point(1000.0, 0.5, None) == 286
-    assert em_split_point(0.0, 0.5) == 20 and type(em_split_point(1000.0, 0.5)) is int
+    assert em_split_point(0.0, 0.5) == 9 and type(em_split_point(1000.0, 0.5)) is int
 
 
-@pytest.mark.parametrize("order", [24, 64])
-def test_em_tail_is_finite_far_up(monkeypatch, order):
-    # order 64 needs the scaled products: its Pochhammer symbol alone
-    # overflows near |t| = 1e5 and x^-65 underflows further up; order 24
-    # is forced here, since far up only |Re s| > |Im s| would pick it
-    monkeypatch.setattr(specfun, "_em_order", lambda abs_t, re: np.full(np.shape(abs_t), order))
+def test_em_tail_is_finite_far_up():
+    # the scaled products: the Pochhammer symbol alone overflows near
+    # |t| = 1e5 and x^-65 underflows further up
     t = np.array([1e5, 1e6, 1e8])
     for sigma in (-0.9, 0.5, 2.0):
         s = sigma + 1j * np.concatenate((t, -t))
         n = em_split_point(np.abs(s.imag), sigma)
         x = n + np.array([0.2, 0.6, 1.0])[:, None]
-        bracket, dbracket, omitted = specfun._em_tail(s, x, deriv=True)
-        assert np.all(np.isfinite(bracket)) and np.all(np.isfinite(dbracket))
+        tail, dtail, omitted = specfun._em_tail(s, x, 1.0, deriv=True)
+        assert np.all(np.isfinite(tail)) and np.all(np.isfinite(dtail))
         assert np.all(np.isfinite(omitted)) and omitted.max() <= 1e-15
 
 
 def test_em_tail_scaling_keeps_the_unscaled_bits():
     # the loop carries poch and x^-(2k-1) scaled by powers of two, which is
     # exact: where the plain products neither overflow nor underflow, every
-    # bracket, derivative and omitted term has their bits
-    def plain(s, x, order):
+    # tail, derivative and omitted term has their bits
+    def plain(s, x, weight):
         inv_x = 1.0 / x
         ser = dser = 0.0
-        poch, dpoch, fac = s, 1.0, inv_x
-        for k in range(order // 2):
+        poch, dpoch, fac = s, 1.0, weight * inv_x
+        for k in range(32):
             ser = ser + specfun._EM_COEF[k] * poch * fac
             lo, hi = s + (2 * k + 1), s + (2 * k + 2)
             dser = dser + specfun._EM_COEF[k] * dpoch * fac
             dpoch = dpoch * lo * hi + poch * (lo + hi)
             poch = poch * lo * hi
             fac = fac * (inv_x * inv_x)
-        return 0.5 + ser, dser, abs(specfun._EM_COEF[order // 2]) * np.abs(poch) * fac
+        return 0.5 * weight + ser, dser, abs(specfun._EM_COEF[32]) * np.abs(poch) * np.abs(fac)
 
     rng = np.random.default_rng(11)
-    sigma = {64: rng.uniform(-0.9, 3.0, 60), 24: rng.uniform(1.0, 20.0, 60)}
-    height = {64: rng.uniform(3.0, 3000.0, 60), 24: sigma[24] * rng.uniform(0.0, 0.99, 60)}
-    for order in (24, 64):
-        t = height[order] * rng.choice([-1.0, 1.0], 60)
-        s = sigma[order] + 1j * t
-        assert np.all(specfun._em_order(np.abs(t), s.real) == order)
-        x = em_split_point(np.abs(t), s.real) + np.array([0.2, 0.4, 0.6, 0.8])[:, None]
-        for got, want in zip(specfun._em_tail(s, x, deriv=True), plain(s, x, order)):
-            assert np.array_equal(got, want), f"order {order}"
+    # points above the diagonal, and near-axis ones with Re s > |Im s|
+    sigma = np.concatenate((rng.uniform(-0.9, 3.0, 60), rng.uniform(1.0, 20.0, 60)))
+    height = np.concatenate((rng.uniform(3.0, 3000.0, 60), sigma[60:] * rng.uniform(0.0, 0.99, 60)))
+    s = sigma + 1j * height * rng.choice([-1.0, 1.0], 120)
+    x = em_split_point(np.abs(s.imag), s.real) + np.array([0.2, 0.4, 0.6, 0.8])[:, None]
+    weight = np.exp(-s * np.log(x))
+    for got, want in zip(specfun._em_tail(s, x, weight, deriv=True), plain(s, x, weight)):
+        assert np.array_equal(got, want)
 
 
 def test_em_coefficients_are_the_exact_bernoulli_ratios():
