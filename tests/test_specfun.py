@@ -470,13 +470,23 @@ def test_em_split_point_bounds_the_omitted_term():
     assert em_split_point(0.0, 0.5) == 9 and type(em_split_point(1000.0, 0.5)) is int
 
 
-def test_em_tail_is_finite_far_up():
+# per-height split factors keyed by the Bernoulli order whose tail they
+# serve: 64 is the rule in force, 24 the 2.4x farther split an order-24
+# tail needs, where x^-(2k-1) underflows sooner against the same Pochhammer
+# growth.  The one order-64 tail must stay finite and below eps at both.
+EM_SPLIT_PER_HEIGHT = {24: 0.673, 64: specfun._SPLIT_PER_HEIGHT}
+
+
+@pytest.mark.parametrize("order", [24, 64])
+def test_em_tail_is_finite_far_up(order):
     # the scaled products: the Pochhammer symbol alone overflows near
     # |t| = 1e5 and x^-65 underflows further up
     t = np.array([1e5, 1e6, 1e8])
     for sigma in (-0.9, 0.5, 2.0):
         s = sigma + 1j * np.concatenate((t, -t))
-        n = em_split_point(np.abs(s.imag), sigma)
+        n = np.ceil(EM_SPLIT_PER_HEIGHT[order] * np.abs(s.imag)) + specfun._SPLIT_OFFSET
+        if order == 64:
+            assert np.array_equal(n, em_split_point(np.abs(s.imag), sigma))
         x = n + np.array([0.2, 0.6, 1.0])[:, None]
         tail, dtail, omitted = specfun._em_tail(s, x, 1.0, deriv=True)
         assert np.all(np.isfinite(tail)) and np.all(np.isfinite(dtail))
