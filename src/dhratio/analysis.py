@@ -822,6 +822,7 @@ _T_OFFSETS = (0.0, 0.04, 0.09, 0.13)
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.59)
 _SURVEY_SAMPLES = 12
 _BAND_ROWS = 8
+_CELL_SIZE = 0.25
 
 
 def _tiling(rect: Rect, cell_size: float, t_offset: float):
@@ -908,10 +909,10 @@ def _by_height(records: list[ZeroRecord]) -> list[ZeroRecord]:
     return [rec for run in runs for rec in sorted(run, key=lambda r: r.location.sigma)]
 
 
-def survey_zeros(rect, cell_size: float = 0.25, worker_map=None) -> list[ZeroRecord]:
+def survey_zeros(rect, worker_map=None) -> list[ZeroRecord]:
     """Every zero in a rectangle, by exhaustive cell subdivision.
 
-    The rectangle is tiled into cells of side about `cell_size`, grouped
+    The rectangle is tiled into cells of side about _CELL_SIZE, grouped
     into bands of _BAND_ROWS cell rows; the layout depends on the
     rectangle alone.  Each band samples every cell edge once, in one
     f_batch call, and gets all its cells' winding counts from
@@ -931,7 +932,7 @@ def survey_zeros(rect, cell_size: float = 0.25, worker_map=None) -> list[ZeroRec
     mapper = map if worker_map is None else worker_map
     last_error: Exception | None = None
     for offset in _T_OFFSETS:
-        s_cuts, t_cuts = _tiling(r, cell_size, offset)
+        s_cuts, t_cuts = _tiling(r, _CELL_SIZE, offset)
         bands = [t_cuts[lo : lo + _BAND_ROWS + 1] for lo in range(0, len(t_cuts) - 1, _BAND_ROWS)]
         count_band = partial(_grid_counts, s_cuts, samples=_SURVEY_SAMPLES)
         try:
@@ -1007,6 +1008,14 @@ def _zero_tag(rec: ZeroRecord) -> str:
     return f"zero at {rec.location.sigma:.12g}+{rec.location.t:.12g}i"
 
 
+def _abs_difference(z: ZeroRecord) -> float:
+    """|f(s) - f(1 - s)| at a zero; the record keeps only the moduli.  One
+    f_batch per zero, so the value does not depend on which other zeros
+    the window holds."""
+    vals, _ = f_batch(np.array([z.location.z, z.paired_location.z]))
+    return abs(complex(vals[0]) - complex(vals[1]))
+
+
 # Evidence metrics of one refined zero z, given kappa.
 # Like the evidence functions below, they reach the library through module
 # globals at call time, so a wrapper swapped into a module binding sees
@@ -1021,6 +1030,7 @@ _ZERO_METRICS = {
     "t_over_kappa": lambda z, kap: z.location.t / kap,
     "within_kappa": lambda z, kap: z.within_kappa,
     "dlogabsx_dt": lambda z, kap: dlogabsx_dt(z.location.z, 200000),
+    "abs_difference": lambda z, kap: _abs_difference(z),
 }
 
 
@@ -1043,21 +1053,6 @@ def _gamma_ray(s: complex, kap: float) -> list[dict]:
             "dgamma_upper_dt": gamma_modulus_dt(s, "upper", 200000),
             "dgamma_lower_dt": gamma_modulus_dt(s, "lower", 200000),
             "log_abs_x": float(logabsx_many(s)),
-        }
-    ]
-
-
-def _puzzle1(z: ZeroRecord, kap: float) -> list[dict]:
-    # one f_batch per zero, so a zero's values do not depend on which other
-    # zeros the window holds
-    vals, _ = f_batch(np.array([z.location.z, z.paired_location.z]))
-    here, mirror = complex(vals[0]), complex(vals[1])
-    return [
-        {
-            "input": _zero_tag(z),
-            "abs_f": abs(here),
-            "abs_f_paired": abs(mirror),
-            "abs_difference": abs(here - mirror),
         }
     ]
 
@@ -1094,7 +1089,7 @@ _CLAIMS = (
      "t-slope of log|X|, all at finite height"),
     ("Lemma3_part3", "off_line", _zero_metrics("abs_x", "t", "kappa", "t_over_kappa"),
      "|X| at each off-line zero against the height bound of the unit-modulus curve"),
-    ("Puzzle1", "off_line", _puzzle1,
+    ("Puzzle1", "off_line", _zero_metrics("abs_f", "abs_f_paired", "abs_difference"),
      "|f(s)|, |f(1-s)|, and |f(s) - f(1-s)| at each off-line zero, side by side"),
     ("Puzzle2", "off_line", _zero_metrics("t", "kappa", "t_over_kappa", "within_kappa"),
      "each off-line zero's height against the strip bound"),

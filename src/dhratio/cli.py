@@ -9,8 +9,9 @@ echoed); both are deterministic for a fixed invocation and identical
 for any --jobs value, because parallel pieces merge in sorted order.
 
 Exit status: 0 success, 1 failed verify checks, 2 configuration
-errors, 3 convergence failures, 4 I/O errors.  In JSON mode errors
-also emit a machine-readable object on stderr.
+errors (a --jobs below 1 among them), 3 convergence failures, 4 I/O
+errors.  In JSON mode errors also emit a machine-readable object on
+stderr.
 """
 from __future__ import annotations
 
@@ -40,34 +41,7 @@ from .errors import (
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
 from .xratio import x_of
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation: command, domain, and output plan."""
-
-    command: str
-    window: Rect | None = None
-    step: float | None = None
-    t0: float | None = None
-    t1: float | None = None
-    points: tuple[complex, ...] = ()
-    suites: tuple[str, ...] = ()
-    seed: int = DEFAULT_SEED
-    jobs: int = 1
-    out_path: str | None = None
-    format: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        if self.jobs < 1:
-            raise DomainError("jobs must be >= 1")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.format!r}")
-        if self.command in ("curve", "zeros") and self.window is None:
-            raise DomainError(f"{self.command} requires a window")
+__all__ = ["main"]
 
 
 # ----------------------------------------------------------------------
@@ -150,29 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, fmt: str) -> RunConfig:
-    window = None
-    if getattr(args, "window", None) is not None:
-        window = _parse_rect(args.window)
-    if getattr(args, "rect", None) is not None:
-        window = _parse_rect(args.rect)
-    points = tuple(_parse_complex(p) for p in getattr(args, "point", ()))
-    suites = tuple(args.suite) if getattr(args, "suite", None) else ("all",)
-    return RunConfig(
-        command=args.command,
-        window=window,
-        step=getattr(args, "step", None),
-        t0=getattr(args, "t0", None),
-        t1=getattr(args, "t1", None),
-        points=points,
-        suites=suites,
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        jobs=args.jobs,
-        out_path=args.out,
-        format=fmt,
-    )
-
-
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
@@ -188,8 +139,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, payload: dict, columns: list[str], rows: list[dict]) -> None:
-    if config.format == "json":
+def _emit(args: argparse.Namespace, payload: dict, columns: list[str], rows: list[dict]) -> None:
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -198,10 +149,10 @@ def _emit(config: RunConfig, payload: dict, columns: list[str], rows: list[dict]
         for row in rows:
             writer.writerow([_cell(row[c]) for c in columns])
         text = buf.getvalue()
-    if config.out_path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -225,10 +176,11 @@ def _record_rows(records) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# command bodies: each returns (payload fields, CSV columns, CSV rows,
-# exit status).  They reach the library through module globals at call
-# time, never through function objects stored at import, so a wrapper
-# swapped into a module binding sees every call.
+# command bodies: each reads the parsed namespace and returns (payload
+# fields, CSV columns, CSV rows, exit status).  They reach the library
+# through module globals at call time, never through function objects
+# stored at import, so a wrapper swapped into a module binding sees
+# every call.
 # ----------------------------------------------------------------------
 
 
@@ -237,18 +189,18 @@ def _point_row(val, **extra) -> dict:
     return {"sigma": at.sigma, "t": at.t, "value_re": value.sigma, "value_im": value.t, **extra}
 
 
-def _eval(config: RunConfig, worker_map):
+def _eval(args: argparse.Namespace, worker_map):
     rows = []
-    for p in config.points:
+    for p in args.point:
         val = f(p)
         rows.append(_point_row(val, abs_value=abs(val.value.z), est_abs_err=val.est_abs_err))
     columns = ["sigma", "t", "value_re", "value_im", "abs_value", "est_abs_err"]
     return {"records": rows}, columns, rows, 0
 
 
-def _ratio(config: RunConfig, worker_map):
+def _ratio(args: argparse.Namespace, worker_map):
     rows = []
-    for p in config.points:
+    for p in args.point:
         val = x_of(p)
         rows.append(
             _point_row(val, log_abs=val.log_abs, arg_cont=val.arg_cont, zero_flag=val.zero_flag)
@@ -257,8 +209,8 @@ def _ratio(config: RunConfig, worker_map):
     return {"records": rows}, columns, rows, 0
 
 
-def _curve(config: RunConfig, worker_map):
-    polys = trace_unit_curve(config.window, config.step, worker_map=worker_map)
+def _curve(args: argparse.Namespace, worker_map):
+    polys = trace_unit_curve(args.window, args.step, worker_map=worker_map)
     components = [
         {
             "component_id": poly.component_id,
@@ -276,7 +228,7 @@ def _curve(config: RunConfig, worker_map):
     return {"components": components}, ["component_id", "sigma", "t"], rows, 0
 
 
-def _kappa(config: RunConfig, worker_map):
+def _kappa(args: argparse.Namespace, worker_map):
     kd = kappa_detail()
     fields = {
         "kappa": kd.trace_value,
@@ -288,20 +240,18 @@ def _kappa(config: RunConfig, worker_map):
     return fields, ["metric", "value"], rows, 0
 
 
-def _zeros(config: RunConfig, worker_map):
-    rows = _record_rows(survey_zeros(config.window, worker_map=worker_map))
+def _zeros(args: argparse.Namespace, worker_map):
+    rows = _record_rows(survey_zeros(args.rect, worker_map=worker_map))
     return {"records": rows}, list(_RECORD_FIELDS), rows, 0
 
 
-def _scan(config: RunConfig, worker_map):
-    if config.t0 is None or config.t1 is None or config.step is None:
-        raise DomainError("scan requires --t0, --t1, --step")
-    rows = _record_rows(scan_critical_line(config.t0, config.t1, config.step))
+def _scan(args: argparse.Namespace, worker_map):
+    rows = _record_rows(scan_critical_line(args.t0, args.t1, args.step))
     return {"records": rows}, list(_RECORD_FIELDS), rows, 0
 
 
-def _verify(config: RunConfig, worker_map):
-    results = run_suites(config.suites, config.seed, worker_map=worker_map)
+def _verify(args: argparse.Namespace, worker_map):
+    results = run_suites(args.suite or ("all",), args.seed, worker_map=worker_map)
     columns = ["suite", "check", "passed", "measured", "threshold"]
     rows = [
         {
@@ -323,12 +273,12 @@ def _verify(config: RunConfig, worker_map):
         for suite in results
     ]
     all_passed = all(s.passed for s in results)
-    payload = {"seed": config.seed, "suites": suites_payload, "all_passed": all_passed}
+    payload = {"seed": args.seed, "suites": suites_payload, "all_passed": all_passed}
     return payload, columns, rows, 0 if all_passed else 1
 
 
-def _audit(config: RunConfig, worker_map):
-    reports = audit_claims(survey_zeros(config.window, worker_map=worker_map))
+def _audit(args: argparse.Namespace, worker_map):
+    reports = audit_claims(survey_zeros(args.rect, worker_map=worker_map))
     reports_payload = [
         {
             "claim_id": rep.claim_id,
@@ -359,12 +309,6 @@ _COMMANDS = {
 }
 
 
-def _run(config: RunConfig, worker_map) -> tuple[dict, list[str], list[dict], int]:
-    fields, columns, rows, status = _COMMANDS[config.command](config, worker_map)
-    payload = {"command": config.command, **fields}
-    return payload, columns, rows, status
-
-
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
@@ -383,35 +327,41 @@ def _fail(code: int, exc: Exception, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    fmt = args.format or ("csv" if args.command == "curve" else "json")
+    args.format = args.format or ("csv" if args.command == "curve" else "json")
     try:
-        config = _resolve_config(args, fmt)
+        for dest in ("window", "rect"):
+            if hasattr(args, dest):
+                setattr(args, dest, _parse_rect(getattr(args, dest)))
+        if hasattr(args, "point"):
+            args.point = [_parse_complex(p) for p in args.point]
+        if args.jobs < 1:
+            raise DomainError("jobs must be >= 1")
     except DomainError as exc:
-        return _fail(2, exc, fmt)
+        return _fail(2, exc, args.format)
 
     executor = None
     worker_map = None
     try:
-        if config.jobs > 1:
+        if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
 
-            executor = ProcessPoolExecutor(max_workers=config.jobs)
+            executor = ProcessPoolExecutor(max_workers=args.jobs)
             worker_map = executor.map
-        payload, columns, rows, status = _run(config, worker_map)
+        fields, columns, rows, status = _COMMANDS[args.command](args, worker_map)
     except (DomainError, PoleError, KeyError) as exc:
-        return _fail(2, exc, config.format)
+        return _fail(2, exc, args.format)
     except (ConvergenceError, BoundaryZeroError, UndersampledError) as exc:
-        return _fail(3, exc, config.format)
+        return _fail(3, exc, args.format)
     except OSError as exc:
-        return _fail(4, exc, config.format)
+        return _fail(4, exc, args.format)
     finally:
         if executor is not None:
             executor.shutdown()
 
     try:
-        _emit(config, payload, columns, rows)
+        _emit(args, {"command": args.command, **fields}, columns, rows)
     except OSError as exc:
-        return _fail(4, exc, config.format)
+        return _fail(4, exc, args.format)
     return status
 
 

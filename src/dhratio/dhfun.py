@@ -412,6 +412,13 @@ def functional_eq_residual(s):
 # ----------------------------------------------------------------------
 
 
+def _rotated_line(t: np.ndarray) -> np.ndarray:
+    """exp(-i theta(t)/2) f(1/2 + it) at every height of t, complex: its
+    imaginary part is the rounding that `z_function` checks and drops."""
+    vals, _ = f_batch(0.5 + 1j * t)
+    return np.exp(-0.5j * _log_form(0.5 + 1j * t).imag) * vals
+
+
 def z_function(t):
     """Real rotated form Z(t) = exp(-i theta(t)/2) f(1/2 + it), with
     theta(t) = Im L(1/2 + it) (xratio's log form of X).
@@ -424,8 +431,7 @@ def z_function(t):
     was_scalar = np.asarray(t).ndim == 0
     if not np.all(np.isfinite(tarr)):
         raise DomainError("non-finite height t")
-    vals, _ = f_batch(0.5 + 1j * tarr)
-    rotated = np.exp(-0.5j * _log_form(0.5 + 1j * tarr).imag) * vals
+    rotated = _rotated_line(tarr)
     bound = 1e-8 * (1.0 + np.abs(rotated.real))
     if np.any(np.abs(rotated.imag) > bound):
         worst = float(np.abs(rotated.imag).max())

@@ -232,6 +232,20 @@ def test_audit_csv_long_format(capsys):
     assert "Lemma1" in claim_ids and "AppendixA_t" in claim_ids
 
 
+def test_jobs_below_one_is_an_input_error(capsys):
+    for args in (
+        ["kappa", "--jobs", "0"],
+        ["zeros", "--rect", "0,1,0,1", "--jobs", "-1", "--format", "csv"],
+    ):
+        status, out, err = run(args, capsys)
+        assert (status, out) == (BAD_INPUT, "")
+        assert "jobs must be >= 1" in err
+    # the rectangle is parsed before the job count is checked
+    status, _, err = run(["zeros", "--rect", "0,1", "--jobs", "0", "--format", "csv"], capsys)
+    assert status == BAD_INPUT
+    assert "rectangle must be sigma0,sigma1,t0,t1" in err
+
+
 # ----------------------------------------------------------------------
 # output files
 # ----------------------------------------------------------------------
