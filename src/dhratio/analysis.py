@@ -1029,7 +1029,7 @@ _ZERO_METRICS = {
     "kappa": lambda z, kap: kap,
     "t_over_kappa": lambda z, kap: z.location.t / kap,
     "within_kappa": lambda z, kap: z.within_kappa,
-    "dlogabsx_dt": lambda z, kap: dlogabsx_dt(z.location.z, 200000),
+    "dlogabsx_dt": lambda z, kap: dlogabsx_dt(z.location.z, 10_000),
     "abs_difference": lambda z, kap: _abs_difference(z),
 }
 
@@ -1050,8 +1050,8 @@ def _gamma_ray(s: complex, kap: float) -> list[dict]:
             "input": f"sigma={s.real:g}, t={s.imag:g}",
             "gamma_upper_modulus": upper,
             "gamma_lower_modulus": lower,
-            "dgamma_upper_dt": gamma_modulus_dt(s, "upper", 200000),
-            "dgamma_lower_dt": gamma_modulus_dt(s, "lower", 200000),
+            "dgamma_upper_dt": gamma_modulus_dt(s, "upper", 10_000),
+            "dgamma_lower_dt": gamma_modulus_dt(s, "lower", 10_000),
             "log_abs_x": float(logabsx_many(s)),
         }
     ]

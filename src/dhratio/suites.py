@@ -152,7 +152,9 @@ def _suite_specfun(rng, worker_map=None) -> SuiteResult:
 
     # sum_{k < N} (k + a)^-s plus the Euler-Maclaurin tail at x = N + a,
     # x^(1-s)/(s-1) + x^-s/2; the first dropped term, |s| x^-4/12, is
-    # below 5e-16 at Re s = 3, |t| <= 50
+    # below 5e-16 at Re s = 3, |t| <= 50.  The defect is taken relative to
+    # max(1, |zeta|): |zeta(3 + it, a)| <= zeta(3, 0.05) ~ 8001 here, where
+    # the rounding of a^-s alone reads 1e-12 absolute
     worst = 0.0
     n_terms = 10_000
     for _ in range(6):
@@ -161,8 +163,9 @@ def _suite_specfun(rng, worker_map=None) -> SuiteResult:
         brute = _brute_sum(np.array([sv]), n_terms, lambda n: (np.log(n - 1.0 + av), 1.0))
         x = n_terms + av
         tail = x ** (1.0 - sv) / (sv - 1.0) + 0.5 * x ** -sv
-        worst = max(worst, abs(hurwitz_zeta(sv, av) - (brute[0] + tail)))
-    checks.append(_check("hurwitz_bruteforce", worst, 1e-10))
+        zeta = hurwitz_zeta(sv, av)
+        worst = max(worst, abs(zeta - (brute[0] + tail)) / max(1.0, abs(zeta)))
+    checks.append(_check("hurwitz_bruteforce", worst, 1e-14))
 
     return SuiteResult("specfun", tuple(checks))
 
@@ -193,7 +196,7 @@ def _suite_dhfun(rng, worker_map=None) -> SuiteResult:
 
     pts = _drawn_pairs(rng, 50, 2.0, 6.0, -50.0, 50.0)
     vals, errs = f_batch(pts)
-    oracle, tails = _series_many(pts, 200_000)
+    oracle, tails = _series_many(pts, 5_000)  # Abel-corrected, bound <= 4.4e-9
     budget = errs + tails + 1e-12
     checks.append(_check("oracle_series", (np.abs(vals - oracle) / budget).max(), 1.0))
 
@@ -263,17 +266,19 @@ def _suite_xratio(rng, worker_map=None) -> SuiteResult:
 
     pts = _drawn_pairs(rng, 20, -4.0, 5.0, -20.0, 20.0)
     pts = pts[(np.abs(pts.real - 0.5) >= 0.05) & (np.abs(pts.imag) >= 0.05)]
-    series = np.array([dlogabsx_dt(sv, 300_000) for sv in pts])  # one point per call
+    series = np.array([dlogabsx_dt(sv, 10_000) for sv in pts])  # one point per call
     checks.append(_check("dlogabsx_dt_vs_fd", _worst_rel(series, _logabsx_fd(pts, 1j * h)), 1e-6))
 
     pts = _drawn_pairs(rng, 20, -4.0, 5.0, -20.0, 20.0)
     fd = _logabsx_fd(pts, _FD_STEP)
     checks.append(_check("dsigma_logabsx_vs_fd", _worst_rel(dsigma_logabsx(pts), fd), 1e-6))
 
-    h_gm = 3e-4  # slow 1/(4 n_max) series tail needs the FD extra-tight
+    # a plain central difference; its O(h^2) error reads <= 3.8e-8 at this
+    # step over seeds 0-15 (<= 4.2e-7 at h = 1e-3), well under 1e-6
+    h_gm = 3e-4
     pts = _drawn_pairs(rng, 6, -2.0, 3.0, 1.0, 8.0)
     which = np.repeat(["upper", "lower"], 3)
-    series = np.array([gamma_modulus_dt(sv, w, 5_000_000) for sv, w in zip(pts, which)])
+    series = np.array([gamma_modulus_dt(sv, w, 10_000) for sv, w in zip(pts, which)])
     upper = which == "upper"
     args = np.where(upper, *_gamma_args(pts))
     nudge = 0.5j * h_gm * np.where(upper, -1.0, 1.0)  # a step of h_gm in t

@@ -262,9 +262,9 @@ def reciprocity_defect(n: int, delta: float) -> float:
 _SERIES_CHUNK = 1 << 16
 
 
-def _partial_sum(term, sv: complex, n_max: int | None) -> float:
-    """sum_{n=1..n_max} term(n), taken in chunks of _SERIES_CHUNK terms;
-    n_max defaults to max(50, ceil(10 (|sigma| + |t|)))."""
+def _partial_sum(term, sv: complex, n_max: int | None):
+    """(sum_{n=1..n_max} term(n), n_max), the sum taken in chunks of
+    _SERIES_CHUNK terms; n_max defaults to max(50, ceil(10 (|sigma| + |t|)))."""
     if n_max is None:
         n_max = max(50, int(math.ceil(10.0 * (abs(sv.imag) + abs(sv.real)))))
     if n_max < 1:
@@ -273,19 +273,33 @@ def _partial_sum(term, sv: complex, n_max: int | None) -> float:
     for lo in range(1, n_max + 1, _SERIES_CHUNK):
         n = np.arange(lo, min(lo + _SERIES_CHUNK, n_max + 1), dtype=np.float64)
         total += float(term(n).sum())
-    return total
+    return total, n_max
+
+
+def _midpoint_tail(c: float, t: float, n_max: int) -> float:
+    """sum_{n > n_max} 1/((2n - c)^2 + t^2) by the midpoint rule: the
+    integral from n_max + 1/2 on, (pi/2 - arctan((2 n_max + 1 - c)/|t|))/(2|t|),
+    which leaves O(n_max^-3).  0 at t = 0, where every caller multiplies
+    it by t."""
+    if t == 0.0:
+        return 0.0
+    return math.atan2(abs(t), 2.0 * n_max + 1.0 - c) / (2.0 * abs(t))
 
 
 def dlogabsx_dt(s, n_max: int | None = None) -> float:
     """d(log|X|)/dt as the partial sum
 
         sum_{n=1..n_max} 8 t (1/2 - sigma) (n - 1/4)
-                         / (|it + 2n + sigma - 1|^2 |it + 2n - sigma|^2).
+                         / (|it + 2n + sigma - 1|^2 |it + 2n - sigma|^2)
 
-    Terms decay like n^-3; the sum vanishes identically on the line
-    sigma = 1/2 (every term carries the factor 1/2 - sigma) and its
-    sign elsewhere is the sign of t (1/2 - sigma).  Finite at the zeros
-    of X, where the modulus-weighted form would vanish.
+    plus its tail.  The term is exactly t (1/d1 - 1/d2), d1 and d2 the
+    two squared moduli, so the tail is t times the difference of the
+    midpoint tails of sum 1/d1 and sum 1/d2 (`_midpoint_tail`, c = 1 -
+    sigma and sigma), which leaves O(n_max^-3); 2 000 terms are good to
+    within 1e-10 relative.  Terms decay like n^-3; the sum vanishes
+    identically on the line sigma = 1/2 (every term carries the factor
+    1/2 - sigma) and its sign elsewhere is the sign of t (1/2 - sigma).
+    Finite at the zeros of X, where the modulus-weighted form would vanish.
     """
     arr, _ = as_points(s)
     if len(arr) != 1:
@@ -300,7 +314,9 @@ def dlogabsx_dt(s, n_max: int | None = None) -> float:
         d2 = (2.0 * n - sigma) ** 2 + t * t
         return (n - 0.25) / (d1 * d2)
 
-    return 8.0 * t * (0.5 - sigma) * _partial_sum(term, sv, n_max)
+    total, n_max = _partial_sum(term, sv, n_max)
+    tail = _midpoint_tail(1.0 - sigma, t, n_max) - _midpoint_tail(sigma, t, n_max)
+    return 8.0 * t * (0.5 - sigma) * total + t * tail
 
 
 def dsigma_logabsx(s):
@@ -324,7 +340,10 @@ def gamma_modulus_dt(s, which: str, n_max: int | None = None) -> float:
     which = "lower":  d/dt |Gamma((1+s)/2)|
                         = -t |Gamma((1+s)/2)| sum_n 1/|sigma + it + 2n - 1|^2
 
-    with n running 1..n_max.  Negative for t > 0 and positive for
+    with n running 1..n_max, plus the midpoint tail of the sum
+    (`_midpoint_tail`, c = sigma upper or 1 - sigma lower), which leaves
+    O(n_max^-3) of a series whose plain tail is 1/(4 n_max); 2 000 terms
+    are good to within 1e-10 relative.  Negative for t > 0 and positive for
     t < 0: both moduli decrease monotonically away from the real axis.
     """
     arr, _ = as_points(s)
@@ -335,11 +354,14 @@ def gamma_modulus_dt(s, which: str, n_max: int | None = None) -> float:
     if which not in ("upper", "lower"):
         raise DomainError(f"which must be 'upper' or 'lower', got {which!r}")
 
+    c = sigma if which == "upper" else 1.0 - sigma
+
     def term(n):
-        shifted = sigma - 2.0 * n if which == "upper" else sigma + 2.0 * n - 1.0
+        shifted = 2.0 * n - c
         return 1.0 / (shifted * shifted + t * t)
 
-    total = _partial_sum(term, sv, n_max)
+    total, n_max = _partial_sum(term, sv, n_max)
+    total += _midpoint_tail(c, t, n_max)
     upper, lower = _gamma_args(sv)
     modulus = math.exp(lgamma(upper if which == "upper" else lower).real)
     return -t * modulus * total

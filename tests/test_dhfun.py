@@ -1,8 +1,8 @@
 """The series itself: values, functional equation, derivative, rotation.
 
 Value references were frozen from an independent arbitrary-precision
-computation.  The Dirichlet partial sum plus tail bound acts as the
-in-tree oracle wherever the series converges.
+computation.  The Abel-corrected Dirichlet partial sum and its remainder
+bound act as the in-tree oracle wherever the series converges.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from dhratio import dhfun, specfun, suites
 from dhratio.dhfun import (
+    DEFAULT_TABLE,
     XI,
     CoefficientTable,
     f,
@@ -194,17 +195,46 @@ def test_series_matches_continuation():
     for _ in range(10):
         s = complex(rng.uniform(2.0, 6.0), rng.uniform(-50.0, 50.0))
         a_val = f(s)
-        b_val = f_series(s, 200_000)
+        b_val = f_series(s, 5_000)
         budget = a_val.est_abs_err + b_val.est_abs_err + 1e-12
         assert abs(a_val.value.z - b_val.value.z) < budget, f"disagreement at {s}"
 
 
 def test_series_error_estimate_is_honest():
-    # push the truncation: the quoted tail bound must cover the true gap
+    # push the truncation, in every phase of N mod 5: the quoted bound must
+    # cover the gap to a sum whose own bound is 1.9e-13 (the gap reads 0.004
+    # of the bound at N = 500, 0.3-0.5 of it at the other four)
     s = 2.0 + 1.0j
-    coarse = f_series(s, 500)
-    fine = f_series(s, 400_000)
-    assert abs(coarse.value.z - fine.value.z) < coarse.est_abs_err
+    fine = f_series(s, 20_000)
+    for n in (500, 501, 502, 503, 504):
+        coarse = f_series(s, n)
+        assert abs(coarse.value.z - fine.value.z) < coarse.est_abs_err - fine.est_abs_err, n
+
+
+def test_abel_bound_constants_match_the_partial_sums():
+    # max |B_N| over two periods of B_N(x) = int_N^x (A - mean A), summed
+    # from the coefficients themselves; B_N is linear between integers
+    coeffs = DEFAULT_TABLE.array[np.arange(0, 40) % 5]
+    partial = np.cumsum(coeffs)  # A(n), n = 0..39
+    mean = partial.mean()
+    assert mean == pytest.approx((3.0 + XI) / 5.0, abs=1e-15)
+    for n in range(5, 10):
+        b = np.concatenate(([0.0], np.cumsum(partial[n : n + 10] - mean)))
+        assert np.abs(b).max() == pytest.approx(dhfun._B_MAX[n % 5], abs=1e-14)
+    assert dhfun._B_MAX[0] == pytest.approx(mean, abs=1e-15)
+
+
+def test_abel_bound_holds_without_euler_maclaurin():
+    # corrected sums at N in each class mod 5 against one at M = 200 000:
+    # both bounds together must cover the gap, down to sigma = 1.1
+    sigma = np.array([1.1, 1.5, 2.0, 4.0])
+    t = np.array([0.0, 3.7, -17.2, 50.0])
+    pts = (sigma[:, None] + 1j * t[None, :]).ravel()
+    far, far_bounds = dhfun._series_many(pts, 200_000)
+    for n in (1000, 1001, 1002, 1003, 1004):
+        near, near_bounds = dhfun._series_many(pts, n)
+        gap = np.abs(near - far)
+        assert np.all(gap <= near_bounds + far_bounds), f"N = {n}: {gap / near_bounds}"
 
 
 def test_series_batch_matches_single_points(monkeypatch):
@@ -220,10 +250,23 @@ def test_series_batch_matches_single_points(monkeypatch):
 
 
 def test_oracle_series_check_sums_pairwise():
-    # the oracle's roundoff sets this measurement: 3.9e-4 with pairwise
-    # sums, 4.1e-3 with an einsum reduction of each block
+    # the oracle's roundoff sets this measurement: 5.5e-4 with pairwise
+    # sums, 4.3e-3 with an einsum reduction of each block
     check = {c.name: c for c in suites.run_suite("dhfun", 42).checks}["oracle_series"]
     assert check.measured <= 1e-3
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_oracle_series_check_sees_a_small_error(monkeypatch, seed):
+    # an f off by 1e-8 left of Re s = 2.2 must fail the check: its budget
+    # there is a few 1e-9 at most (it read 720 at seed 42 and 1731 at seed 7)
+    def wrong(s):
+        values, errs = f_batch(s)
+        return values + 1e-8 * (np.asarray(s).real < 2.2), errs
+
+    monkeypatch.setattr(suites, "f_batch", wrong)
+    check = {c.name: c for c in suites.run_suite("dhfun", seed).checks}["oracle_series"]
+    assert not check.passed and check.measured > 5.0
 
 
 @pytest.mark.parametrize("s", [445.0 + 3.0j, 60.0 + 10.0j])
