@@ -46,7 +46,7 @@ from .errors import (
     DomainError,
     UndersampledError,
 )
-from .specfun import ComplexPoint, lgamma
+from .specfun import ELEMENT_BUDGET, ComplexPoint, lgamma
 from .xratio import (
     _gamma_args,
     _pole_mask,
@@ -196,26 +196,20 @@ class AuditReport:
 # ----------------------------------------------------------------------
 
 
-_H_CHUNK = 1 << 18
-
-
 def _h_at(pts: np.ndarray) -> np.ndarray:
     """Deflated field h = log|X| / (sigma - 1/2) at arbitrary points.
 
     On the line itself h is the limiting value d(log|X|)/dsigma, which
-    extends h smoothly through the removed component.
+    extends h smoothly through the removed component.  `logabsx_many`
+    streams fixed blocks, so memory stays bounded for any point count.
     """
     out = np.empty(len(pts))
-    for lo in range(0, len(pts), _H_CHUNK):
-        chunk = pts[lo : lo + _H_CHUNK]
-        vals = np.empty(len(chunk))
-        on = chunk.real == 0.5
-        off = ~on
-        if off.any():
-            vals[off] = logabsx_many(chunk[off]) / (chunk.real[off] - 0.5)
-        if on.any():
-            vals[on] = dsigma_logabsx(chunk[on])
-        out[lo : lo + _H_CHUNK] = vals
+    on = pts.real == 0.5
+    off = ~on
+    if off.any():
+        out[off] = logabsx_many(pts[off]) / (pts.real[off] - 0.5)
+    if on.any():
+        out[on] = dsigma_logabsx(pts[on])
     return out
 
 
@@ -293,6 +287,9 @@ def _bracket_roots(func, a, b, fa, fb) -> np.ndarray:
 # a cell's block, id 0..8 are its horizontal sub-edges and 9..17 its
 # vertical ones, each row-major on the 3x3 lattice of the subdivision.
 _SUB_EDGES = 18
+# Grid points per trace band (at least one cell row): the window and the
+# step alone fix the bands, never the worker count.
+_BAND_POINTS = ELEMENT_BUDGET // 16
 
 
 def _corners(sb: np.ndarray, row, col) -> np.ndarray:
@@ -362,13 +359,14 @@ def _chain_segments(segments, vertex_of, excludes_line: bool) -> list[CurvePolyl
 
 
 def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int):
-    """Segments and refined vertices for grid rows row_lo..row_hi.
+    """Segments and crossing edges for grid rows row_lo..row_hi.
 
-    Returns (segments, ids, vertices, flagged): an (m, 2) array of
-    edge-id pairs, the sorted ids of the edges they join, each edge's
-    vertex, and the bounds (sigma0, sigma1, t0, t1) of every crossed cell
-    that holds a zero or pole of X, one row each.  The caller warns about
-    the flagged cells, so a warning reaches it even from a pool worker.
+    Returns (segments, ids, a, b, fa, fb, flagged): an (m, 2) array of
+    edge-id pairs, the sorted ids of the edges they join, each edge's end
+    points a, b and the values of h there, and the bounds (sigma0,
+    sigma1, t0, t1) of every crossed cell that holds a zero or pole of X,
+    one row each.  The caller refines the edges and warns about the
+    flagged cells, so a warning reaches it even from a pool worker.
     """
     sigmas = _axis(window.sigma_min, window.sigma_max, step, snap_line=True)
     ts_all = _axis(window.t_min, window.t_max, step, snap_line=False)
@@ -384,8 +382,9 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int):
 
     # degenerate cells: a zero or pole of X inside
     degenerate = np.zeros_like(hot)
-    if ts[0] <= 0.0 <= ts[-1]:
-        j = min(max(int(np.searchsorted(ts, 0.0, side="right") - 1), 0), len(ts) - 2)
+    # the window's cell row at t = 0, if it falls in this band
+    j = min(int(np.searchsorted(ts_all, 0.0, side="right")) - 1, len(ts_all) - 2) - row_lo
+    if ts_all[0] <= 0.0 <= ts_all[-1] and 0 <= j < row_hi - row_lo:
         ints = np.arange(math.ceil(sigmas[0]), math.floor(sigmas[-1]) + 1.0) + 0j
         sing = ints[_pole_mask(ints) | _zero_mask(ints)].real
         degenerate[j, np.clip(np.searchsorted(sigmas, sing, side="right") - 1, 0, n_col - 1)] = True
@@ -435,9 +434,7 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int):
     b[inner] = a[inner] + np.where(pos < 9, 1, 3)
     pts = np.concatenate((grid.ravel(), sub.ravel()))
     vals = np.concatenate((h.ravel(), h_sub.ravel()))
-    # sign changes of h (+-inf at a zero or pole of X), pinned to 4 ulp
-    vertices = _bracket_roots(_h_at, pts[a], pts[b], vals[a], vals[b])
-    return segments, ids, vertices, flagged
+    return segments, ids, pts[a], pts[b], vals[a], vals[b], flagged
 
 
 def trace_unit_curve(window, step: float, worker_map=None):
@@ -455,20 +452,23 @@ def trace_unit_curve(window, step: float, worker_map=None):
     (see _SUB_EDGES), and segments are pairs of ids; every crossed cell
     of a band is classified in one array pass.
 
-    `worker_map` (a map-like callable) lets the caller run horizontal
-    grid bands in parallel.  Bands own disjoint cell rows, and chaining
-    is one deterministic pass over the sorted segments, so output does
-    not depend on the banding.
+    Bands of at most _BAND_POINTS grid points own disjoint cell rows and
+    hand back their crossing edges, so memory does not grow with the
+    window; one lockstep `_bracket_roots` pass refines every band's
+    edges, and chaining is one deterministic pass over the sorted
+    segments.  `worker_map` (a map-like callable) lets the caller run
+    the bands in parallel; the output does not depend on it.
     """
     win = _as_rect(window)
     if not step > 0.0:
         raise DomainError("step must be positive")
     n_rows = len(_axis(win.t_min, win.t_max, step, snap_line=False)) - 1
-    bands = 1 if worker_map is None else min(8, max(1, n_rows // 16))
-    cuts = [n_rows * b // bands for b in range(bands + 1)]
+    n_cols = len(_axis(win.sigma_min, win.sigma_max, step, snap_line=True))
+    rows = max(1, _BAND_POINTS // n_cols - 1)  # cell rows per band
+    cuts = [*range(0, n_rows, rows), n_rows]
     mapper = map if worker_map is None else worker_map
     parts = mapper(_trace_band, repeat(win), repeat(step), cuts[:-1], cuts[1:])
-    segments, ids, vertices, flagged = (np.concatenate(p) for p in zip(*parts))
+    segments, ids, a, b, fa, fb, flagged = (np.concatenate(p) for p in zip(*parts))
     for s0, s1, t0, t1 in flagged:
         warnings.warn(
             f"grid cell [{s0:.6g},{s1:.6g}]x[{t0:.6g},{t1:.6g}] "
@@ -476,8 +476,13 @@ def trace_unit_curve(window, step: float, worker_map=None):
             DegenerateCellWarning,
             stacklevel=2,
         )
+    # an edge on a band boundary comes from both bands, with the same ends
+    first = np.argsort(ids, kind="stable")
+    first = first[np.diff(ids[first], prepend=-1) > 0]
+    # sign changes of h (+-inf at a zero or pole of X), pinned to 4 ulp
+    vertices = _bracket_roots(_h_at, a[first], b[first], fa[first], fb[first])
     segments = segments[np.lexsort(segments.T[::-1])]
-    vertex_of = dict(zip(ids.tolist(), vertices.tolist()))
+    vertex_of = dict(zip(ids[first].tolist(), vertices.tolist()))
     excludes = win.sigma_min <= 0.5 <= win.sigma_max
     return _chain_segments(segments.tolist(), vertex_of, excludes)
 
@@ -797,7 +802,7 @@ def scan_critical_line(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     `_bracket_roots`.  Each root becomes a record at sigma = 1/2 exactly
     (0 Newton iterations).  Zeros closer together than the grid spacing
     can be missed; halve the step to confirm stability of the record
-    set.
+    set.  Z goes in fixed blocks, so memory grows only with the grid.
     """
     if not (t0 < t1 and step > 0.0):
         raise DomainError("need t0 < t1 and a positive step")

@@ -71,6 +71,9 @@ _EPS = np.finfo(float).eps
 # With `warn`, `_evaluate` flags a point whose error estimate exceeds this
 # share of |f| + 1.
 _WARN_REL_ERR = 1e-6
+# Points per block of `_evaluate` and `_rotated_line`, which bounds their
+# per-point temporaries (the tails' (4, points) rows among them).
+_POINT_BLOCK = ELEMENT_BUDGET // 32
 
 # ----------------------------------------------------------------------
 # coefficients
@@ -259,10 +262,11 @@ def _evaluate(arr: np.ndarray, deriv: bool, warn: bool = False):
 
     The one evaluation path, behind `f_batch`, `f`, `f_prime` and Newton:
     the deflated Hurwitz combination for Re s > -1, the reflected form
-    for Re s <= -1, each route taking all its points in one call.  Every
-    point sums with the split N of its own height, so it gets the same N
-    alone or in any batch; the kernel shares the sigma and phase rows of
-    the points and bounds its own memory.  With `warn`, every point whose
+    for Re s <= -1, each route taking all its points of a block of
+    _POINT_BLOCK in one call, so memory stays bounded for any batch.  Every
+    point sums with the split N of its own height, so it gets the same N,
+    and the same bits, alone or in any batch; the kernel shares the sigma
+    and phase rows of a block's points.  With `warn`, every point whose
     error estimate exceeds _WARN_REL_ERR (1e-6) of |f| + 1 gets an
     AccuracyWarning.
 
@@ -272,13 +276,17 @@ def _evaluate(arr: np.ndarray, deriv: bool, warn: bool = False):
     values = np.empty_like(arr)
     derivs = np.empty_like(arr) if deriv else None
     errs = np.empty(len(arr))
-    left = arr.real <= -1.0
+    # blocks of neighbouring heights, which share the kernel's phase rows
+    order = np.lexsort((arr.real, np.abs(arr.imag)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for mask, route in ((~left, _f_direct), (left, _f_reflected)):
-            if mask.any():
-                values[mask], dvals, errs[mask] = route(arr[mask], deriv)
-                if deriv:
-                    derivs[mask] = dvals
+        for lo in range(0, len(arr), _POINT_BLOCK):
+            block = order[lo : lo + _POINT_BLOCK]
+            left = arr[block].real <= -1.0
+            for picked, route in ((block[~left], _f_direct), (block[left], _f_reflected)):
+                if len(picked):
+                    values[picked], dvals, errs[picked] = route(arr[picked], deriv)
+                    if deriv:
+                        derivs[picked] = dvals
     bad = ~np.isfinite(values)
     if bad.any():
         raise DomainError(f"|f| overflows float64 at s = {complex(arr[bad][0])}")
@@ -293,7 +301,8 @@ def _evaluate(arr: np.ndarray, deriv: bool, warn: bool = False):
 
 
 def f_batch(s):
-    """Vectorized f over any collection of points (see `_evaluate`).
+    """Vectorized f over any collection of points (see `_evaluate`),
+    in fixed point blocks, so memory stays bounded for any batch size.
 
     Returns (values, est_abs_errs) as numpy arrays, in input order.
     """
@@ -446,9 +455,14 @@ def functional_eq_residual(s):
 
 def _rotated_line(t: np.ndarray) -> np.ndarray:
     """exp(-i theta(t)/2) f(1/2 + it) at every height of t, complex: its
-    imaginary part is the rounding that `z_function` checks and drops."""
-    vals, _ = f_batch(0.5 + 1j * t)
-    return np.exp(-0.5j * _log_form(0.5 + 1j * t).imag) * vals
+    imaginary part is the rounding that `z_function` checks and drops.
+    Fixed blocks of _POINT_BLOCK heights keep memory bounded."""
+    out = np.empty(len(t), dtype=np.complex128)
+    for lo in range(0, len(t), _POINT_BLOCK):
+        s = 0.5 + 1j * t[lo : lo + _POINT_BLOCK]
+        vals, _, _ = _evaluate(s, False)
+        out[lo : lo + _POINT_BLOCK] = np.exp(-0.5j * _log_form(s).imag) * vals
+    return out
 
 
 def z_function(t):
@@ -457,7 +471,8 @@ def z_function(t):
 
     The rotation cancels the phase the reflection identity forces on
     the critical line, so Z is real there; sign changes of Z are line
-    zeros of f.  Scalar in, scalar out; arrays accepted.
+    zeros of f.  Scalar in, scalar out; arrays accepted, and evaluated in
+    fixed blocks (see `_rotated_line`), bit-identical to single heights.
     """
     tarr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     was_scalar = np.asarray(t).ndim == 0

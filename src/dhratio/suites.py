@@ -18,6 +18,7 @@ from .analysis import Rect, kappa_detail, refine_zero, survey_zeros, trace_unit_
 from .dhfun import _brute_sum, _rotated_line, _series_many, f_batch, functional_eq_residual
 from .errors import DomainError, PoleError
 from .specfun import (
+    ELEMENT_BUDGET,
     digamma,
     hurwitz_zeta,
     hurwitz_zeta_any,
@@ -314,8 +315,11 @@ def _suite_analysis(rng, worker_map=None) -> SuiteResult:
     verts = np.array([v.z for p in polys for v in p.vertices])
     g = logabsx_many(verts)
     checks.append(_check("curve_soundness", np.abs(g).max(), 1e-10))
+    # the farthest mirrored vertex from its nearest vertex, in row blocks
     mirrored = 1.0 - np.conj(verts)
-    sym = np.abs(verts[None, :] - mirrored[:, None]).min(axis=1).max()
+    rows = max(1, ELEMENT_BUDGET // len(verts))
+    blocks = (mirrored[lo : lo + rows, None] for lo in range(0, len(verts), rows))
+    sym = max(np.abs(verts[None, :] - m).min(axis=1).max() for m in blocks)
     checks.append(_check("curve_symmetry", sym, 2 * 0.02))
 
     kd = kappa_detail()

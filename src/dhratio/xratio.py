@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .specfun import (
+    ELEMENT_BUDGET,
     ComplexPoint,
     as_points,
     digamma,
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 _LN_5_OVER_PI = math.log(5.0 / math.pi)
+# Points per `logabsx_many` block, which bounds its log|Gamma| temporaries.
+_POINT_BLOCK = ELEMENT_BUDGET // 16
 
 
 # ----------------------------------------------------------------------
@@ -201,18 +204,21 @@ def logabsx_many(s):
 
     Exact poles evaluate to +inf and exact zeros to -inf instead of
     raising, so grid passes over windows containing them classify
-    their neighborhoods by sign like any other cell.
+    their neighborhoods by sign like any other cell.  The points go in
+    fixed blocks of _POINT_BLOCK, so memory stays bounded for any count.
     """
     arr, was_scalar = as_points(s)
     out = np.empty(len(arr))
-    pole = _pole_mask(arr)
-    zero = _zero_mask(arr)
-    rest = ~(pole | zero)
-    out[pole] = math.inf
-    out[zero] = -math.inf
-    if rest.any():
-        upper, lower = (log_abs_gamma(arg) for arg in _gamma_args(arr[rest]))
-        out[rest] = (0.5 - arr.real[rest]) * _LN_5_OVER_PI + upper - lower
+    for lo in range(0, len(arr), _POINT_BLOCK):
+        part, res = arr[lo : lo + _POINT_BLOCK], out[lo : lo + _POINT_BLOCK]
+        pole = _pole_mask(part)
+        zero = _zero_mask(part)
+        rest = ~(pole | zero)
+        res[pole] = math.inf
+        res[zero] = -math.inf
+        if rest.any():
+            upper, lower = (log_abs_gamma(arg) for arg in _gamma_args(part[rest]))
+            res[rest] = (0.5 - part.real[rest]) * _LN_5_OVER_PI + upper - lower
     return float(out[0]) if was_scalar else out
 
 

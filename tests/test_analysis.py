@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -151,10 +152,49 @@ def test_trace_warning_reaches_the_caller_from_a_worker_process():
 
 
 def test_trace_does_not_depend_on_worker_map():
-    rect = Rect(-2.0, 3.0, -2.2, 2.2)  # 220 cell rows: eight bands
+    rect = Rect(-2.0, 3.0, -2.2, 2.2)  # 220 cell rows: eight bands of up to 31
     with ThreadPoolExecutor(max_workers=2) as pool:
         threaded = trace_unit_curve(rect, 0.02, worker_map=pool.map)
     assert threaded == trace_unit_curve(rect, 0.02)
+
+
+@pytest.mark.parametrize(
+    "rect, step", [(Rect(-2.0, 3.0, -2.2, 2.2), 0.02), (Rect(1.2, 3.2, -1.0, 1.0), 1.0)]
+)
+def test_trace_does_not_depend_on_the_band_budget(monkeypatch, rect, step):
+    # one band for the whole window, then one cell row a band, which puts a
+    # band boundary at t = 0, where the flagged cells lie
+    def trace():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            polys = trace_unit_curve(rect, step)
+        return polys, [str(w.message) for w in caught]
+
+    default = trace()
+    for budget in (1 << 40, 1):
+        monkeypatch.setattr(analysis, "_BAND_POINTS", budget)
+        assert trace() == default
+
+
+def _peak_bytes(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_memory_is_bounded_at_a_fine_step():
+    # 626 x 301 grid points, traced in bands of at most _BAND_POINTS
+    peak = _peak_bytes(trace_unit_curve, Rect(-2.0, 3.0, -1.2, 1.2), 0.008)
+    assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_kappa_memory_is_bounded():
+    # the 1601 x 46 apex zoom grid goes in bands too
+    peak = _peak_bytes(kappa_detail)
+    assert peak <= 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_trace_subdivides_every_singular_cell():
@@ -324,18 +364,22 @@ def test_refine_rejects_bad_seed():
 
 
 def _plain_bisection(func, a, b, fa):
-    """Reference: scalar bisection until the interval collapses."""
-    while True:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            return mid
-        fm = float(func(np.array([mid]))[0])
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
+    """Reference: plain bisection of every bracket until its interval
+    collapses or its midpoint is an exact zero, all brackets in lockstep
+    (one `func` call a round)."""
+    a, b, fa = (np.array(v, dtype=np.float64) for v in (a, b, fa))
+    roots = np.empty(len(a))
+    live = np.arange(len(a))
+    while len(live):
+        mid = 0.5 * (a[live] + b[live])
+        fm = np.asarray(func(mid))
+        done = (mid == a[live]) | (mid == b[live]) | (fm == 0.0)
+        roots[live[done]] = mid[done]
+        up = (fm > 0.0) == (fa[live] > 0.0)
+        a[live[up]], fa[live[up]] = mid[up], fm[up]
+        b[live[~up]] = mid[~up]
+        live = live[~done]
+    return roots
 
 
 def test_bracket_roots_agree_with_plain_bisection_on_z():
@@ -345,9 +389,9 @@ def test_bracket_roots_agree_with_plain_bisection_on_z():
     a, b, za, zb = ts[:-1][flip], ts[1:][flip], zv[:-1][flip], zv[1:][flip]
     roots = analysis._bracket_roots(z_function, a, b, za, zb)
     assert len(roots) > 60
+    want = _plain_bisection(z_function, a, b, za)
     for k, root in enumerate(roots):
-        want = _plain_bisection(z_function, a[k], b[k], za[k])
-        assert abs(root - want) <= 4.0 * np.spacing(want), f"bracket [{a[k]}, {b[k]}]"
+        assert abs(root - want[k]) <= 4.0 * np.spacing(want[k]), f"bracket [{a[k]}, {b[k]}]"
 
 
 def test_bracket_roots_exact_zeros():
@@ -396,6 +440,12 @@ def test_scan_finds_first_eight_line_zeros():
         assert rec.residual < 1e-10
     ts = [rec.location.t for rec in recs]
     assert ts == sorted(ts)
+
+
+def test_scan_memory_is_bounded():
+    # 30 001 heights, evaluated in fixed blocks
+    peak = _peak_bytes(scan_critical_line, 0.0, 15.0, 0.0005)
+    assert peak <= 6e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_scan_validation():

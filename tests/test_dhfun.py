@@ -318,6 +318,33 @@ def test_batch_memory_is_bounded_far_up():
     assert peak <= 6e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_batch_memory_is_bounded_for_many_points():
+    # 40 000 points go through the evaluator in fixed blocks
+    pts = (np.linspace(0.05, 0.95, 5)[:, None] + 1j * np.linspace(0.0, 20.0, 8000)).ravel()
+    tracemalloc.start()
+    try:
+        f_batch(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_batch_bits_do_not_depend_on_the_point_block(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    pts = rng.uniform(-3.0, 4.0, 200) + 1j * rng.uniform(-300.0, 300.0, 200)
+    ts = rng.uniform(-200.0, 200.0, 50)
+
+    def evaluate():
+        values, derivs, errs = dhfun._evaluate(pts, True)
+        return (*f_batch(pts), values, derivs, errs, z_function(ts))
+
+    default = evaluate()
+    monkeypatch.setattr(dhfun, "_POINT_BLOCK", 7)
+    for want, got in zip(default, evaluate()):
+        assert np.array_equal(want, got)
+
+
 def test_batch_matches_single_points_across_heights():
     # every point takes its own split, so f and f' come out bit-identical
     # alone and in one batch: points at every height, on both sides of

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dhratio import suites
+from dhratio import suites, xratio
 from dhratio.errors import DomainError, PoleError
 from dhratio.xratio import (
     MirrorPair,
@@ -86,6 +86,15 @@ def test_logabsx_many_signals_by_infinity():
     assert out[0] == -math.inf
     assert out[1] == math.inf
     assert abs(out[2]) < 1e-14  # on the line
+
+
+def test_logabsx_many_bits_do_not_depend_on_the_point_block(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    pts = rng.uniform(-6.0, 7.0, 100) + 1j * rng.uniform(-40.0, 40.0, 100)
+    pts = np.concatenate((pts, [-5.0, 6.0, 0.5 + 3.0j]))  # a zero, a pole, the line
+    default = logabsx_many(pts)
+    monkeypatch.setattr(xratio, "_POINT_BLOCK", 7)
+    assert np.array_equal(logabsx_many(pts), default)
 
 
 # ----------------------------------------------------------------------
