@@ -10,12 +10,13 @@ Four instruments:
   * the height bound kappa of the off-line branch inside the strip,
     measured two independent ways (curve apex vs. digamma-equation
     root);
-  * zero accounting: argument-principle winding counts over bands of
+  * zero accounting: an exact count of each band of the strip from the
+    functional equation, argument-principle winding counts over bands of
     grid cells that share their edge samples (one flat sample array
     tagged by edge, bisected in rounds), localization of every counted
     cell together in rounds, lockstep Newton refinement (f and f' from
     one evaluation pass per round), critical-line scanning through the
-    real rotated form, and an exhaustive cell survey combining them;
+    real rotated form, and an exhaustive survey combining them;
   * audits that attach measured numbers to a fixed list of externally
     numbered claims, reporting values only and never a verdict.
 
@@ -49,6 +50,7 @@ from .errors import (
 from .specfun import ELEMENT_BUDGET, ComplexPoint, lgamma
 from .xratio import (
     _gamma_args,
+    _log_form,
     _pole_mask,
     _zero_mask,
     dlogabsx_dt,
@@ -794,6 +796,14 @@ def refine_zero(seed, trust_radius: float = 0.5) -> ZeroRecord:
 # ----------------------------------------------------------------------
 
 
+def _sign_change_roots(ts, zv):
+    """Sign changes of Z sampled as zv at the heights ts: the indices i
+    where Z changes sign between ts[i] and ts[i + 1], and their roots,
+    all pinned together by `_bracket_roots`."""
+    flip = np.flatnonzero(zv[:-1] * zv[1:] < 0.0)
+    return flip, _bracket_roots(z_function, ts[flip], ts[flip + 1], zv[flip], zv[flip + 1])
+
+
 def scan_critical_line(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     """Line zeros from sign changes of the rotated real form.
 
@@ -808,8 +818,7 @@ def scan_critical_line(t0: float, t1: float, step: float) -> list[ZeroRecord]:
         raise DomainError("need t0 < t1 and a positive step")
     ts = _axis(t0, t1, step, snap_line=False)
     zv = z_function(ts)
-    flip = (zv[:-1] * zv[1:]) < 0.0
-    pinned = _bracket_roots(z_function, ts[:-1][flip], ts[1:][flip], zv[:-1][flip], zv[1:][flip])
+    _, pinned = _sign_change_roots(ts, zv)
     roots = sorted(np.concatenate((ts[zv == 0.0], pinned)).tolist())
 
     kept: list[float] = []
@@ -828,6 +837,104 @@ _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.59)
 _SURVEY_SAMPLES = 12
 _BAND_ROWS = 8
 _CELL_SIZE = 0.25
+# Steps along each path 3/2 + it -> 1/2 + it of the exact strip count.
+_COUNT_SAMPLES = 16
+# Spacing of the Z samples that find a band's line roots.
+_LINE_STEP = 0.1
+# f has no zeros right of this abscissa (sum_{n>=2} |a(n)| n^-3/2 = 0.737
+# < 1), and by the functional equation none left of 1 - _ZERO_FREE_SIGMA
+# off the real axis.
+_ZERO_FREE_SIGMA = 1.5
+
+
+def _strip_counts(heights) -> np.ndarray:
+    """Zeros of f in -1/2 < sigma < 3/2 between consecutive heights.
+
+    Backlund's count (Edwards, Riemann's Zeta Function, 1974, ch. 6): f
+    is real on the real axis and f(s) = X(s) f(1 - s), so the winding of
+    f around [-1/2, 3/2] x [t0, t1] is twice its phase change along the
+    right half, less the phase of X on the line.  With A(t) the change of
+    arg f along 3/2 + it -> 1/2 + it and theta(t) = Im L(1/2 + it), the
+    count is
+
+        [arg f(3/2 + it1) - arg f(3/2 + it0) + A(t1) - A(t0)
+         - (theta(t1) - theta(t0)) / 2] / pi.
+
+    Re f > 0 on sigma = 3/2, so principal arguments give the first
+    difference; one f_batch call samples every path with _COUNT_SAMPLES
+    steps and `_phase_changes` tracks them.  Returns the unrounded counts,
+    one per pair of consecutive heights.  Raises BoundaryZeroError when a
+    path comes within the boundary guard of a zero and UndersampledError
+    when a count is more than 1e-6 from an integer.
+    """
+    h = np.asarray(heights, dtype=np.float64)
+    lam = np.arange(_COUNT_SAMPLES + 1) / _COUNT_SAMPLES
+    points = (_ZERO_FREE_SIGMA - lam * (_ZERO_FREE_SIGMA - 0.5) + 1j * h[:, None]).ravel()
+    values, _ = f_batch(points)
+    if np.abs(values).min() < _BOUNDARY_GUARD:
+        raise BoundaryZeroError(f"a zero sits within {_BOUNDARY_GUARD} of a count path")
+    along = _phase_changes(points, values, np.arange(len(h)).repeat(_COUNT_SAMPLES + 1))
+    right = np.angle(values[:: _COUNT_SAMPLES + 1])
+    theta = _log_form(0.5 + 1j * h).imag
+    counts = (np.diff(right) + np.diff(along) - 0.5 * np.diff(theta)) / math.pi
+    off = np.abs(counts - np.rint(counts))
+    if off.max(initial=0.0) > 1e-6:
+        k = int(np.argmax(off))
+        raise UndersampledError(
+            f"the zero count on ({h[k]}, {h[k + 1]}] is {counts[k]:.9g}, not an integer"
+        )
+    return counts
+
+
+def _line_samples(lo: float, hi: float, shift: float) -> np.ndarray:
+    """lo and the heights lo + shift + k _LINE_STEP strictly inside (lo, hi)."""
+    inner = lo + shift + _LINE_STEP * np.arange(max(0, math.ceil((hi - lo - shift) / _LINE_STEP)))
+    return np.concatenate(([lo], inner[(inner > lo) & (inner < hi)]))
+
+
+def _line_roots(bands, expected, shift: float) -> list:
+    """Each band's line zeros, or None where they fall short of its count.
+
+    Z is sampled every _LINE_STEP along every band, from `shift` above
+    its bottom, in one z_function call over all bands in a row, and
+    `_sign_change_roots` pins every sign change, as in
+    `scan_critical_line`.  A band whose sign changes number exactly its
+    `expected` zeros has them all on the line.  Raises BoundaryZeroError
+    when a sample comes within the boundary guard of a zero.
+    """
+    parts = [_line_samples(tc[0], tc[-1], shift) for tc in bands]
+    ts = np.concatenate(parts + [[bands[-1][-1]]])
+    zv = z_function(ts)
+    if np.abs(zv).min() < _BOUNDARY_GUARD:
+        raise BoundaryZeroError(f"a zero sits within {_BOUNDARY_GUARD} of a line sample")
+    flips, pinned = _sign_change_roots(ts, zv)
+    owner = np.repeat(np.arange(len(bands)), [len(p) for p in parts])[flips]
+    per_band = np.split(pinned, np.searchsorted(owner, np.arange(1, len(bands))))
+    return [p.tolist() if len(p) == n else None for p, n in zip(per_band, expected)]
+
+
+def _grid_band(s_cuts, t_cuts, expected):
+    """Winding counts of one band's cells (`_grid_counts`), checked
+    against the band's exact count where `expected` is given.
+
+    `expected` is given for windows symmetric about 1/2 that end left of
+    sigma = 3/2.  Zeros pair up across the line, s with 1 - conj(s), so
+    a total short of it must be twice the zeros of the strip
+    [sigma_max, 3/2] x [t0, t1]; anything else raises ConvergenceError:
+    the grid lost or gained a phase wrap.
+    """
+    counts = _grid_counts(s_cuts, t_cuts, _SURVEY_SAMPLES)
+    if expected is not None and counts.sum() != expected:
+        outside = _grid_counts(
+            (s_cuts[-1], _ZERO_FREE_SIGMA), (t_cuts[0], t_cuts[-1]), _SURVEY_SAMPLES
+        )
+        if expected - counts.sum() != 2 * outside.sum():
+            raise ConvergenceError(
+                f"the cells of t [{t_cuts[0]}, {t_cuts[-1]}] wind {counts.sum()} times, "
+                f"the strip holds {expected} zeros and {2 * outside.sum()} of them "
+                "lie outside the window"
+            )
+    return counts
 
 
 def _tiling(rect: Rect, cell_size: float, t_offset: float):
@@ -915,43 +1022,83 @@ def _by_height(records: list[ZeroRecord]) -> list[ZeroRecord]:
 
 
 def survey_zeros(rect, worker_map=None) -> list[ZeroRecord]:
-    """Every zero in a rectangle, by exhaustive cell subdivision.
+    """Every zero in a rectangle: count, then line, then grid.
 
     The rectangle is tiled into cells of side about _CELL_SIZE, grouped
     into bands of _BAND_ROWS cell rows; the layout depends on the
-    rectangle alone.  Each band samples every cell edge once, in one
-    f_batch call, and gets all its cells' winding counts from
-    `_grid_counts`; `worker_map` (parallelism hook) maps over the bands.
-    The zeros of all nonzero cells are then localized together in rounds
-    (`_localize`): each round refines every count-1 cell in one lockstep
-    Newton batch and splits the rest (left-bottom first), so the batches
-    depend on the rectangle alone.  If any cell boundary passes too
-    close to a zero, or if the 1e-6 dedupe of the refined records leaves
-    fewer zeros than the winding total (two cells' Newton runs landed on
-    one zero), the whole t-partition is shifted and the survey retried,
-    so a survey never double-counts and never returns short.  The
-    records are sorted by t, then sigma where t agrees to 1e-9 relative,
-    and are identical for any `worker_map`.
+    rectangle alone.  Where sigma = 1/2 lies inside the rectangle:
+
+      1. count: `_strip_counts` gives every band the exact number of
+         zeros with -1/2 < sigma < 3/2 (one f_batch over the band
+         boundaries);
+      2. line: `_line_roots` samples Z along every band; a band whose
+         sign changes match its count has all its zeros on the line, and
+         those roots, pinned to 4 ulp, are its records (sigma = 1/2
+         exactly, 0 iterations);
+      3. grid: every other band -- one with off-line zeros, a close pair
+         the samples missed, one that reaches a trivial zero -1, -3, ...
+         (the count leaves them out), or any band of a rectangle off the
+         line --
+         gets its cells' winding counts from `_grid_counts`, sampling
+         every cell edge once in one f_batch call; `worker_map`
+         (parallelism hook) maps over these bands.  In a rectangle
+         symmetric about 1/2 that ends left of 3/2, a grid band's total
+         must equal its count less twice the zeros of the strip right of
+         the rectangle, or ConvergenceError is raised (`_grid_band`).
+
+    The zeros of all nonzero grid cells are then localized together in
+    rounds (`_localize`): each round refines every count-1 cell in one
+    lockstep Newton batch and splits the rest (left-bottom first), so the
+    batches depend on the rectangle alone.  If a count path, a line
+    sample or a cell boundary passes too close to a zero, or if the 1e-6
+    dedupe of the refined records leaves fewer zeros than were counted
+    (two cells' Newton runs landed on one zero), the whole t-partition is
+    shifted and the survey retried, so a survey never double-counts and
+    never returns short.  The records are sorted by t, then sigma where t
+    agrees to 1e-9 relative, and are identical for any `worker_map`.
     """
     r = _as_rect(rect)
     mapper = map if worker_map is None else worker_map
+    has_line = r.sigma_min < 0.5 < r.sigma_max
+    checked = abs(r.sigma_min + r.sigma_max - 1.0) < 1e-12 and r.sigma_max < _ZERO_FREE_SIGMA
     last_error: Exception | None = None
     for offset in _T_OFFSETS:
         s_cuts, t_cuts = _tiling(r, _CELL_SIZE, offset)
         bands = [t_cuts[lo : lo + _BAND_ROWS + 1] for lo in range(0, len(t_cuts) - 1, _BAND_ROWS)]
-        count_band = partial(_grid_counts, s_cuts, samples=_SURVEY_SAMPLES)
         try:
-            counted = list(mapper(count_band, bands))
+            expected = [None] * len(bands)
+            roots = [None] * len(bands)
+            if has_line:
+                heights = [tc[0] for tc in bands] + [t_cuts[-1]]
+                expected = np.rint(_strip_counts(heights)).astype(int).tolist()
+                roots = _line_roots(bands, expected, offset)
+                if r.sigma_min <= -1.0:
+                    # the count leaves out the trivial zeros -1, -3, ...
+                    roots = [
+                        None if tc[0] <= 0.0 <= tc[-1] else found
+                        for tc, found in zip(bands, roots)
+                    ]
+            grid = [k for k, found in enumerate(roots) if found is None]
+            counted = list(
+                mapper(
+                    partial(_grid_band, s_cuts),
+                    [bands[k] for k in grid],
+                    [expected[k] if checked else None for k in grid],
+                )
+            )
         except BoundaryZeroError as exc:
             last_error = exc
             continue
         cells = [
-            (Rect(s_cuts[i], s_cuts[i + 1], tc[j], tc[j + 1]), int(c))
-            for tc, counts in zip(bands, counted)
+            (Rect(s_cuts[i], s_cuts[i + 1], bands[k][j], bands[k][j + 1]), int(c))
+            for k, counts in zip(grid, counted)
             for (j, i), c in np.ndenumerate(counts)
         ]
-        total = sum(count for _, count in cells)
-        records = _localize(cells)
+        line_ts = [t for found in roots if found is not None for t in found]
+        total = sum(count for _, count in cells) + len(line_ts)
+        records = _localize(cells) + _finish_records(
+            0.5 + 1j * np.array(line_ts), np.zeros(len(line_ts), dtype=int)
+        )
         if total != len(records):
             raise ConvergenceError(
                 f"winding counted {total} zeros but {len(records)} were refined"

@@ -159,15 +159,21 @@ def _log_form(arr: np.ndarray) -> np.ndarray:
 def _x_many(arr: np.ndarray):
     """(X, L) on an array: PoleError at s = 2, 4, ...; X = 0 and L = -inf
     at s = -1, -3, ...; DomainError where |X| overflows float64 (log|X|
-    = Re L stays finite there, and `logabsx_many` returns it)."""
+    = Re L stays finite there, and `logabsx_many` returns it).  The
+    points go in fixed blocks of _POINT_BLOCK, so memory stays bounded
+    for any count."""
     pole = _pole_mask(arr)
     if pole.any():
         raise PoleError(f"X has a pole at s = {complex(arr[pole][0])}")
     zero = _zero_mask(arr)
     combos = np.full(len(arr), complex(-math.inf, math.nan))
-    combos[~zero] = _log_form(arr[~zero])
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.where(zero, 0.0, np.exp(combos))
+    values = np.zeros(len(arr), dtype=np.complex128)
+    for lo in range(0, len(arr), _POINT_BLOCK):
+        part = slice(lo, lo + _POINT_BLOCK)
+        rest = ~zero[part]
+        combos[part][rest] = _log_form(arr[part][rest])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[part][rest] = np.exp(combos[part][rest])
     bad = ~np.isfinite(values)
     if bad.any():
         raise DomainError(

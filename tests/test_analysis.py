@@ -559,6 +559,184 @@ def test_survey_retries_next_offset_after_a_lost_zero(monkeypatch):
         assert min(abs(a.location.z - b.location.z) for a in recs) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "heights, zeros",
+    [
+        ((0.0, 120.0), 68),
+        ((80.0, 120.0), 28),
+        ((1000.0, 1020.0), 21),
+        ((5000.0, 5010.0), 13),
+        (tuple(np.arange(80.0, 120.5, 2.0)), 28),  # the survey's 20 bands
+    ],
+)
+def test_strip_counts_are_exact(heights, zeros):
+    # Backlund's count; (T / 2 pi) log(5 T / (2 pi e)) gives 67.97 at T = 120
+    counts = analysis._strip_counts(heights)
+    assert len(counts) == len(heights) - 1
+    assert np.abs(counts - np.rint(counts)).max() < 1e-9
+    assert np.rint(counts).sum() == zeros
+
+
+def test_strip_counts_raise_off_an_integer(monkeypatch):
+    real = analysis._log_form
+    monkeypatch.setattr(analysis, "_log_form", lambda s: real(s) + 0.1j * s.imag / 120.0)
+    with pytest.raises(UndersampledError):
+        analysis._strip_counts([0.0, 120.0])
+
+
+def _drop_line_root(monkeypatch, t_root):
+    """Flip the sign of Z above t_root, so the survey's scan misses the
+    root at t_root and pins every other one as before (Illinois steps do
+    not see the sign)."""
+    real = analysis.z_function
+    monkeypatch.setattr(analysis, "z_function", lambda t: np.where(t > t_root, -1.0, 1.0) * real(t))
+
+
+def _grid_bands(monkeypatch):
+    """The bands the survey sends to the grid, as (t0, t1) pairs."""
+    real = analysis._grid_band
+    seen = []
+
+    def band(s_cuts, t_cuts, expected):
+        seen.append((t_cuts[0], t_cuts[-1]))
+        return real(s_cuts, t_cuts, expected)
+
+    monkeypatch.setattr(analysis, "_grid_band", band)
+    return seen
+
+
+def test_survey_takes_line_roots_only_where_they_match_the_count(monkeypatch):
+    rect = Rect(0.0, 1.0, 80.0, 120.0)
+    seen = _grid_bands(monkeypatch)
+    recs = survey_zeros(rect)
+    # the off-line pairs at t ~ 85.7 and 114.2: every other band is on the line
+    assert seen == [(84.0, 86.0), (114.0, 116.0)]
+    assert sum(not r.on_line for r in recs) == 4
+    for r in recs:
+        if not (84.0 < r.location.t < 86.0 or 114.0 < r.location.t < 116.0):
+            assert r.iterations == 0 and r.location.sigma == 0.5
+
+
+def test_survey_sends_a_band_with_a_dropped_line_root_to_the_grid(monkeypatch):
+    rect = Rect(0.0, 1.0, 0.0, 20.0)
+    honest = survey_zeros(rect)
+    assert all(r.iterations == 0 for r in honest)
+    _drop_line_root(monkeypatch, FIRST_LINE_ZEROS[0])
+    seen = _grid_bands(monkeypatch)
+    recs = survey_zeros(rect)
+    assert seen == [(4.0, 6.0)]
+    assert len(recs) == len(honest)
+    for a, b in zip(recs, honest):
+        assert a.on_line == b.on_line
+        assert abs(a.location.z - b.location.z) < 1e-12
+    assert [r.iterations > 0 for r in recs] == [4.0 < r.location.t < 6.0 for r in recs]
+
+
+def _shift_phase(monkeypatch, start, end, delta):
+    """Add delta to the phase change of the sampled path from start to end."""
+    real = analysis._phase_changes
+
+    def phases(points, values, row):
+        out = real(points, values, row)
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        last = np.append(first[1:], len(row)) - 1
+        out[(points[first] == start) & (points[last] == end)] += delta
+        return out
+
+    monkeypatch.setattr(analysis, "_phase_changes", phases)
+
+
+def test_survey_raises_when_a_grid_band_loses_a_wrap(monkeypatch):
+    # the left edge of the cell [0, 0.25] x [85.5, 85.75], which holds the
+    # off-line zero 0.1915 + 85.6993i; a cell subtracts its left edge, run
+    # upward, so 2 pi more there loses the zero
+    rect = Rect(0.0, 1.0, 85.0, 86.0)
+    assert len(survey_zeros(rect)) == 2
+    _shift_phase(monkeypatch, 85.5j, 85.75j, 2.0 * math.pi)
+    with pytest.raises(ConvergenceError, match="wind"):
+        survey_zeros(rect)
+
+
+def test_survey_raises_when_a_wrap_is_lost_beside_a_line_zero(monkeypatch):
+    # 2 pi lost on the bottom edge of the cell that holds 0.5 + 12.1335i
+    # leaves that cell's winding count at 0; the band goes to the grid
+    # because its scan misses that root, and its count catches the loss
+    rect = Rect(0.0, 1.0, 12.0335, 15.1335)
+    assert len(survey_zeros(rect)) == 2
+    band_top = analysis._tiling(rect, analysis._CELL_SIZE, 0.0)[1][analysis._BAND_ROWS]
+    _drop_line_root(monkeypatch, FIRST_LINE_ZEROS[2])
+    _shift_phase(monkeypatch, 0.25 + 12.0335j, 0.52 + 12.0335j, -2.0 * math.pi)
+    seen = _grid_bands(monkeypatch)
+    with pytest.raises(ConvergenceError, match="wind"):
+        survey_zeros(rect)
+    assert seen == [(12.0335, band_top)]
+
+
+def test_survey_counts_the_zeros_right_of_a_narrow_window(monkeypatch):
+    # the off-line pair at t ~ 85.7 lies outside [0.2, 0.8]: its band
+    # goes to the grid, whose total falls two short of the band's count,
+    # and the strip right of the window holds one zero of the pair
+    wide = survey_zeros(Rect(0.0, 1.0, 80.0, 90.0))
+    seen = _grid_bands(monkeypatch)
+    recs = survey_zeros(Rect(0.2, 0.8, 80.0, 90.0))
+    assert seen == [(84.0, 86.0)]
+    assert len(recs) == len(wide) - 2
+    assert [r.location.z for r in recs] == [r.location.z for r in wide if r.on_line]
+
+
+def test_survey_finds_the_trivial_zeros_the_count_leaves_out(monkeypatch):
+    # f(-1) = f(-3) = 0; the strip count covers -1/2 < sigma < 3/2 only,
+    # and the band that holds t = 0 has no line zero to miss them by
+    seen = _grid_bands(monkeypatch)
+    recs = survey_zeros(Rect(-1.6, 1.0, -0.9, 1.0))
+    assert seen == [(-0.9, 1.0)]
+    assert [r.location.z for r in recs] == pytest.approx([-1.0], abs=1e-12)
+    seen.clear()
+    recs = survey_zeros(Rect(-3.6, 1.0, -0.6, 9.0))
+    assert seen == [(-0.6, 1.4)]
+    assert [r.location.z for r in recs] == pytest.approx(
+        [-3.0, -1.0, 0.5 + 1j * FIRST_LINE_ZEROS[0], 0.5 + 1j * FIRST_LINE_ZEROS[1]], abs=1e-8
+    )
+    assert [r.iterations == 0 for r in recs] == [False, False, True, True]
+
+
+def test_survey_off_the_line_keeps_the_grid_route(monkeypatch):
+    # a window without sigma = 1/2: no count, no line samples, and the
+    # records of the grid route alone
+    rect = Rect(0.55, 1.0, 80.0, 120.0)
+
+    def no_z(t):
+        raise AssertionError("a window off the line sampled Z")
+
+    monkeypatch.setattr(analysis, "z_function", no_z)
+    recs = survey_zeros(rect)
+    s_cuts, t_cuts = analysis._tiling(rect, analysis._CELL_SIZE, 0.0)
+    rows = analysis._BAND_ROWS
+    cells = [
+        (Rect(s_cuts[i], s_cuts[i + 1], tc[j], tc[j + 1]), int(c))
+        for tc in (t_cuts[lo : lo + rows + 1] for lo in range(0, len(t_cuts) - 1, rows))
+        for (j, i), c in np.ndenumerate(analysis._grid_counts(s_cuts, tc, analysis._SURVEY_SAMPLES))
+    ]
+    assert recs == analysis._by_height(analysis._localize(cells))
+    assert [r.location.z for r in recs] == pytest.approx(OFF_LINE_ZEROS[:2], abs=1e-9)
+
+
+def test_survey_retries_when_a_line_zero_sits_on_a_band_boundary(monkeypatch):
+    t_zero = 5.0941598445710952  # a line zero, to the last digit
+    rect = Rect(0.0, 1.0, t_zero - 2.0, t_zero + 2.0)
+    offsets = []
+    real_tiling = analysis._tiling
+
+    def tiling(r, cell_size, t_offset):
+        offsets.append(t_offset)
+        return real_tiling(r, cell_size, t_offset)
+
+    monkeypatch.setattr(analysis, "_tiling", tiling)
+    recs = survey_zeros(rect)
+    assert offsets == [0.0, 0.04]
+    assert min(abs(r.location.t - t_zero) for r in recs) < 1e-12
+
+
 # ----------------------------------------------------------------------
 # audits and limit probes
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ evaluation error.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,31 @@ def test_logabsx_many_bits_do_not_depend_on_the_point_block(monkeypatch):
     default = logabsx_many(pts)
     monkeypatch.setattr(xratio, "_POINT_BLOCK", 7)
     assert np.array_equal(logabsx_many(pts), default)
+
+
+def test_x_many_bits_do_not_depend_on_the_point_block(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    pts = rng.uniform(-6.0, 7.0, 100) + 1j * rng.uniform(-40.0, 40.0, 100)
+    pts = np.concatenate((pts, [-5.0, 0.5 + 3.0j]))  # a zero of X, the line
+    values, combos = xratio._x_many(pts)
+    monkeypatch.setattr(xratio, "_POINT_BLOCK", 7)
+    blocked = xratio._x_many(pts)
+    assert np.array_equal(blocked[0], values)
+    assert np.array_equal(blocked[1], combos, equal_nan=True)
+    assert values[-2] == 0.0 and combos[-2].real == -math.inf
+
+
+def test_x_many_memory_is_bounded_for_many_points():
+    # 50 000 points go through the complex log-gamma in fixed blocks; what
+    # grows is the two complex results, 32 bytes a point
+    pts = (np.linspace(0.05, 0.95, 5)[:, None] + 1j * np.linspace(0.0, 200.0, 10000)).ravel()
+    tracemalloc.start()
+    try:
+        xratio._x_many(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ----------------------------------------------------------------------
