@@ -5,7 +5,7 @@ the complex plane, traces the unit-modulus level set of the ratio,
 counts and refines zeros, and emits audit evidence around the
 off-critical-line zeros.  Modules:
 
-  specfun   log-gamma, digamma, Hurwitz zeta, principal powers
+  specfun   log-gamma, digamma, Hurwitz zeta
   dhfun     the series itself: values, derivative, rotated real form
   xratio    the reflection ratio X and its modulus derivatives
   analysis  level curves, kappa, winding counts, surveys, audits
@@ -15,7 +15,6 @@ off-critical-line zeros.  Modules:
 from .analysis import (
     AuditReport,
     CLAIM_IDS,
-    CURVE_TOL,
     CurvePolyline,
     KappaResult,
     LINE_TOL,
@@ -32,8 +31,8 @@ from .analysis import (
     trace_unit_curve,
 )
 from .dhfun import (
+    COEFFICIENTS,
     XI,
-    CoefficientTable,
     FnValue,
     f,
     f_batch,
@@ -55,10 +54,8 @@ from .errors import (
 )
 from .specfun import (
     ComplexPoint,
-    cpow,
     digamma,
     hurwitz_zeta,
-    hurwitz_zeta_any,
     lgamma,
 )
 from .xratio import (
@@ -82,8 +79,7 @@ __all__ = [
     "AuditReport",
     "BoundaryZeroError",
     "CLAIM_IDS",
-    "CURVE_TOL",
-    "CoefficientTable",
+    "COEFFICIENTS",
     "ComplexPoint",
     "ConvergenceError",
     "CurvePolyline",
@@ -102,7 +98,6 @@ __all__ = [
     "ZeroRecord",
     "audit_claims",
     "count_zeros_rect",
-    "cpow",
     "digamma",
     "dlogabsx_dt",
     "dsigma_logabsx",
@@ -113,7 +108,6 @@ __all__ = [
     "functional_eq_residual",
     "gamma_modulus_dt",
     "hurwitz_zeta",
-    "hurwitz_zeta_any",
     "kappa",
     "kappa_detail",
     "lgamma",

@@ -67,7 +67,6 @@ __all__ = [
     "KappaResult",
     "CLAIM_IDS",
     "LINE_TOL",
-    "CURVE_TOL",
     "trace_unit_curve",
     "kappa",
     "kappa_detail",
@@ -80,7 +79,6 @@ __all__ = [
 ]
 
 LINE_TOL = 1e-6
-CURVE_TOL = 1e-10
 _BOUNDARY_GUARD = 1e-8
 
 
@@ -462,8 +460,8 @@ def trace_unit_curve(window, step: float, worker_map=None):
     the bands in parallel; the output does not depend on it.
     """
     win = _as_rect(window)
-    if not step > 0.0:
-        raise DomainError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise DomainError("step must be positive and finite")
     n_rows = len(_axis(win.t_min, win.t_max, step, snap_line=False)) - 1
     n_cols = len(_axis(win.sigma_min, win.sigma_max, step, snap_line=True))
     rows = max(1, _BAND_POINTS // n_cols - 1)  # cell rows per band
@@ -678,9 +676,12 @@ def count_zeros_rect(rect, samples_per_side: int, max_retries: int = 3) -> int:
 # refinement
 # ----------------------------------------------------------------------
 
-# Newton stops once |f| < _NEWTON_TOL and gives up after _NEWTON_MAX_ITER steps.
+# Newton stops once |f| < _NEWTON_TOL and gives up after _NEWTON_MAX_ITER steps;
+# `refine_zero` stops it once an iterate leaves the disk of radius
+# _TRUST_RADIUS around its seed, and `_localize` uses at least that radius.
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 40
+_TRUST_RADIUS = 0.5
 
 
 def _line_polish(t_seeds: np.ndarray) -> np.ndarray:
@@ -770,14 +771,14 @@ def _refine_many(seeds: np.ndarray, trust_radii: np.ndarray):
     return s, iterations, errors
 
 
-def refine_zero(seed, trust_radius: float = 0.5) -> ZeroRecord:
+def refine_zero(seed) -> ZeroRecord:
     """Newton refinement of a zero from a seed point.
 
     Iterates s -> s - f(s)/f'(s), both from one evaluation pass (with
-    `f`'s AccuracyWarning), until |f| < 1e-10, raising
-    DivergedError if an iterate leaves the trust disk around the seed
-    and ConvergenceError if the budget of 40 steps runs out.  A result that lands
-    within 1e-6 of the critical line is re-polished along the line
+    `f`'s AccuracyWarning), until |f| < 1e-10, raising DivergedError if
+    an iterate leaves the trust disk of radius 0.5 around the seed and
+    ConvergenceError if the budget of 40 steps runs out.  A result that
+    lands within 1e-6 of the critical line is re-polished along the line
     itself (sign change of the rotated real form, pinned by
     `_bracket_roots`), so line zeros carry sigma = 1/2 exactly.  This is
     the one-seed case of the lockstep refinement that surveys run.
@@ -785,7 +786,7 @@ def refine_zero(seed, trust_radius: float = 0.5) -> ZeroRecord:
     s0 = seed.z if isinstance(seed, ComplexPoint) else complex(seed)
     if not (math.isfinite(s0.real) and math.isfinite(s0.imag)):
         raise DomainError("seed must be finite")
-    locs, iterations, errors = _refine_many(np.array([s0]), np.array([trust_radius]))
+    locs, iterations, errors = _refine_many(np.array([s0]), np.array([_TRUST_RADIUS]))
     if errors[0] is not None:
         raise errors[0]
     return _finish_records(locs, iterations)[0]
@@ -814,6 +815,8 @@ def scan_critical_line(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     can be missed; halve the step to confirm stability of the record
     set.  Z goes in fixed blocks, so memory grows only with the grid.
     """
+    if not all(math.isfinite(v) for v in (t0, t1, step)):
+        raise DomainError("t0, t1 and step must be finite")
     if not (t0 < t1 and step > 0.0):
         raise DomainError("need t0 < t1 and a positive step")
     ts = _axis(t0, t1, step, snap_line=False)
@@ -976,7 +979,7 @@ def _localize(cells) -> list[ZeroRecord]:
         seeds = [
             complex(0.5 * (c.sigma_min + c.sigma_max), 0.5 * (c.t_min + c.t_max)) for c in ones
         ]
-        radii = [max(0.5, c.width + c.height) for c in ones]
+        radii = [max(_TRUST_RADIUS, c.width + c.height) for c in ones]
         refined = iter(zip(*_refine_many(np.array(seeds), np.array(radii))))
         parts = []
         for cell, count, depth in pending:
@@ -1161,9 +1164,7 @@ def _zero_tag(rec: ZeroRecord) -> str:
 
 
 def _abs_difference(z: ZeroRecord) -> float:
-    """|f(s) - f(1 - s)| at a zero; the record keeps only the moduli.  One
-    f_batch per zero, so the value does not depend on which other zeros
-    the window holds."""
+    """|f(s) - f(1 - s)| at a zero; the record keeps only the moduli."""
     vals, _ = f_batch(np.array([z.location.z, z.paired_location.z]))
     return abs(complex(vals[0]) - complex(vals[1]))
 

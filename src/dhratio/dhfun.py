@@ -52,9 +52,8 @@ from .specfun import (
 from .xratio import _log_form, _x_many
 
 __all__ = [
-    "CoefficientTable",
+    "COEFFICIENTS",
     "FnValue",
-    "DEFAULT_TABLE",
     "XI",
     "f",
     "f_batch",
@@ -79,46 +78,12 @@ _POINT_BLOCK = ELEMENT_BUDGET // 32
 # coefficients
 # ----------------------------------------------------------------------
 
-
-def _xi_closed_form() -> float:
-    return (math.sqrt(10.0 - 2.0 * math.sqrt(5.0)) - 2.0) / (math.sqrt(5.0) - 1.0)
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Period-5 Dirichlet coefficients, indexed by residue n mod 5.
-
-    The tuple `a` satisfies a[0] = 0, a[1] = 1, a[2] = xi = -a[3],
-    a[4] = -1; the zero sum over a full period is what makes the series'
-    continuation entire.
-    """
-
-    xi: float
-    a: tuple[float, float, float, float, float]
-
-    def __post_init__(self) -> None:
-        ok = (
-            self.a[0] == 0.0
-            and self.a[1] == 1.0
-            and self.a[4] == -1.0
-            and self.a[2] == self.xi
-            and self.a[3] == -self.xi
-        )
-        if not ok:
-            raise DomainError(f"coefficient table {self.a} breaks the residue pattern")
-
-    @classmethod
-    def standard(cls) -> "CoefficientTable":
-        xi = _xi_closed_form()
-        return cls(xi=xi, a=(0.0, 1.0, xi, -xi, -1.0))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.a, dtype=np.float64)
-
-
-DEFAULT_TABLE = CoefficientTable.standard()
-XI = DEFAULT_TABLE.xi
+XI = (math.sqrt(10.0 - 2.0 * math.sqrt(5.0)) - 2.0) / (math.sqrt(5.0) - 1.0)
+# a(n mod 5), indexed by residue: a[0] = 0, a[1] = 1, a[2] = xi = -a[3],
+# a[4] = -1.  The zero sum over a full period is what makes the series'
+# continuation entire.
+COEFFICIENTS = np.array([0.0, 1.0, XI, -XI, -1.0])
+COEFFICIENTS.flags.writeable = False
 
 # Reflected-side coefficients S_m = 2 [sin(2 pi m/5) + xi sin(4 pi m/5)],
 # kept as computed (not simplified) so the functional-equation residual
@@ -189,7 +154,7 @@ def _f_direct(s: np.ndarray, deriv: bool):
     power is ever formed on its own, so nothing overflows for large
     Re s, where every term is at most 1.  `deriv` adds f' in closed form.
     """
-    a = DEFAULT_TABLE.array
+    a = COEFFICIENTS
     n_split = em_split_point(np.abs(s.imag), s.real)
     direct, ddirect, scale = _dirichlet_sum(  # column k is m = 5 (k // 4) + k % 4 + 1
         s, 4 * n_split, lambda k: (np.log(5 * (k // 4) + k % 4 + 1.0), a[k % 4 + 1]), deriv
@@ -354,7 +319,7 @@ def _brute_sum(s: np.ndarray, n_terms: int, columns) -> np.ndarray:
 # with B_N(x) = int_N^x (A - A_MEAN), which is periodic and piecewise linear
 # with nodes at the integers: B_N(N + j) = C(r + j) - C(r), r = N mod 5, on
 # the cumulative C(j) = sum_{k<j} (A(k) - A_MEAN), j = 0..5, C(5) = 0.
-_A_PERIOD = np.cumsum(DEFAULT_TABLE.array)
+_A_PERIOD = np.cumsum(COEFFICIENTS)
 _A_MEAN = float(_A_PERIOD.mean())
 _C_PERIOD = np.concatenate(([0.0], np.cumsum(_A_PERIOD - _A_MEAN)))
 # max |B_N| for each phase r: A_MEAN at r = 0, 2 A_MEAN at r = 1 and 4
@@ -376,7 +341,7 @@ def _series_many(s, n_terms: int):
 
     def columns(n):
         n = n[n % 5 != 0]  # a(0) = 0
-        return np.log(n), DEFAULT_TABLE.array[n % 5]
+        return np.log(n), COEFFICIENTS[n % 5]
 
     log_n = math.log(n_terms)
     sigma = arr.real

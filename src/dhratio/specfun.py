@@ -1,15 +1,14 @@
 """Self-contained complex special-function kernel.
 
 Everything downstream (the Dirichlet series, the functional-equation
-ratio, the curve and zero machinery) reduces to five primitives over the
+ratio, the curve and zero machinery) reduces to these functions over the
 complex plane:
 
     lgamma(z)        principal-branch log Gamma, shift + Stirling series
     log_abs_gamma(z) its real part log|Gamma(z)|, real-only through the shift
     digamma(z)       psi(z), shift + asymptotic series
-    hurwitz_zeta(s,a) Euler-Maclaurin continuation of sum (n+a)^-s: one
-                      order-64 tail, one split rule for every point
-    cpow(b, s)       b^s = exp(s ln b) for real b > 0
+    hurwitz_zeta(s,a) Euler-Maclaurin continuation of sum (n+a)^-s, a > 0:
+                      one order-64 tail, one split rule for every point
 
 Every direct Dirichlet block, here and in the series evaluator, goes
 through one kernel, `_dirichlet_sum`.  It writes m^-s = m^-sigma *
@@ -18,7 +17,7 @@ row per distinct |t|, so points that share a height (or a sigma column)
 share the transcendental work; a real multiply-reduce combines the rows
 per point.
 
-All five accept Python scalars (complex/float/int), `ComplexPoint`, or
+All four accept Python scalars (complex/float/int), `ComplexPoint`, or
 numpy arrays of points; scalar in, scalar out.  Accuracy is engineered
 for IEEE double precision:
 
@@ -57,8 +56,6 @@ __all__ = [
     "log_abs_gamma",
     "digamma",
     "hurwitz_zeta",
-    "hurwitz_zeta_any",
-    "cpow",
 ]
 
 # ----------------------------------------------------------------------
@@ -487,10 +484,14 @@ def _hurwitz_batch(s: np.ndarray, a: float, deriv: bool = False):
     return out, dout, err
 
 
-def hurwitz_zeta_any(s, a: float):
-    """Hurwitz zeta for any real parameter a > 0 (recurrence-friendly).
+def hurwitz_zeta(s, a: float):
+    """Analytic continuation of sum_{n>=0} (n+a)^-s for any real a > 0.
 
-    Raises DomainError where |zeta| overflows float64.
+    Euler-Maclaurin with corrections up to Bernoulli index 64 and each
+    point's own split N = ceil(0.2771 max(|Im s|, min(max(Re s, 0), 20)))
+    + 8 (see em_split_point), so a point gets the same value alone or in
+    any array.  Raises PoleError at s = 1, DomainError where |zeta|
+    overflows float64 and DomainError unless a is finite and positive.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"parameter a = {a} must be positive")
@@ -505,33 +506,9 @@ def hurwitz_zeta_any(s, a: float):
     return _unpack(out, was_scalar)
 
 
-def hurwitz_zeta(s, a: float):
-    """Analytic continuation of sum_{n>=0} (n+a)^-s for a in (0, 1].
-
-    Euler-Maclaurin with corrections up to Bernoulli index 64 and each
-    point's own split N = ceil(0.2771 max(|Im s|, min(max(Re s, 0), 20)))
-    + 8 (see em_split_point), so a point gets the same value alone or in
-    any array.  Raises PoleError at s = 1, DomainError where |zeta|
-    overflows float64 and DomainError for a outside (0, 1] (use
-    hurwitz_zeta_any for shifted parameters).
-    """
-    if not 0.0 < a <= 1.0:
-        raise DomainError(f"parameter a = {a} must lie in (0, 1]")
-    return hurwitz_zeta_any(s, a)
-
-
 # ----------------------------------------------------------------------
-# powers and trigonometry
+# trigonometry
 # ----------------------------------------------------------------------
-
-
-def cpow(b: float, s):
-    """b**s = exp(s ln b) for real b > 0, principal branch."""
-    if not (b > 0.0 and math.isfinite(b)):
-        raise DomainError(f"base b = {b} must be a positive real")
-    arr, was_scalar = as_points(s)
-    out = np.exp(arr * math.log(b))
-    return _unpack(out, was_scalar)
 
 
 def _sin_cos_pi(w: np.ndarray):

@@ -17,13 +17,7 @@ import numpy as np
 from .analysis import Rect, kappa_detail, refine_zero, survey_zeros, trace_unit_curve
 from .dhfun import _brute_sum, _rotated_line, _series_many, f_batch, functional_eq_residual
 from .errors import DomainError, PoleError
-from .specfun import (
-    ELEMENT_BUDGET,
-    digamma,
-    hurwitz_zeta,
-    hurwitz_zeta_any,
-    lgamma,
-)
+from .specfun import ELEMENT_BUDGET, digamma, hurwitz_zeta, lgamma
 from .xratio import (
     _gamma_args,
     _x_many,
@@ -95,7 +89,7 @@ def _drawn_pairs(rng, n, re_lo, re_hi, im_lo, im_hi) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _suite_specfun(rng, worker_map=None) -> SuiteResult:
+def _suite_specfun(rng) -> SuiteResult:
     checks = []
 
     z = _random_points(
@@ -145,8 +139,8 @@ def _suite_specfun(rng, worker_map=None) -> SuiteResult:
     arec = rng.uniform(0.05, 1.0, 60)
     rel = []
     for sv, av in zip(srec, arec):
-        here = hurwitz_zeta_any(sv, av)
-        shifted = hurwitz_zeta_any(sv, av + 1.0)
+        here = hurwitz_zeta(sv, av)
+        shifted = hurwitz_zeta(sv, av + 1.0)
         power = np.exp(-sv * np.log(av))
         rel.append(abs(here - shifted - power) / (abs(here) + abs(shifted) + abs(power)))
     checks.append(_check("hurwitz_recurrence", max(rel), 1e-10))
@@ -176,7 +170,7 @@ def _suite_specfun(rng, worker_map=None) -> SuiteResult:
 # ----------------------------------------------------------------------
 
 
-def _suite_dhfun(rng, worker_map=None) -> SuiteResult:
+def _suite_dhfun(rng) -> SuiteResult:
     checks = []
 
     s = _random_points(rng, 40, -8.0, 8.0, -40.0, 40.0)
@@ -226,7 +220,7 @@ def _worst_rel(series, fd) -> float:
     return float(np.max(np.abs(series - fd) / np.maximum(np.abs(fd), 1e-12), initial=0.0))
 
 
-def _suite_xratio(rng, worker_map=None) -> SuiteResult:
+def _suite_xratio(rng) -> SuiteResult:
     checks = []
 
     t = rng.uniform(-100.0, 100.0, 1000)
@@ -308,10 +302,10 @@ def _suite_xratio(rng, worker_map=None) -> SuiteResult:
 # ----------------------------------------------------------------------
 
 
-def _suite_analysis(rng, worker_map=None) -> SuiteResult:
+def _suite_analysis(rng) -> SuiteResult:
     checks = []
 
-    polys = trace_unit_curve(Rect(-2.0, 3.0, -2.2, 2.2), 0.02, worker_map=worker_map)
+    polys = trace_unit_curve(Rect(-2.0, 3.0, -2.2, 2.2), 0.02)
     verts = np.array([v.z for p in polys for v in p.vertices])
     g = logabsx_many(verts)
     checks.append(_check("curve_soundness", np.abs(g).max(), 1e-10))
@@ -335,7 +329,7 @@ def _suite_analysis(rng, worker_map=None) -> SuiteResult:
     checks.append(_check("known_zero_distance", worst_dist, 1e-4))
     checks.append(_check("known_zero_residual", worst_res, 1e-8))
 
-    records = survey_zeros(Rect(0.0, 1.0, 0.0, 120.0), worker_map=worker_map)
+    records = survey_zeros(Rect(0.0, 1.0, 0.0, 120.0))
     pairing = max(rec.paired_residual for rec in records)
     checks.append(_check("pairing", pairing, 1e-6))
     off = [rec for rec in records if not rec.on_line]
@@ -354,17 +348,17 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, worker_map=None) -> SuiteResult:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Run one named invariant suite, its draws seeded by `seed`, and
     return its check results."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise DomainError("seed must be a non-negative integer")
-    return _SUITES[name](np.random.default_rng(seed), worker_map)
+    return _SUITES[name](np.random.default_rng(seed))
 
 
-def run_suites(names, seed: int = DEFAULT_SEED, worker_map=None) -> list[SuiteResult]:
+def run_suites(names, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     """Run several suites ('all' expands to every suite, in order)."""
     expanded: list[str] = []
     for n in names:
@@ -372,4 +366,4 @@ def run_suites(names, seed: int = DEFAULT_SEED, worker_map=None) -> list[SuiteRe
             expanded.extend(SUITE_NAMES)
         else:
             expanded.append(n)
-    return [run_suite(n, seed, worker_map) for n in expanded]
+    return [run_suite(n, seed) for n in expanded]

@@ -339,7 +339,7 @@ def test_refine_snaps_line_zeros_to_exact_half():
 
 def test_refine_diverges_cleanly_far_from_zeros():
     with pytest.raises(DivergedError):
-        refine_zero(8.0 + 0.3j, trust_radius=0.5)
+        refine_zero(8.0 + 0.3j)
 
 
 def test_lockstep_newton_warns_per_point(monkeypatch):

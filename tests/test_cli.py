@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
+import os
+import warnings
 
 import pytest
 
@@ -20,6 +23,27 @@ def run(args, capsys):
     status = main(args)
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+def fake_pool(monkeypatch, cores, map_=map):
+    """Swap ProcessPoolExecutor for an in-process stand-in whose map is
+    `map_`, on a machine of `cores` cores; returns the list of the pool
+    sizes asked for, one per pool opened."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map_(fn, *iterables)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    return sizes
 
 
 def test_parser_subcommands_are_the_command_table():
@@ -169,6 +193,22 @@ def test_scan_rejects_reversed_range(capsys):
     assert status == BAD_INPUT
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["scan", "--t0", "0", "--t1", "inf"], "t0, t1 and step must be finite"),
+        (["scan", "--t0", "0", "--t1", "30", "--step", "inf"], "t0, t1 and step must be finite"),
+        (["curve", "--window", "0,1,0,1", "--step", "inf"], "step must be positive and finite"),
+    ],
+)
+def test_non_finite_heights_and_steps_are_input_errors(args, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run(args + ["--format", "json"], capsys)
+    assert (status, out) == (BAD_INPUT, "")
+    assert json.loads(err) == {"error": "DomainError", "message": message}
+
+
 # ----------------------------------------------------------------------
 # verify / audit
 # ----------------------------------------------------------------------
@@ -244,6 +284,25 @@ def test_jobs_below_one_is_an_input_error(capsys):
     status, _, err = run(["zeros", "--rect", "0,1", "--jobs", "0", "--format", "csv"], capsys)
     assert status == BAD_INPUT
     assert "rectangle must be sigma0,sigma1,t0,t1" in err
+
+
+def test_jobs_are_capped_at_the_core_count(monkeypatch, capsys):
+    args = ["zeros", "--rect", "0,1,4,10", "--format", "csv"]
+    _, serial, _ = run(args, capsys)
+    for cores, opened in ((3, [3]), (1, []), (None, [])):
+        sizes = fake_pool(monkeypatch, cores)
+        assert run(args + ["--jobs", "100000"], capsys) == (OK, serial, "")
+        assert sizes == opened
+
+
+def test_verify_sends_no_work_to_the_pool(monkeypatch, capsys):
+    def refuse(fn, *iterables):
+        raise AssertionError("verify sent work to the pool")
+
+    fake_pool(monkeypatch, 2, refuse)
+    status, out, _ = run(["verify", "--suite", "analysis", "--jobs", "2"], capsys)
+    assert status == OK
+    assert json.loads(out)["all_passed"] is True
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from dhratio import dhfun, specfun, suites
 from dhratio.dhfun import (
-    DEFAULT_TABLE,
+    COEFFICIENTS,
     XI,
-    CoefficientTable,
     f,
     f_batch,
     f_prime,
@@ -134,10 +133,11 @@ def test_xi_closed_form_value():
 
 
 def test_coefficient_table_validation():
-    tab = CoefficientTable.standard()
-    assert tab.a[1] == 1.0 and tab.a[4] == -1.0 and tab.a[2] == -tab.a[3]
-    with pytest.raises(DomainError):
-        CoefficientTable(xi=XI, a=(0.0, 1.0, XI, XI, -1.0))
+    a = COEFFICIENTS
+    assert a[0] == 0.0 and a[2] == XI
+    assert a[1] == 1.0 and a[4] == -1.0 and a[2] == -a[3]
+    with pytest.raises(ValueError):  # read-only
+        a[3] = XI
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_series_error_estimate_is_honest():
 def test_abel_bound_constants_match_the_partial_sums():
     # max |B_N| over two periods of B_N(x) = int_N^x (A - mean A), summed
     # from the coefficients themselves; B_N is linear between integers
-    coeffs = DEFAULT_TABLE.array[np.arange(0, 40) % 5]
+    coeffs = COEFFICIENTS[np.arange(0, 40) % 5]
     partial = np.cumsum(coeffs)  # A(n), n = 0..39
     mean = partial.mean()
     assert mean == pytest.approx((3.0 + XI) / 5.0, abs=1e-15)

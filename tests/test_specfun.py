@@ -20,11 +20,9 @@ from dhratio import specfun, suites
 from dhratio.errors import DomainError, PoleError
 from dhratio.specfun import (
     ComplexPoint,
-    cpow,
     digamma,
     em_split_point,
     hurwitz_zeta,
-    hurwitz_zeta_any,
     lgamma,
     log_abs_gamma,
 )
@@ -200,11 +198,9 @@ def test_hurwitz_pole_and_domain():
         hurwitz_zeta(1.0 + 0.0j, 0.3)
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0 + 0.0j, 0.0)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2.0 + 0.0j, 1.5)
-    # the unrestricted evaluator accepts any positive offset:
-    # zeta(2, 1.5) = zeta(2, 0.5) - 0.5^-2 by one recurrence step
-    assert abs(hurwitz_zeta_any(2.0 + 0.0j, 1.5) - (4.934802200544679309417 - 4.0)) < 1e-12
+    # any positive offset: zeta(2, 1.5) = zeta(2, 0.5) - 0.5^-2 by one
+    # recurrence step
+    assert abs(hurwitz_zeta(2.0 + 0.0j, 1.5) - (4.934802200544679309417 - 4.0)) < 1e-12
 
 
 def test_hurwitz_overflow_raises_and_far_right_is_one():
@@ -212,12 +208,11 @@ def test_hurwitz_overflow_raises_and_far_right_is_one():
     # a = 1 is finite, and no numpy warning leaks from either
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for zeta in (hurwitz_zeta, hurwitz_zeta_any):
-            for sv in (3000.0 + 0.0j, 1e7 + 200.0j):
-                with pytest.raises(DomainError, match="overflows"):
-                    zeta(sv, 0.2)
-            assert zeta(1e15 + 0.0j, 1.0) == 1.0
-            assert zeta(np.array([1e15, 1e300]), 1.0).tolist() == [1.0, 1.0]
+        for sv in (3000.0 + 0.0j, 1e7 + 200.0j):
+            with pytest.raises(DomainError, match="overflows"):
+                hurwitz_zeta(sv, 0.2)
+        assert hurwitz_zeta(1e15 + 0.0j, 1.0) == 1.0
+        assert hurwitz_zeta(np.array([1e15, 1e300]), 1.0).tolist() == [1.0, 1.0]
 
 
 def test_hurwitz_brute_force_at_re3():
@@ -348,7 +343,7 @@ def test_dirichlet_kernel_bits_do_not_depend_on_einsums_grouping(monkeypatch):
 def test_hurwitz_recurrence_property(re, im, a):
     s = complex(re, im)
     assume(abs(s - 1.0) > 0.05)
-    lhs = hurwitz_zeta_any(s, a) - hurwitz_zeta_any(s, a + 1.0)
+    lhs = hurwitz_zeta(s, a) - hurwitz_zeta(s, a + 1.0)
     rhs = np.exp(-s * np.log(np.complex128(a)))
     # a^{-s} can reach ~1e6 for small a and large re, so scale the budget
     scale = max(1.0, abs(rhs))
@@ -357,13 +352,13 @@ def test_hurwitz_recurrence_property(re, im, a):
 
 def test_hurwitz_recurrence_check_catches_a_broken_recurrence(monkeypatch):
     # the suite's relative defect must still see a 1e-7 error in the a^-s step
-    real = suites.hurwitz_zeta_any
+    real = suites.hurwitz_zeta
 
     def broken(s, a):
         value = real(s, a)
         return value + 1e-7 * np.exp(-s * np.log(a - 1.0)) if a > 1.0 else value
 
-    monkeypatch.setattr(suites, "hurwitz_zeta_any", broken)
+    monkeypatch.setattr(suites, "hurwitz_zeta", broken)
     check = {c.name: c for c in suites.run_suite("specfun").checks}["hurwitz_recurrence"]
     assert not check.passed and check.measured > 1e-8
 
@@ -381,21 +376,8 @@ def test_hurwitz_conjugate_property(re, im, a):
 
 
 # ----------------------------------------------------------------------
-# principal powers and exact half-period sine
+# seeded draws and exact half-period sine
 # ----------------------------------------------------------------------
-
-
-def test_cpow_reference_value():
-    want = 0.6878068271514742323019 + 0.9211392799746480204736j
-    got = cpow(5.0 / math.pi, 0.3 + 2.0j)
-    assert abs(got - want) < 1e-14
-
-
-def test_cpow_rejects_nonpositive_base():
-    with pytest.raises(DomainError):
-        cpow(-2.0, 1.0 + 0.0j)
-    with pytest.raises(DomainError):
-        cpow(0.0, 1.0 + 0.0j)
 
 
 def test_random_points_keep_the_loop_draws():
