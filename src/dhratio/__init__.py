@@ -11,117 +11,88 @@ off-critical-line zeros.  Modules:
   analysis  level curves, kappa, winding counts, surveys, audits
   suites    named invariant suites (shared with `dhratio verify`)
   cli       the `dhratio` command
+
+`import dhratio` loads no submodule and not numpy: each name below is
+imported from its module on first use (PEP 562).  That lets `dhratio.cli`
+run its first lines before numpy loads.
 """
-from .analysis import (
-    AuditReport,
-    CLAIM_IDS,
-    CurvePolyline,
-    KappaResult,
-    LINE_TOL,
-    Rect,
-    ZeroRecord,
-    audit_claims,
-    count_zeros_rect,
-    kappa,
-    kappa_detail,
-    limit_probe,
-    refine_zero,
-    scan_critical_line,
-    survey_zeros,
-    trace_unit_curve,
-)
-from .dhfun import (
-    COEFFICIENTS,
-    XI,
-    FnValue,
-    f,
-    f_batch,
-    f_prime,
-    f_series,
-    functional_eq_residual,
-    pq,
-    z_function,
-)
-from .errors import (
-    AccuracyWarning,
-    BoundaryZeroError,
-    ConvergenceError,
-    DegenerateCellWarning,
-    DivergedError,
-    DomainError,
-    PoleError,
-    UndersampledError,
-)
-from .specfun import (
-    ComplexPoint,
-    digamma,
-    hurwitz_zeta,
-    lgamma,
-)
-from .xratio import (
-    MirrorPair,
-    RatioValue,
-    dlogabsx_dt,
-    dsigma_logabsx,
-    gamma_modulus_dt,
-    logabsx_many,
-    poles,
-    reciprocity_defect,
-    reflection_defect,
-    trivial_zeros,
-    x_of,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyWarning",
-    "AuditReport",
-    "BoundaryZeroError",
-    "CLAIM_IDS",
-    "COEFFICIENTS",
-    "ComplexPoint",
-    "ConvergenceError",
-    "CurvePolyline",
-    "DegenerateCellWarning",
-    "DivergedError",
-    "DomainError",
-    "FnValue",
-    "KappaResult",
-    "LINE_TOL",
-    "MirrorPair",
-    "PoleError",
-    "RatioValue",
-    "Rect",
-    "UndersampledError",
-    "XI",
-    "ZeroRecord",
-    "audit_claims",
-    "count_zeros_rect",
-    "digamma",
-    "dlogabsx_dt",
-    "dsigma_logabsx",
-    "f",
-    "f_batch",
-    "f_prime",
-    "f_series",
-    "functional_eq_residual",
-    "gamma_modulus_dt",
-    "hurwitz_zeta",
-    "kappa",
-    "kappa_detail",
-    "lgamma",
-    "limit_probe",
-    "logabsx_many",
-    "pq",
-    "poles",
-    "refine_zero",
-    "reflection_defect",
-    "reciprocity_defect",
-    "scan_critical_line",
-    "survey_zeros",
-    "trace_unit_curve",
-    "trivial_zeros",
-    "x_of",
-    "z_function",
-]
+_EXPORTS = {
+    "analysis": (
+        "AuditReport",
+        "CLAIM_IDS",
+        "CurvePolyline",
+        "KappaResult",
+        "LINE_TOL",
+        "Rect",
+        "ZeroRecord",
+        "audit_claims",
+        "count_zeros_rect",
+        "kappa",
+        "kappa_detail",
+        "limit_probe",
+        "refine_zero",
+        "scan_critical_line",
+        "survey_zeros",
+        "trace_unit_curve",
+    ),
+    "dhfun": (
+        "COEFFICIENTS",
+        "XI",
+        "FnValue",
+        "f",
+        "f_batch",
+        "f_prime",
+        "f_series",
+        "functional_eq_residual",
+        "pq",
+        "z_function",
+    ),
+    "errors": (
+        "AccuracyWarning",
+        "BoundaryZeroError",
+        "ConvergenceError",
+        "DegenerateCellWarning",
+        "DivergedError",
+        "DomainError",
+        "PoleError",
+        "UndersampledError",
+    ),
+    "specfun": (
+        "ComplexPoint",
+        "digamma",
+        "hurwitz_zeta",
+        "lgamma",
+    ),
+    "xratio": (
+        "MirrorPair",
+        "RatioValue",
+        "dlogabsx_dt",
+        "dsigma_logabsx",
+        "gamma_modulus_dt",
+        "logabsx_many",
+        "poles",
+        "reciprocity_defect",
+        "reflection_defect",
+        "trivial_zeros",
+        "x_of",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))

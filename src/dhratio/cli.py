@@ -15,6 +15,10 @@ long runs only: zeros --rect 0,1,0,2000 takes 3.05 s instead of 3.87 s,
 curve --window=-2,3,-2.2,2.2 --step 0.005 0.69 s instead of 1.00 s, while
 short surveys spend more on starting the pool than it saves.
 
+The command runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is
+set, because numpy would otherwise start a BLAS worker per extra core at
+import, and dhratio's only BLAS-backed call is one small polyfit in kappa.
+
 Exit status: 0 success, 1 failed verify checks, 2 configuration
 errors (a --jobs below 1 among them), 3 convergence failures, 4 I/O
 errors.  In JSON mode errors also emit a machine-readable object on
@@ -29,6 +33,9 @@ import io
 import json
 import os
 import sys
+
+# one OpenBLAS thread, set before the imports below load numpy (see above)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (
     Rect,

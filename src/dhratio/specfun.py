@@ -44,7 +44,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -122,28 +121,29 @@ def _unpack(values: np.ndarray, was_scalar: bool):
 # Bernoulli machinery
 # ----------------------------------------------------------------------
 
-# B_2, B_4, ..., B_30
-_BERNOULLI = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-    Fraction(-236364091, 2730), Fraction(8553103, 6), Fraction(-23749461029, 870),
-    Fraction(8615841276005, 14322),
-]
-
-# Stirling series for log Gamma: sum_n B_2n / (2n (2n-1) w^(2n-1))
+# Stirling series for log Gamma: sum_n B_2n / (2n (2n-1) w^(2n-1)), and
+# the asymptotic series for psi: ln w - 1/(2w) - sum_n B_2n / (2n w^2n),
+# for n = 1..15.  Literals, like _EM_COEF below, so that the import needs
+# no `fractions`; the specfun tests rebuild both exactly from B_2..B_30.
 _STIRLING_COEF = [
-    float(b / (2 * n * (2 * n - 1))) for n, b in enumerate(_BERNOULLI, start=1)
+    0.08333333333333333, -0.002777777777777778, 0.0007936507936507937,
+    -0.0005952380952380953, 0.0008417508417508417, -0.0019175269175269176,
+    0.00641025641025641, -0.029550653594771242, 0.17964437236883057,
+    -1.3924322169059011, 13.402864044168393, -156.84828462600203,
+    2193.1033333333335, -36108.77125372499, 691472.268851313,
 ]
-
-# Asymptotic series for psi: ln w - 1/(2w) - sum_n B_2n / (2n w^2n)
-_DIGAMMA_COEF = [float(b / (2 * n)) for n, b in enumerate(_BERNOULLI, start=1)]
+_DIGAMMA_COEF = [
+    0.08333333333333333, -0.008333333333333333, 0.003968253968253968,
+    -0.004166666666666667, 0.007575757575757576, -0.021092796092796094,
+    0.08333333333333333, -0.4432598039215686, 3.0539543302701198,
+    -26.456212121212122, 281.46014492753625, -3607.5105463980462,
+    54827.583333333336, -974936.8238505747, 20052695.79668808,
+]
 
 # Euler-Maclaurin tail for Hurwitz zeta: B_2k / (2k)! for k = 1..33, through
 # the B_66 that the order-64 tail's omitted term needs.  A literal, because
-# building B_66 from Fractions costs about 12 ms of import; the first 15
-# entries equal float(b / (2k)!) over _BERNOULLI, and the specfun tests
-# rebuild all 33 exactly.
+# building B_66 from Fractions costs about 12 ms of import; the specfun
+# tests rebuild all 33 exactly.
 _EM_COEF = [
     0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
     -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,

@@ -5,10 +5,13 @@ import argparse
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import dhratio
 from dhratio import cli
 from dhratio.cli import main
 from dhratio.dhfun import f
@@ -316,3 +319,65 @@ def test_out_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert status == OK
     assert abs(json.loads(target.read_text())["trace_value"] - 1.21164) < 1e-3
+
+
+# ----------------------------------------------------------------------
+# start-up: a lazy package, and OpenBLAS on one thread
+# ----------------------------------------------------------------------
+
+
+def fresh_python(code: str, **env) -> list[str]:
+    """stdout lines of `code` run in a new interpreter that finds this
+    dhratio; `env` sets variables, None removes one.  The environment is
+    built here, because importing dhratio.cli in this process already ran
+    its setdefault on os.environ."""
+    full = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dhratio.__file__)))
+    for key, value in env.items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=full, capture_output=True, text=True, timeout=60, check=True
+    )
+    return done.stdout.splitlines()
+
+
+def test_import_dhratio_loads_neither_numpy_nor_a_submodule():
+    code = (
+        "import sys, dhratio\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('dhratio.')))\n"
+        "print(dhratio.analysis.__name__, dhratio.f is dhratio.dhfun.f)\n"
+    )
+    assert fresh_python(code) == ["[]", "dhratio.analysis True"]
+
+
+def test_every_exported_name_resolves():
+    names = {}
+    exec("from dhratio import *", names)
+    assert set(dhratio.__all__) <= set(names) and set(dhratio.__all__) <= set(dir(dhratio))
+    assert all(names[n] is getattr(dhratio, n) for n in dhratio.__all__)
+    assert dhratio.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+        dhratio.nonsense
+
+
+_BLAS_THREADS = """
+import os, sys
+import dhratio.cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("Threads:")))
+"""
+
+
+def test_cli_runs_openblas_on_one_thread():
+    lines = fresh_python(_BLAS_THREADS, OPENBLAS_NUM_THREADS=None)
+    assert lines[0] == "1"
+    if sys.platform.startswith("linux"):
+        assert lines[1] == "1"  # numpy is loaded, and no BLAS worker started
+
+
+def test_cli_keeps_a_user_set_openblas_thread_count():
+    assert fresh_python(_BLAS_THREADS, OPENBLAS_NUM_THREADS="2")[0] == "2"

@@ -503,12 +503,27 @@ def test_em_tail_scaling_keeps_the_unscaled_bits():
         assert np.array_equal(got, want)
 
 
+# B_2, B_4, ..., B_30
+_BERNOULLI = [
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
+    Fraction(-236364091, 2730), Fraction(8553103, 6), Fraction(-23749461029, 870),
+    Fraction(8615841276005, 14322),
+]
+
+
 def test_em_coefficients_are_the_exact_bernoulli_ratios():
-    # B_2k / (2k)! for k = 1..33, correctly rounded, from exact Bernoulli
-    # numbers (sum_{j <= m} C(m + 1, j) B_j = 0)
+    # every coefficient list, correctly rounded, from exact Bernoulli
+    # numbers (sum_{j <= m} C(m + 1, j) B_j = 0): B_2k / (2k)! for
+    # k = 1..33 in the EM tail, and B_2n / (2n (2n - 1)) and B_2n / 2n for
+    # n = 1..15 in the Stirling and digamma series
     b = [Fraction(1)]
     for m in range(1, 67):
         b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
     want = [float(b[2 * k] / math.factorial(2 * k)) for k in range(1, 34)]
     assert specfun._EM_COEF == want
-    assert [Fraction(v) for v in b[2:32:2]] == specfun._BERNOULLI
+    assert b[2:32:2] == _BERNOULLI
+    pairs = list(enumerate(_BERNOULLI, start=1))
+    assert specfun._STIRLING_COEF == [float(bn / (2 * n * (2 * n - 1))) for n, bn in pairs]
+    assert specfun._DIGAMMA_COEF == [float(bn / (2 * n)) for n, bn in pairs]
