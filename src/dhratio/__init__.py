@@ -68,7 +68,6 @@ _EXPORTS = {
         "lgamma",
     ),
     "xratio": (
-        "MirrorPair",
         "RatioValue",
         "dlogabsx_dt",
         "dsigma_logabsx",

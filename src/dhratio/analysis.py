@@ -102,6 +102,8 @@ class Rect:
             raise DomainError("rectangle coordinates must be finite")
         if not (self.sigma_min < self.sigma_max and self.t_min < self.t_max):
             raise DomainError(f"degenerate rectangle {vals}")
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise DomainError(f"the width or height of rectangle {vals} overflows float64")
 
     @property
     def width(self) -> float:
@@ -213,8 +215,21 @@ def _h_at(pts: np.ndarray) -> np.ndarray:
     return out
 
 
+# Most samples or cuts along one axis: 1 << 22 float64 values take 32 MB before
+# the first evaluation, and a documented command builds at most 20 001.  More
+# is a mistyped step or window, which would allocate or loop without bound.
+_MAX_AXIS = 1 << 22
+
+
+def _refuse_long_axis(count: float, what: str) -> None:
+    if not count <= _MAX_AXIS:  # inf and NaN too
+        raise DomainError(f"{count:.3g} {what} along one axis; at most {_MAX_AXIS}")
+
+
 def _axis(lo: float, hi: float, step: float, snap_line: bool) -> np.ndarray:
-    n = max(1, int(math.ceil((hi - lo) / step - 1e-9)))
+    steps = (hi - lo) / step
+    _refuse_long_axis(steps, f"steps of {step:g} over [{lo:g}, {hi:g}]")
+    n = max(1, int(math.ceil(steps - 1e-9)))
     values = lo + step * np.arange(n + 1)
     values[-1] = min(values[-1], hi)
     if snap_line:
@@ -942,13 +957,17 @@ def _grid_band(s_cuts, t_cuts, expected):
 
 def _tiling(rect: Rect, cell_size: float, t_offset: float):
     """Cuts (s_cuts, t_cuts) tiling a rectangle with cells of roughly
-    `cell_size`, keeping the interior cuts off the critical line and
-    shifting the t-cuts by the retry offset."""
+    `cell_size`, keeping the interior sigma-cuts off the critical line and
+    the trivial zeros and shifting the t-cuts by the retry offset."""
+    _refuse_long_axis(max(rect.width, rect.height) / cell_size, f"cells of side {cell_size:g}")
     s_cuts = [rect.sigma_min]
     n_s = max(1, int(round(rect.width / cell_size)))
     for k in range(1, n_s):
         cut = rect.sigma_min + rect.width * k / n_s
-        if abs(cut - 0.5) < 0.02:
+        # a sigma-cut on the line or on a trivial zero -1, -3, ... would
+        # put zeros on a cell boundary at every offset: retries move t-cuts only
+        odd = 2.0 * round(0.5 * (cut - 1.0)) + 1.0
+        if abs(cut - 0.5) < 0.02 or (odd < 0.0 and abs(cut - odd) < 0.02):
             cut += 0.02
         s_cuts.append(cut)
     s_cuts.append(rect.sigma_max)
@@ -1149,83 +1168,85 @@ def limit_probe(zero: ZeroRecord, direction: str, radii) -> list[tuple[float, fl
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must decrease strictly")
 
-    out = []
-    for r in radii:
-        if direction == "along_t":
-            p, q = pq(zero.location.sigma, zero.location.t + r)
-        else:
-            p, q = pq(zero.location.sigma + r, zero.location.t)
-        out.append((r, math.sqrt(abs(p) / abs(q))))
-    return out
+    r = np.array(radii)
+    if direction == "along_t":
+        p, q = pq(zero.location.sigma, zero.location.t + r)
+    else:
+        p, q = pq(zero.location.sigma + r, zero.location.t)
+    return list(zip(radii, np.sqrt(np.abs(p) / np.abs(q)).tolist()))
 
 
 def _zero_tag(rec: ZeroRecord) -> str:
     return f"zero at {rec.location.sigma:.12g}+{rec.location.t:.12g}i"
 
 
-def _abs_difference(z: ZeroRecord) -> float:
-    """|f(s) - f(1 - s)| at a zero; the record keeps only the moduli."""
-    vals, _ = f_batch(np.array([z.location.z, z.paired_location.z]))
-    return abs(complex(vals[0]) - complex(vals[1]))
+def _abs_difference(zs: list[ZeroRecord]) -> list[float]:
+    """|f(s) - f(1 - s)| at every zero; the records keep only the moduli."""
+    vals, _ = f_batch(np.array([z.location.z for z in zs] + [z.paired_location.z for z in zs]))
+    diff = vals[: len(zs)] - vals[len(zs) :]
+    return np.hypot(diff.real, diff.imag).tolist()  # hypot: the abs of a complex scalar
 
 
-# Evidence metrics of one refined zero z, given kappa.
-# Like the evidence functions below, they reach the library through module
-# globals at call time, so a wrapper swapped into a module binding sees
-# every call.
+# Evidence metrics of refined zeros zs given kappa, one value per zero.  Like the
+# evidence functions below, they reach the library through module globals at
+# call time, so a wrapper swapped into a module binding sees every call.
 _ZERO_METRICS = {
-    "abs_f": lambda z, kap: z.residual,
-    "abs_f_paired": lambda z, kap: z.paired_residual,
-    "abs_x": lambda z, kap: z.abs_x_here,
-    "abs_x_minus_1": lambda z, kap: abs(z.abs_x_here - 1.0),
-    "t": lambda z, kap: z.location.t,
-    "kappa": lambda z, kap: kap,
-    "t_over_kappa": lambda z, kap: z.location.t / kap,
-    "within_kappa": lambda z, kap: z.within_kappa,
-    "dlogabsx_dt": lambda z, kap: dlogabsx_dt(z.location.z, 10_000),
-    "abs_difference": lambda z, kap: _abs_difference(z),
+    "abs_f": lambda zs, kap: [z.residual for z in zs],
+    "abs_f_paired": lambda zs, kap: [z.paired_residual for z in zs],
+    "abs_x": lambda zs, kap: [z.abs_x_here for z in zs],
+    "abs_x_minus_1": lambda zs, kap: [abs(z.abs_x_here - 1.0) for z in zs],
+    "t": lambda zs, kap: [z.location.t for z in zs],
+    "kappa": lambda zs, kap: [kap] * len(zs),
+    "t_over_kappa": lambda zs, kap: [z.location.t / kap for z in zs],
+    "within_kappa": lambda zs, kap: [z.within_kappa for z in zs],
+    "dlogabsx_dt": lambda zs, kap: dlogabsx_dt(np.array([z.location.z for z in zs])).tolist(),
+    "abs_difference": lambda zs, kap: _abs_difference(zs),
 }
+
+
+def _rows(inputs: list[str], columns: dict) -> list[dict]:
+    """One evidence entry per input, holding its value from every column."""
+    rows = zip(*columns.values())
+    return [{"input": i, **dict(zip(columns, row))} for i, row in zip(inputs, rows)]
 
 
 def _zero_metrics(*names):
     """Evidence function: one entry per zero with the named _ZERO_METRICS."""
-
-    def evidence(z: ZeroRecord, kap: float) -> list[dict]:
-        return [{"input": _zero_tag(z), **{n: _ZERO_METRICS[n](z, kap) for n in names}}]
-
-    return evidence
+    return lambda zs, kap: _rows(
+        [_zero_tag(z) for z in zs], {n: _ZERO_METRICS[n](zs, kap) for n in names}
+    )
 
 
-def _gamma_ray(s: complex, kap: float) -> list[dict]:
-    upper, lower = (math.exp(lgamma(arg).real) for arg in _gamma_args(s))
-    return [
-        {
-            "input": f"sigma={s.real:g}, t={s.imag:g}",
-            "gamma_upper_modulus": upper,
-            "gamma_lower_modulus": lower,
-            "dgamma_upper_dt": gamma_modulus_dt(s, "upper", 10_000),
-            "dgamma_lower_dt": gamma_modulus_dt(s, "lower", 10_000),
-            "log_abs_x": float(logabsx_many(s)),
-        }
-    ]
+def _gamma_rays(rays: list[complex], kap: float) -> list[dict]:
+    s = np.array(rays)
+    upper, lower = ([math.exp(v) for v in lgamma(arg).real] for arg in _gamma_args(s))
+    columns = {
+        "gamma_upper_modulus": upper,
+        "gamma_lower_modulus": lower,
+        "dgamma_upper_dt": gamma_modulus_dt(s, "upper").tolist(),
+        "dgamma_lower_dt": gamma_modulus_dt(s, "lower").tolist(),
+        "log_abs_x": logabsx_many(s).tolist(),
+    }
+    return _rows([f"sigma={z.real:g}, t={z.imag:g}" for z in rays], columns)
 
 
 _PROBE_RADII = [10.0 ** (-k) for k in range(1, 7)]
 
 
-def _appendix_a(direction: str, z: ZeroRecord, kap: float) -> list[dict]:
+def _appendix_a(direction: str, zs: list[ZeroRecord], kap: float) -> list[dict]:
     return [
         {
             "input": f"{_zero_tag(z)}, {direction}, radius={r:g}",
             "abs_x_probe": ax,
             "abs_x_direct": z.abs_x_here,
         }
+        for z in zs
         for r, ax in limit_probe(z, direction, _PROBE_RADII)
     ]
 
 
-# (claim id, population, evidence function, verdict note) in report order;
-# `audit_claims` names the populations.
+# (claim id, population, evidence function, verdict note) in report order; an
+# evidence function maps a whole population (`audit_claims` names them) and kappa.
 _CLAIMS = (
     ("Lemma1", "all", _zero_metrics("abs_f", "abs_f_paired", "abs_x", "abs_x_minus_1"),
      "at each refined zero: |f|, |f at the mirrored point|, and |X|; "
@@ -1234,7 +1255,7 @@ _CLAIMS = (
      "|X| at each off-line zero next to the strip height bound"),
     ("Corollary1", "on_line", _zero_metrics("abs_x_minus_1"),
      "distance of |X| from 1 at each line zero"),
-    ("Lemma3_part1", "gamma_rays", _gamma_ray,
+    ("Lemma3_part1", "gamma_rays", _gamma_rays,
      "Gamma-factor moduli, their t-derivatives, and log|X| along "
      "constant-sigma rays of increasing height"),
     ("Lemma3_part2", "off_line", _zero_metrics("abs_f", "abs_f_paired", "dlogabsx_dt"),
@@ -1274,6 +1295,6 @@ def audit_claims(zeros: list[ZeroRecord]) -> list[AuditReport]:
         "gamma_rays": [complex(sigma, t) for sigma in (0.3, 0.7) for t in (10.0, 20.0, 40.0, 80.0)],
     }
     return [
-        AuditReport(claim, tuple(e for m in populations[pop] for e in evidence(m, kap)), note)
+        AuditReport(claim, tuple(evidence(populations[pop], kap)), note)
         for claim, pop, evidence, note in _CLAIMS
     ]

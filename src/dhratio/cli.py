@@ -76,9 +76,10 @@ def _parse_rect(text: str) -> Rect:
     if len(parts) != 4:
         raise DomainError(f"rectangle must be sigma0,sigma1,t0,t1, got {text!r}")
     try:
-        return Rect(*(float(p) for p in parts))
+        coords = [float(p) for p in parts]
     except ValueError as exc:
         raise DomainError(f"cannot parse rectangle {text!r}") from exc
+    return Rect(*coords)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -456,23 +456,31 @@ def z_function(t):
     return float(out[0]) if was_scalar else out
 
 
-def pq(sigma: float, t: float):
+def pq(sigma, t):
     """The squared-modulus pair (P, Q) = (|f(s)|^2, |f(1-s)|^2).
 
-    Computed literally as f(s) f(s*) and f(1-s) f(1-s*); conjugate
-    symmetry makes both products real, which is checked (relative
-    1e-10) before the imaginary parts are discarded.
+    Computed literally as f(s) f(s*) and f(1-s) f(1-s*), every factor at
+    every point in one f_batch call; conjugate symmetry makes both
+    products real, which is checked (relative 1e-10, one warning for the
+    first product that is not) before the imaginary parts are discarded.
+    sigma and t broadcast: scalars in, a pair of floats out; arrays in, a
+    pair of arrays out.
     """
-    sv = complex(float(sigma), float(t))
-    pts = np.array([sv, sv.conjugate(), 1.0 - sv, 1.0 - sv.conjugate()])
-    vals, _ = f_batch(pts)
-    p = vals[0] * vals[1]
-    q = vals[2] * vals[3]
-    for name, prod in (("P", p), ("Q", q)):
-        if abs(prod.imag) > 1e-10 * (abs(prod) + 1e-300):
-            warnings.warn(
-                f"{name} kept an imaginary part of {prod.imag:.3g}",
-                AccuracyWarning,
-                stacklevel=2,
-            )
-    return float(p.real), float(q.real)
+    sigma, t = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (sigma, t)))
+    s = (sigma + 1j * t).ravel()
+    vals, _ = f_batch(np.concatenate((s, 1.0 - s, np.conj(s), 1.0 - np.conj(s))))
+    # rows P and Q, multiplied in real arithmetic, which rounds like the
+    # complex scalar product (numpy's complex array product can differ)
+    a, b = vals.reshape(2, 2, -1)
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    bad = np.abs(im) > 1e-10 * (np.hypot(re, im) + 1e-300)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        warnings.warn(
+            f"{'PQ'[row]} kept an imaginary part of {im[row, col]:.3g}",
+            AccuracyWarning,
+            stacklevel=2,
+        )
+    p, q = re.reshape(2, *sigma.shape)
+    return (float(p), float(q)) if sigma.ndim == 0 else (p, q)

@@ -37,7 +37,6 @@ from .specfun import (
 
 __all__ = [
     "RatioValue",
-    "MirrorPair",
     "x_of",
     "logabsx_many",
     "reflection_defect",
@@ -72,31 +71,6 @@ class RatioValue:
     log_abs: float
     arg_cont: float
     zero_flag: bool = False
-
-
-@dataclass(frozen=True)
-class MirrorPair:
-    """An anchor 1/2 + it with offset epsilon.
-
-    Derived points: s_plus = 1/2 + epsilon + it and s_minus =
-    1/2 - epsilon + it; the reflection identity pairs each with the
-    conjugate of the other.
-    """
-
-    s0_t: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.s0_t) and math.isfinite(self.epsilon)):
-            raise DomainError("mirror pair parameters must be finite")
-
-    @property
-    def s_plus(self) -> ComplexPoint:
-        return ComplexPoint(0.5 + self.epsilon, self.s0_t)
-
-    @property
-    def s_minus(self) -> ComplexPoint:
-        return ComplexPoint(0.5 - self.epsilon, self.s0_t)
 
 
 # ----------------------------------------------------------------------
@@ -233,102 +207,111 @@ def logabsx_many(s):
 # ----------------------------------------------------------------------
 
 
-def reflection_defect(p: MirrorPair) -> float:
-    """max deviation of X(s+) X(s-*) and X(s-) X(s+*) from 1.
+def _product_defect(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """|X(first) X(second) - 1| pointwise as |exp(L(first) + L(second)) - 1|,
+    the modulus by hypot like a complex scalar's abs (numpy's abs on a
+    complex array can differ from it in the last bit)."""
+    combos = _log_form(np.concatenate((first.ravel(), second.ravel())))
+    defect = np.expm1(combos[: first.size] + combos[first.size :])
+    return np.hypot(defect.real, defect.imag).reshape(first.shape)
+
+
+def reflection_defect(t, epsilon):
+    """max deviation of X(s+) X(s-*) and X(s-) X(s+*) from 1 on the mirror
+    pairs s+ = 1/2 + epsilon + it and s- = 1/2 - epsilon + it.
 
     Each product pairs a point with the conjugate-mirror partner
     1 minus it, so both are identities; the defect measures evaluation
-    error only.  Formed in log space: exp(L(s) + L(partner)) - 1.
+    error only.  t and epsilon broadcast: scalars in, float out; arrays
+    in, arrays out.  Raises DomainError unless every t and epsilon is
+    finite, and PoleError if any point is a pole or zero of X.
     """
-    sp = p.s_plus.z
-    sm = p.s_minus.z
-    defect = 0.0
-    for first, second in ((sp, sm.conjugate()), (sm, sp.conjugate())):
-        pts = np.array([first, second])
-        if _pole_mask(pts).any() or _zero_mask(pts).any():
-            raise PoleError(f"mirror pair touches a pole or zero of X at {pts}")
-        combos = _log_form(pts)
-        defect = max(defect, abs(np.expm1(complex(combos[0] + combos[1]))))
-    return defect
+    t, epsilon = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (t, epsilon)))
+    if not (np.isfinite(t).all() and np.isfinite(epsilon).all()):
+        raise DomainError("mirror pair parameters must be finite")
+    s = (0.5 + np.stack((epsilon, -epsilon))) + 1j * t  # rows s+ and s-
+    hit = _pole_mask(s.ravel()) | _zero_mask(s.ravel())
+    if hit.any():
+        raise PoleError(f"a mirror pair touches a pole or zero of X at {s.ravel()[hit][0]}")
+    defect = _product_defect(s, np.conj(s[::-1])).max(axis=0)
+    return float(defect) if t.ndim == 0 else defect
 
 
-def reciprocity_defect(n: int, delta: float) -> float:
+def reciprocity_defect(n, delta):
     """|X(-(2n+1) + delta) X(2n+2 - delta) - 1| on the real axis.
 
     The two arguments sum to 1, so this probes the zero/pole
-    reciprocity of X as the delta -> 0 reflection limit.
+    reciprocity of X as the delta -> 0 reflection limit.  n and delta
+    broadcast: scalars in, float out; arrays in, arrays out.
     """
-    if n < 0:
+    n, delta = np.broadcast_arrays(np.asarray(n), np.asarray(delta))
+    if np.any(n < 0):
         raise DomainError("n must be >= 0")
-    if not delta > 0.0:
+    if not np.all(delta > 0.0):
         raise DomainError("delta must be positive")
-    pts = np.array([-(2.0 * n + 1.0) + delta + 0.0j, (2.0 * n + 2.0) - delta + 0.0j])
-    combos = _log_form(pts)
-    return abs(np.expm1(complex(combos[0] + combos[1])))
+    defect = _product_defect(-(2.0 * n + 1.0) + delta + 0.0j, (2.0 * n + 2.0) - delta + 0.0j)
+    return float(defect) if n.ndim == 0 else defect
 
 
 # ----------------------------------------------------------------------
 # derivative series
 # ----------------------------------------------------------------------
 
-_SERIES_CHUNK = 1 << 16
+# Terms of the two derivative series before their midpoint tails, and the
+# points per block of their sums, which bounds the block to ELEMENT_BUDGET terms.
+_N_TERMS = 10_000
+_SERIES_BLOCK = ELEMENT_BUDGET // _N_TERMS
 
 
-def _partial_sum(term, sv: complex, n_max: int | None):
-    """(sum_{n=1..n_max} term(n), n_max), the sum taken in chunks of
-    _SERIES_CHUNK terms; n_max defaults to max(50, ceil(10 (|sigma| + |t|)))."""
-    if n_max is None:
-        n_max = max(50, int(math.ceil(10.0 * (abs(sv.imag) + abs(sv.real)))))
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    total = 0.0
-    for lo in range(1, n_max + 1, _SERIES_CHUNK):
-        n = np.arange(lo, min(lo + _SERIES_CHUNK, n_max + 1), dtype=np.float64)
-        total += float(term(n).sum())
-    return total, n_max
+def _series_sum(term, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_{n=1.._N_TERMS} term(n, c, t) at every point (c, t): one pairwise
+    sum along n per point, over blocks of _SERIES_BLOCK points."""
+    n = np.arange(1.0, _N_TERMS + 1.0)
+    out = np.empty(len(c))
+    for lo in range(0, len(c), _SERIES_BLOCK):
+        part = slice(lo, lo + _SERIES_BLOCK)
+        out[part] = term(n, c[part, None], t[part, None]).sum(axis=1)
+    return out
 
 
-def _midpoint_tail(c: float, t: float, n_max: int) -> float:
-    """sum_{n > n_max} 1/((2n - c)^2 + t^2) by the midpoint rule: the
-    integral from n_max + 1/2 on, (pi/2 - arctan((2 n_max + 1 - c)/|t|))/(2|t|),
-    which leaves O(n_max^-3).  0 at t = 0, where every caller multiplies
-    it by t."""
-    if t == 0.0:
-        return 0.0
-    return math.atan2(abs(t), 2.0 * n_max + 1.0 - c) / (2.0 * abs(t))
+def _midpoint_tail(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_{n > _N_TERMS} 1/((2n - c)^2 + t^2) by the midpoint rule: the
+    integral from _N_TERMS + 1/2 on, (pi/2 - arctan((2 _N_TERMS + 1 - c)/|t|))/(2|t|),
+    which leaves O(_N_TERMS^-3).  0 where t = 0, where every caller
+    multiplies it by t."""
+    a = np.abs(t)
+    angle = np.arctan2(a, 2.0 * _N_TERMS + 1.0 - c)
+    return np.divide(angle, 2.0 * a, out=np.zeros_like(a), where=a > 0.0)
 
 
-def dlogabsx_dt(s, n_max: int | None = None) -> float:
+def dlogabsx_dt(s):
     """d(log|X|)/dt as the partial sum
 
-        sum_{n=1..n_max} 8 t (1/2 - sigma) (n - 1/4)
-                         / (|it + 2n + sigma - 1|^2 |it + 2n - sigma|^2)
+        sum_{n=1.._N_TERMS} 8 t (1/2 - sigma) (n - 1/4)
+                            / (|it + 2n + sigma - 1|^2 |it + 2n - sigma|^2)
 
     plus its tail.  The term is exactly t (1/d1 - 1/d2), d1 and d2 the
     two squared moduli, so the tail is t times the difference of the
     midpoint tails of sum 1/d1 and sum 1/d2 (`_midpoint_tail`, c = 1 -
-    sigma and sigma), which leaves O(n_max^-3); 2 000 terms are good to
-    within 1e-10 relative.  Terms decay like n^-3; the sum vanishes
-    identically on the line sigma = 1/2 (every term carries the factor
-    1/2 - sigma) and its sign elsewhere is the sign of t (1/2 - sigma).
-    Finite at the zeros of X, where the modulus-weighted form would vanish.
+    sigma and sigma), which leaves O(_N_TERMS^-3).  Terms decay like
+    n^-3; the sum vanishes identically on the line sigma = 1/2 (every
+    term carries the factor 1/2 - sigma) and its sign elsewhere is the
+    sign of t (1/2 - sigma).  Finite at the zeros of X, where the
+    modulus-weighted form would vanish.  Scalar in, float out; arrays
+    in, arrays out.
     """
-    arr, _ = as_points(s)
-    if len(arr) != 1:
-        raise DomainError("dlogabsx_dt takes a single point")
-    sv = complex(arr[0])
-    sigma, t = sv.real, sv.imag
-    if sigma == 0.5:
-        return 0.0
 
-    def term(n):
+    def term(n, sigma, t):
         d1 = (2.0 * n + sigma - 1.0) ** 2 + t * t
         d2 = (2.0 * n - sigma) ** 2 + t * t
         return (n - 0.25) / (d1 * d2)
 
-    total, n_max = _partial_sum(term, sv, n_max)
-    tail = _midpoint_tail(1.0 - sigma, t, n_max) - _midpoint_tail(sigma, t, n_max)
-    return 8.0 * t * (0.5 - sigma) * total + t * tail
+    arr, was_scalar = as_points(s)
+    sigma, t = arr.real, arr.imag
+    total = _series_sum(term, sigma, t)
+    tail = _midpoint_tail(1.0 - sigma, t) - _midpoint_tail(sigma, t)
+    out = np.where(sigma == 0.5, 0.0, 8.0 * t * (0.5 - sigma) * total + t * tail)
+    return float(out[0]) if was_scalar else out
 
 
 def dsigma_logabsx(s):
@@ -344,7 +327,7 @@ def dsigma_logabsx(s):
     return float(out[0]) if was_scalar else out
 
 
-def gamma_modulus_dt(s, which: str, n_max: int | None = None) -> float:
+def gamma_modulus_dt(s, which: str):
     """t-derivative of a Gamma-factor modulus as a partial sum.
 
     which = "upper":  d/dt |Gamma(1 - s/2)|
@@ -352,28 +335,23 @@ def gamma_modulus_dt(s, which: str, n_max: int | None = None) -> float:
     which = "lower":  d/dt |Gamma((1+s)/2)|
                         = -t |Gamma((1+s)/2)| sum_n 1/|sigma + it + 2n - 1|^2
 
-    with n running 1..n_max, plus the midpoint tail of the sum
+    with n running 1.._N_TERMS, plus the midpoint tail of the sum
     (`_midpoint_tail`, c = sigma upper or 1 - sigma lower), which leaves
-    O(n_max^-3) of a series whose plain tail is 1/(4 n_max); 2 000 terms
-    are good to within 1e-10 relative.  Negative for t > 0 and positive for
-    t < 0: both moduli decrease monotonically away from the real axis.
+    O(_N_TERMS^-3) of a series whose plain tail is 1/(4 _N_TERMS).
+    Negative for t > 0 and positive for t < 0: both moduli decrease
+    monotonically away from the real axis.  Scalar in, float out; arrays
+    in, arrays out.
     """
-    arr, _ = as_points(s)
-    if len(arr) != 1:
-        raise DomainError("gamma_modulus_dt takes a single point")
-    sv = complex(arr[0])
-    sigma, t = sv.real, sv.imag
     if which not in ("upper", "lower"):
         raise DomainError(f"which must be 'upper' or 'lower', got {which!r}")
-
+    arr, was_scalar = as_points(s)
+    sigma, t = arr.real, arr.imag
     c = sigma if which == "upper" else 1.0 - sigma
-
-    def term(n):
-        shifted = 2.0 * n - c
-        return 1.0 / (shifted * shifted + t * t)
-
-    total, n_max = _partial_sum(term, sv, n_max)
-    total += _midpoint_tail(c, t, n_max)
-    upper, lower = _gamma_args(sv)
-    modulus = math.exp(lgamma(upper if which == "upper" else lower).real)
-    return -t * modulus * total
+    total = _series_sum(lambda n, c, t: 1.0 / ((2.0 * n - c) ** 2 + t * t), c, t)
+    total += _midpoint_tail(c, t)
+    upper, lower = _gamma_args(arr)
+    # math.exp per point, as the suites' finite difference takes it: numpy's
+    # exp on an array can differ from math.exp in the last bit
+    log_modulus = lgamma(upper if which == "upper" else lower).real
+    out = -t * np.array([math.exp(v) for v in log_modulus]) * total
+    return float(out[0]) if was_scalar else out

@@ -700,6 +700,18 @@ def test_survey_finds_the_trivial_zeros_the_count_leaves_out(monkeypatch):
     assert [r.iterations == 0 for r in recs] == [False, False, True, True]
 
 
+def test_survey_keeps_sigma_cuts_off_the_trivial_zeros():
+    # cells of 0.25 counted from an integer sigma put cuts on -3 and -1;
+    # the t-offset retries move t-cuts only, so a zero there sat on a cell
+    # boundary at every offset
+    recs = survey_zeros(Rect(-3.5, -0.5, -1.0, 1.0))
+    assert [r.location.z for r in recs] == pytest.approx([-3.0, -1.0], abs=1e-9)
+    recs = survey_zeros(Rect(-2.0, 3.0, -1.0, 1.0))
+    assert [r.location.z for r in recs] == pytest.approx([-1.0], abs=1e-9)
+    s_cuts, _ = analysis._tiling(Rect(-4.0, 0.0, -1.0, 1.0), analysis._CELL_SIZE, 0.0)
+    assert min(abs(c - z) for c in s_cuts[1:-1] for z in (-3.0, -1.0)) >= 0.02
+
+
 def test_survey_off_the_line_keeps_the_grid_route(monkeypatch):
     # a window without sigma = 1/2: no count, no line samples, and the
     # records of the grid route alone
@@ -821,6 +833,21 @@ def test_limit_probe_off_line_converges_to_direct_value(refined_sample):
     gaps = [abs(ax - direct) for _, ax in probes]
     assert gaps[-1] < 1e-5
     assert gaps[-1] < gaps[0]  # the sequence closes in on the direct value
+
+
+def test_limit_probe_makes_one_pq_call_per_ray(refined_sample, monkeypatch):
+    calls = []
+
+    def counted(sigma, t):
+        calls.append(np.broadcast(sigma, t).size)
+        return dhfun.pq(sigma, t)
+
+    monkeypatch.setattr(analysis, "pq", counted)
+    radii = [10.0 ** (-k) for k in range(1, 7)]
+    for direction in ("along_t", "along_sigma"):
+        probes = limit_probe(refined_sample[1], direction, radii)
+        assert [r for r, _ in probes] == radii
+    assert calls == [6, 6]
 
 
 def test_limit_probe_validation(refined_sample):

@@ -212,6 +212,29 @@ def test_non_finite_heights_and_steps_are_input_errors(args, message, capsys):
     assert json.loads(err) == {"error": "DomainError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["scan", "--t0", "0", "--t1", "1", "--step", "1e-300"], "1e+300 steps of 1e-300"),
+        (["curve", "--window", "0,1,0,1", "--step", "1e-300"], "1e+300 steps of 1e-300"),
+        (["scan", "--t0", "0", "--t1", "1", "--step", "5e-324"], "inf steps of 4.94066e-324"),
+        (["curve", "--window", "0,1,0,1", "--step", "5e-324"], "inf steps of 4.94066e-324"),
+        (["zeros", "--rect=-1e308,1e308,0,1"], "overflows float64"),
+        (["curve", "--window=-1e308,1e308,0,1", "--step", "1"], "overflows float64"),
+        (["zeros", "--rect", "0,1,0,1e7"], "4e+07 cells of side 0.25"),
+    ],
+)
+def test_oversized_axes_and_rectangles_are_input_errors(args, message, capsys):
+    # each ran into numpy's size limit, math.ceil(inf) or an infinite
+    # width with a traceback (exit 1), or looped without bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run(args + ["--format", "json"], capsys)
+    assert (status, out) == (BAD_INPUT, "")
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError" and message in payload["message"]
+
+
 # ----------------------------------------------------------------------
 # verify / audit
 # ----------------------------------------------------------------------

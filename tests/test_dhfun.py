@@ -27,7 +27,7 @@ from dhratio.dhfun import (
     pq,
     z_function,
 )
-from dhratio.errors import DomainError, PoleError
+from dhratio.errors import AccuracyWarning, DomainError, PoleError
 
 # ----------------------------------------------------------------------
 # frozen references
@@ -538,3 +538,26 @@ def test_pq_at_off_line_zero():
     # ... while a small offset recovers |X|^2 cleanly
     p_off, q_off = pq(S1.real, S1.imag + 1e-6)
     assert abs(math.sqrt(p_off / q_off) - 0.271801369195) < 1e-5
+
+
+def test_pq_on_a_batch_is_each_point_alone_bit_for_bit():
+    rng = np.random.default_rng(3)
+    sigma, t = rng.uniform(-3.0, 4.0, 12), rng.uniform(-60.0, 60.0, 12)
+    sigma[:2], t[:2] = (0.5, 2.0), (23.7, 0.0)  # on the line; at s = 2, where Q = 0
+    p, q = pq(sigma, t)
+    assert p.shape == q.shape == (12,)
+    alone = [pq(float(a), float(b)) for a, b in zip(sigma, t)]
+    assert all(isinstance(v, float) for pair in alone for v in pair)
+    assert list(zip(p.tolist(), q.tolist())) == alone
+    # sigma and t broadcast
+    radii = np.array([1e-3, 1e-6])
+    p, q = pq(S1.real, S1.imag + radii)
+    assert list(zip(p.tolist(), q.tolist())) == [pq(S1.real, S1.imag + r) for r in radii]
+
+
+def test_pq_warns_once_when_products_are_not_real(monkeypatch):
+    # values without conjugate symmetry: every P and Q comes out 2i
+    monkeypatch.setattr(dhfun, "f_batch", lambda pts: (np.full(len(pts), 1.0 + 1.0j), None))
+    with pytest.warns(AccuracyWarning, match="P kept an imaginary part of 2") as caught:
+        pq(np.zeros(5), np.arange(5.0))
+    assert len(caught) == 1

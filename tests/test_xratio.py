@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from dhratio import suites, xratio
 from dhratio.errors import DomainError, PoleError
+from dhratio.specfun import digamma, lgamma
 from dhratio.xratio import (
-    MirrorPair,
     dlogabsx_dt,
     dsigma_logabsx,
     gamma_modulus_dt,
@@ -129,28 +129,24 @@ def test_x_many_memory_is_bounded_for_many_points():
 
 
 def test_reflection_defect_example():
-    assert reflection_defect(MirrorPair(3.3, 0.4)) < 1e-12
+    assert reflection_defect(3.3, 0.4) < 1e-12
 
 
 def test_reflection_defect_on_seeded_grid():
     rng = np.random.default_rng(20260822)
-    tried = 0
-    while tried < 40:
-        pair = MirrorPair(float(rng.uniform(-50, 50)), float(rng.uniform(-5, 5)))
-        try:
-            defect = reflection_defect(pair)
-        except PoleError:
-            continue
-        assert defect < 1e-12, f"defect {defect:.3g} at {pair}"
-        tried += 1
+    pairs = suites._drawn_pairs(rng, 40, -50, 50, -5, 5)  # t + i epsilon, drawn pair by pair
+    t, epsilon = pairs.real, pairs.imag
+    defect = reflection_defect(t, epsilon)
+    assert defect.shape == (40,)
+    assert defect.max() < 1e-12, f"defect {defect.max():.3g} at t = {t[defect.argmax()]}"
 
 
-def test_mirror_pair_validation():
-    with pytest.raises(DomainError):
-        MirrorPair(math.nan, 0.1)
-    pair = MirrorPair(2.0, 0.25)
-    assert pair.s_plus.z == 0.75 + 2.0j
-    assert pair.s_minus.z == 0.25 + 2.0j
+def test_reflection_defect_refuses_a_non_finite_t_and_a_pole():
+    for t in (math.nan, [1.0, math.nan]):
+        with pytest.raises(DomainError, match="finite"):
+            reflection_defect(t, 0.1)
+    with pytest.raises(PoleError):
+        reflection_defect([3.0, 0.0], 1.5)  # s+ = 2, a pole of X
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-5])
@@ -221,7 +217,7 @@ def test_dlogabsx_dt_sign_table():
 def test_dlogabsx_dt_matches_finite_difference():
     h = 1e-3
     for s in (0.2 + 3.0j, -1.5 + 9.0j, 2.4 - 14.0j):
-        series = dlogabsx_dt(s, 10_000)
+        series = dlogabsx_dt(s)
         fd = (logabsx_many(s + 1j * h) - logabsx_many(s - 1j * h)) / (2 * h)
         assert abs(series - fd) < 1e-6 * abs(fd), f"mismatch at {s}"
 
@@ -241,7 +237,7 @@ def test_suite_fd_checks_hold_near_a_pole_and_catch_a_wrong_series(monkeypatch):
     names = ("dlogabsx_dt_vs_fd", "dsigma_logabsx_vs_fd")
     checks = {c.name: c for c in suites.run_suite("xratio", 7).checks}
     assert all(checks[n].passed for n in names)
-    monkeypatch.setattr(suites, "dlogabsx_dt", lambda s, n: (1 + 1e-5) * dlogabsx_dt(s, n))
+    monkeypatch.setattr(suites, "dlogabsx_dt", lambda s: (1 + 1e-5) * dlogabsx_dt(s))
     monkeypatch.setattr(suites, "dsigma_logabsx", lambda s: (1 + 1e-5) * dsigma_logabsx(s))
     checks = {c.name: c for c in suites.run_suite("xratio", 7).checks}
     assert all(not checks[n].passed and checks[n].measured > 5e-6 for n in names)
@@ -270,11 +266,9 @@ def test_gamma_modulus_dt_signs_and_fd():
         assert gamma_modulus_dt(0.3 + 5.0j, which) < 0.0
         assert gamma_modulus_dt(0.3 - 5.0j, which) > 0.0
     h = 3e-4
-    from dhratio.specfun import lgamma
-
     s = 0.4 + 3.0j
     for which, sign in (("upper", -1.0), ("lower", 1.0)):
-        series = gamma_modulus_dt(s, which, 10_000)
+        series = gamma_modulus_dt(s, which)
         arg = 1.0 - 0.5 * s if which == "upper" else 0.5 * (1.0 + s)
         up = math.exp(lgamma(arg + 0.5j * h * sign).real)
         dn = math.exp(lgamma(arg - 0.5j * h * sign).real)
@@ -282,20 +276,65 @@ def test_gamma_modulus_dt_signs_and_fd():
         assert abs(series - fd) < 1e-6 * abs(fd), f"{which}: {series} vs {fd}"
 
 
-def test_derivative_series_tails_make_few_terms_enough():
-    # with the midpoint tails, 2 000 terms agree with 200 000 to 1e-10
-    # relative (7.4e-11 at worst); the plain sums' 1/(4 n_max) tail is up
-    # to 4e-3 of the sum at these points
-    for s in (0.3 + 5.0j, -3.7 - 19.0j, 4.6 + 0.4j, 2.4 - 14.0j):
-        for which in ("upper", "lower"):
-            few, many = (gamma_modulus_dt(s, which, n) for n in (2_000, 200_000))
-            assert abs(few - many) <= 1e-10 * abs(many), f"{which} at {s}"
-        few, many = (dlogabsx_dt(s, n) for n in (2_000, 200_000))
-        assert abs(few - many) <= 1e-10 * abs(many), f"dlogabsx_dt at {s}"
+def test_derivative_series_match_their_digamma_closed_forms():
+    # d log|X|/dt = Im[psi(1 - s/2) + psi((1+s)/2)]/2 and
+    # d|Gamma(w)|/dt = +-|Gamma(w)| Im psi(w)/2 for w = 1 - s/2, (1+s)/2;
+    # the series with their midpoint tails agree to 1.3e-14, 6.0e-13 and
+    # 5.3e-13 relative at these points
+    s = np.array([0.3 + 5.0j, -3.7 - 19.0j, 4.6 + 0.4j, 2.4 - 14.0j])
+    upper, lower = 1.0 - 0.5 * s, 0.5 * (1.0 + s)
+    psi_up, psi_lo = digamma(upper), digamma(lower)
+    closed = {
+        "dlogabsx_dt": 0.5 * (psi_up + psi_lo).imag,
+        "upper": 0.5 * np.exp(lgamma(upper).real) * psi_up.imag,
+        "lower": -0.5 * np.exp(lgamma(lower).real) * psi_lo.imag,
+    }
+    series = {
+        "dlogabsx_dt": dlogabsx_dt(s),
+        "upper": gamma_modulus_dt(s, "upper"),
+        "lower": gamma_modulus_dt(s, "lower"),
+    }
+    for name, want in closed.items():
+        rel = np.abs(series[name] - want) / np.abs(want)
+        assert rel.max() <= 1e-10, f"{name}: {rel.max():.3g}"
 
 
 def test_gamma_modulus_dt_validation():
     with pytest.raises(DomainError):
         gamma_modulus_dt(0.3 + 5.0j, "sideways")
-    with pytest.raises(DomainError):
-        gamma_modulus_dt(0.3 + 5.0j, "upper", 0)
+
+
+def test_a_batch_changes_no_probe_bits():
+    # every point of a batch gets exactly the value it gets alone
+    rng = np.random.default_rng(20261019)
+    s = rng.uniform(-4.0, 5.0, 30) + 1j * rng.uniform(-30.0, 30.0, 30)
+    s[:2] = [0.5 + 7.0j, 1.3]  # on the line, and t = 0 where the tails vanish
+    t, epsilon = rng.uniform(-50.0, 50.0, 30), rng.uniform(-5.0, 5.0, 30)
+    n, delta = np.arange(4)[:, None], np.array([1e-3, 1e-5, 0.25])
+    batches = {
+        "dlogabsx_dt": (dlogabsx_dt(s), [dlogabsx_dt(complex(v)) for v in s]),
+        "reflection_defect": (
+            reflection_defect(t, epsilon),
+            [reflection_defect(float(a), float(b)) for a, b in zip(t, epsilon)],
+        ),
+        "reciprocity_defect": (
+            reciprocity_defect(n, delta).ravel(),
+            [reciprocity_defect(int(k), float(d)) for k in range(4) for d in delta],
+        ),
+    }
+    for which in ("upper", "lower"):
+        batches[which] = (
+            gamma_modulus_dt(s, which), [gamma_modulus_dt(complex(v), which) for v in s]
+        )
+    for name, (many, alone) in batches.items():
+        assert all(isinstance(v, float) for v in alone), name
+        assert many.tolist() == alone, name
+
+
+def test_series_bits_do_not_depend_on_the_point_block(monkeypatch):
+    rng = np.random.default_rng(7)
+    s = rng.uniform(-4.0, 5.0, 40) + 1j * rng.uniform(-30.0, 30.0, 40)
+    default = dlogabsx_dt(s), gamma_modulus_dt(s, "upper")
+    monkeypatch.setattr(xratio, "_SERIES_BLOCK", 3)
+    assert np.array_equal(dlogabsx_dt(s), default[0])
+    assert np.array_equal(gamma_modulus_dt(s, "upper"), default[1])
