@@ -13,10 +13,16 @@ Everything here works in log-modulus form: the combination
 
     L(s) = (1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1 + s)/2)
 
-is evaluated once, giving log|X| = Re L (real-only in `logabsx_many`)
-and a continuous argument Im L, and products like X(s) X(1 - s*) are
-formed by adding L-values before a single exp, which keeps reflection
-defects at roundoff level even where |X| alone would overflow.
+is evaluated once, giving log|X| = Re L and a continuous argument Im L,
+and products like X(s) X(1 - s*) are formed by adding L-values before a
+single exp, which keeps reflection defects at roundoff level even where
+|X| alone would overflow.
+
+The field scans need only log|X|, and `logabsx_many` takes it from one
+Gamma in real arithmetic: by Legendre's duplication formula and the
+reflection formula, X(s) = (5/pi)^(1/2 - s) 2^s pi^(-1/2) cos(pi s/2)
+Gamma(1 - s).  It is exactly 0 on Re s = 1/2 by rule, and takes the
+limit of cos(pi s/2) Gamma(1 - s) at s = 1, 3, 5, ...
 """
 from __future__ import annotations
 
@@ -30,9 +36,9 @@ from .specfun import (
     ELEMENT_BUDGET,
     ComplexPoint,
     as_points,
+    _log_abs_gamma_damped,
     digamma,
     lgamma,
-    log_abs_gamma,
 )
 
 __all__ = [
@@ -49,6 +55,11 @@ __all__ = [
 ]
 
 _LN_5_OVER_PI = math.log(5.0 / math.pi)
+_LN2 = math.log(2.0)
+_HALF_LN_PI = 0.5 * math.log(math.pi)
+_LN_HALF_PI = math.log(0.5 * math.pi)
+# ln(pi/2) - ln(pi)/2, the constant of log|X| at s = 1, 3, 5, ...
+_LN_HALF_SQRT_PI = math.log(0.5 * math.sqrt(math.pi))
 # Points per `logabsx_many` block, which bounds its log|Gamma| temporaries.
 _POINT_BLOCK = ELEMENT_BUDGET // 16
 
@@ -178,27 +189,83 @@ def x_of(s) -> RatioValue:
     )
 
 
+def _log_abs_cos_damped(sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """ln|cos(pi s/2)| - pi |t|/2 at s = sigma + it.
+
+    The real part is reduced at the nearest odd integer n, exactly where
+    it matters (sigma - n is exact for sigma within a factor 2 of n):
+    |cos(pi s/2)| = |sin(a + ib)| with a = pi (sigma - n)/2 and b = pi t/2,
+    so the zeros at the odd integers are exact.  Then |sin(a + ib)|^2
+    e^-2|b| = sin^2 a e^-2|b| + h^2 with h = (1 - e^-2|b|)/2, formed by
+    expm1, so nothing overflows at height.  Where sin a is exactly 0, ln h
+    is ln(pi/2) + ln|t| + ln(h/|b|), which keeps its digits however small
+    (even subnormal) t is."""
+    a = 0.5 * np.pi * (sigma - (2.0 * np.floor(0.5 * sigma) + 1.0))
+    pt = np.pi * np.abs(t)
+    em1 = np.expm1(-pt)
+    sin2 = np.square(np.sin(a))
+    out = np.zeros_like(t)
+    np.log(sin2 * (1.0 + em1) + np.square(0.5 * em1), out=out, where=sin2 > 0.0)
+    out *= 0.5
+    zero = sin2 == 0.0
+    if zero.any():
+        out[zero] = _LN_HALF_PI + np.log(np.abs(t[zero])) + np.log(-em1[zero] / pt[zero])
+    return out
+
+
 def logabsx_many(s):
-    """log|X| on arbitrary point collections, for field scans, by the
-    real-only `log_abs_gamma`: exactly 0 on Re s = 1/2 (conjugate arguments).
+    """log|X| on arbitrary point collections, for field scans, from one
+    Gamma in real arithmetic.  Legendre's duplication formula and the
+    reflection formula give X(s) = (5/pi)^(1/2 - s) 2^s pi^(-1/2)
+    cos(pi s/2) Gamma(1 - s), so
+
+        log|X| = (1/2 - sigma) ln(5/pi) + sigma ln 2 - ln(pi)/2
+                 + ln|cos(pi s/2)| + log|Gamma(1 - s)|,
+
+    with the cosine reduced at the nearest odd integer, and the cosine's
+    growth e^(pi |t|/2) and the Gamma's decay e^(-pi |t|/2) taken out of
+    both before they are added (`_log_abs_cos_damped`,
+    `specfun._log_abs_gamma_damped`), so no digits go to cancelling them
+    at height.  Exactly 0 on Re s = 1/2, by rule.  At s = 1, 3, 5, ... the
+    cosine's zero cancels the pole of Gamma(1 - s), and |cos(pi s/2)
+    Gamma(1 - s)| takes its limit pi / (2 (2m)!) at s = 2m + 1 (so X(1) =
+    pi/sqrt(5)).  Past Re s = 2038 the shift of Gamma(1 - s) exceeds its
+    budget, and DomainError is raised.
 
     Exact poles evaluate to +inf and exact zeros to -inf instead of
     raising, so grid passes over windows containing them classify
     their neighborhoods by sign like any other cell.  The points go in
-    fixed blocks of _POINT_BLOCK, so memory stays bounded for any count.
+    fixed blocks of _POINT_BLOCK, so memory stays bounded for any count,
+    and a point's bits do not depend on its batch or block.  Scalar in,
+    float out.
     """
     arr, was_scalar = as_points(s)
     out = np.empty(len(arr))
     for lo in range(0, len(arr), _POINT_BLOCK):
         part, res = arr[lo : lo + _POINT_BLOCK], out[lo : lo + _POINT_BLOCK]
-        pole = _pole_mask(part)
-        zero = _zero_mask(part)
-        rest = ~(pole | zero)
-        res[pole] = math.inf
-        res[zero] = -math.inf
+        sigma, t = part.real, part.imag
+        line = sigma == 0.5
+        res[line] = 0.0
+        rest = ~line
+        ints = _real_integer_mask(part)
+        if ints.any():
+            pole, zero = _pole_mask(part), _zero_mask(part)
+            limit = ints & (sigma >= 1.0) & (np.mod(sigma, 2.0) == 1.0)
+            res[pole] = math.inf
+            res[zero] = -math.inf
+            n = sigma[limit]
+            fact = np.array([math.lgamma(v) for v in n.tolist()])  # ln (n - 1)!
+            res[limit] = (0.5 - n) * _LN_5_OVER_PI + n * _LN2 + _LN_HALF_SQRT_PI - fact
+            rest &= ~(pole | zero | limit)
         if rest.any():
-            upper, lower = (log_abs_gamma(arg) for arg in _gamma_args(part[rest]))
-            res[rest] = (0.5 - part.real[rest]) * _LN_5_OVER_PI + upper - lower
+            sg, ts = sigma[rest], t[rest]
+            res[rest] = (
+                (0.5 - sg) * _LN_5_OVER_PI
+                + sg * _LN2
+                - _HALF_LN_PI
+                + _log_abs_cos_damped(sg, ts)
+                + _log_abs_gamma_damped(1.0 - sg, -ts)
+            )
     return float(out[0]) if was_scalar else out
 
 

@@ -192,7 +192,7 @@ def test_trace_memory_is_bounded_at_a_fine_step():
 
 
 def test_kappa_memory_is_bounded():
-    # the 1601 x 46 apex zoom grid goes in bands too
+    # the 51 x 41 strip grid and the 321 x 10 apex zoom grid go in bands too
     peak = _peak_bytes(kappa_detail)
     assert peak <= 5e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -262,6 +262,18 @@ def test_kappa_two_methods_agree():
     assert abs(kd.root_value - KAPPA_REF) < 1e-12
     assert kd.agreement < 1e-6
     assert abs(kappa() - 1.21164) < 1e-3
+
+
+def test_kappa_trace_steps_are_sized_to_their_stage():
+    # the coarse trace (step 0.02) only finds the apex, on the sigma = 1/2
+    # column at the line root; the 5e-4 zoom fits as well as a 1e-4 one
+    root = analysis._kappa_root()
+    polys = trace_unit_curve(Rect(0.0, 1.0, 0.8, 1.6), 0.02)
+    apex = max((v for p in polys for v in p.vertices), key=lambda v: v.t)
+    assert apex.sigma == 0.5 and abs(apex.t - root) < 1e-12
+    kd = kappa_detail()
+    assert kd.root_value == 1.2116357919123533
+    assert abs(kd.trace_value - analysis._apex_fit(apex, 1e-4)) < 1e-10
 
 
 # ----------------------------------------------------------------------

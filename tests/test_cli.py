@@ -114,6 +114,15 @@ def test_ratio_reports_unit_modulus_on_line(capsys):
     assert abs(pt["log_abs"]) < 1e-12
 
 
+def test_ratio_far_up_runs_without_warnings(capsys):
+    for point in ("0.5+1e155i", "0.5+1e300i"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, _ = run(["ratio", point, "--format", "json"], capsys)
+        assert status == OK, point
+        assert json.loads(out)["records"][0]["log_abs"] == 0.0
+
+
 # ----------------------------------------------------------------------
 # curve / kappa
 # ----------------------------------------------------------------------

@@ -122,6 +122,21 @@ def test_log_abs_gamma_poles_and_scalars():
             log_abs_gamma(bad + 0.0j)
     got = log_abs_gamma(3.0)
     assert type(got) is float and abs(got - math.log(2.0)) < 4e-15
+    # next to a pole the shift's squared factors underflow, and lgamma takes over
+    assert log_abs_gamma(1e-300) == pytest.approx(690.7755278982137, rel=1e-15)
+    assert log_abs_gamma(-3.0 + 1e-200j) == pytest.approx(lgamma(-3.0 + 1e-200j).real, rel=1e-15)
+
+
+def test_gamma_kernels_far_up_leak_no_overflow_warning():
+    # w * w overflows past |w| = 1.3e154, where 1/w^2 takes its limit 0
+    z = 0.5 + 1j * np.array([1e155, 1e300, -1e155])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lg, psi, lag = lgamma(z), digamma(z), log_abs_gamma(z)
+    # there Re lgamma = -pi |t|/2 + O(log t) and psi = ln z + O(1/z)
+    assert np.allclose(lg.real, -0.5 * np.pi * np.abs(z.imag), rtol=1e-15, atol=0.0)
+    assert np.allclose(lag, lg.real, rtol=1e-15, atol=0.0)
+    assert np.allclose(psi, np.log(z), rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("z, want", DIGAMMA_CASES)

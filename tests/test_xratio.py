@@ -171,9 +171,70 @@ def test_unit_circle_on_critical_line():
 
 
 def test_logabsx_exactly_zero_on_critical_line():
-    # the two Gamma arguments are exact conjugates there
+    # |X| = 1 on the line, and logabsx_many returns 0 there by rule
     t = np.random.default_rng(20260822).uniform(-1e4, 1e4, 100_000)
     assert not np.any(logabsx_many(0.5 + 1j * t))
+
+
+# log|X| at 30 digits (mpmath: the log of |(5/pi)^(1/2 - s) Gamma(1 - s/2) /
+# Gamma((1 + s)/2)|), at the float points as written: next to s = 1 and 3,
+# where the cosine's zero cancels the pole of Gamma(1 - s); next to the
+# zeros -1 and -3; at s = 1, 3, 5 exactly; in the traced window; and out to
+# t = 1e4 and sigma from -60 to 450.
+LOGABSX_REFS = [
+    (1.0 + 1e-9, "0.3400109304380048727912379"),
+    (1.0 - 1e-9, "0.3400109288266951911629776"),
+    (complex(1.0 + 1e-9, 1e-9), "0.3400109304380048723800043"),
+    (complex(1.0 - 1e-9, 1e-9), "0.3400109288266951907517441"),
+    (3.0 + 1e-7, "0.103741987588387258993637"),
+    (-1.0 + 1e-9, "-20.84013324374082842631332"),
+    (complex(-1.0 - 1e-9, 2e-9), "-20.03541424230508134206711"),
+    (-3.0 + 1e-8, "-17.20266697734719701875888"),
+    (complex(-3.0 - 1e-7, -1e-7), "-14.55350817576936076297023"),
+    (1.0, "0.3400109296323499868430477"),
+    (3.0, "0.1037420570228948953456158"),
+    (5.0, "-1.924286284814615196964293"),
+    (0.8 + 1.2j, "0.00156238109549974662452553"),
+    (-1.7 + 2.1j, "1.433522168526379391800576"),
+    (2.6 - 0.4j, "0.3358247040190687594848725"),
+    (0.3 + 0.05j, "-0.1256734196891024033893512"),
+    (-0.5 + 1.9j, "0.4468944377631245939395631"),
+    (2.9 + 2.2j, "-1.699710814178860368940018"),
+    (-60.0 + 3.0j, "178.5267877270806025568285"),
+    (-60.0 + 250.0j, "320.8082037894381122370557"),
+    (450.0 + 2.0j, "-2196.558848019183969853814"),
+    (450.0 - 300.0j, "-2570.907778253204961689956"),
+    (0.2 + 300.0j, "1.642602907315251661810937"),
+    (0.3 + 1e3j, "1.335863218001377321773533"),
+    (-20.0 + 5e3j, "169.9195151672512784215835"),
+    (0.9 + 1e4j, "-3.592760487140375250206897"),
+    (100.0 + 1e4j, "-893.7008128923372589672901"),
+]
+
+
+def test_logabsx_matches_frozen_references():
+    # 2e-14 of max(1, |log|X||) up to |t| = 300, growing with the height
+    # above it; next to the odd integers this needs the cosine reduced there
+    s = np.array([complex(p) for p, _ in LOGABSX_REFS])
+    ref = np.array([float(v) for _, v in LOGABSX_REFS])
+    err = np.abs(logabsx_many(s) - ref) / np.maximum(1.0, np.abs(ref))
+    bound = 2e-14 * np.maximum(1.0, np.abs(s.imag) / 300.0)
+    worst = np.argmax(err / bound)
+    assert err[worst] <= bound[worst], f"log|X| off by {err[worst]:.3g} at {s[worst]}"
+    assert [logabsx_many(p) for p in s] == logabsx_many(s).tolist()
+
+
+def test_logabsx_at_the_odd_integers_is_the_limit():
+    # |cos(pi s/2) Gamma(1 - s)| -> pi / (2 (2m)!) at s = 2m + 1, so X(1) = pi/sqrt(5)
+    assert abs(math.exp(logabsx_many(1.0)) - math.pi / math.sqrt(5.0)) < 1e-15
+    assert abs(logabsx_many(1.0 + 1e-12) - logabsx_many(1.0)) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = logabsx_many(np.array([1.0 + 1e-200j, 3.0 + 5e-324j, -1.0 + 5e-324j]))
+    # a subnormal or tiny t next to an odd integer keeps its digits (mpmath)
+    assert abs(near[0] - 0.3400109296323499868) < 1e-13
+    assert abs(near[1] - 0.1037420570228948953) < 1e-12
+    assert abs(near[2] - -744.5569392996994) < 1e-12
 
 
 @given(
