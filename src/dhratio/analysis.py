@@ -47,12 +47,10 @@ from .errors import (
     DomainError,
     UndersampledError,
 )
-from .specfun import ELEMENT_BUDGET, ComplexPoint, lgamma
+from .specfun import ELEMENT_BUDGET, ComplexPoint, log_abs_gamma
 from .xratio import (
     _gamma_args,
-    _log_form,
-    _pole_mask,
-    _zero_mask,
+    _log_x,
     dlogabsx_dt,
     dsigma_logabsx,
     gamma_modulus_dt,
@@ -401,7 +399,7 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int):
     j = min(int(np.searchsorted(ts_all, 0.0, side="right")) - 1, len(ts_all) - 2) - row_lo
     if ts_all[0] <= 0.0 <= ts_all[-1] and 0 <= j < row_hi - row_lo:
         ints = np.arange(math.ceil(sigmas[0]), math.floor(sigmas[-1]) + 1.0) + 0j
-        sing = ints[_pole_mask(ints) | _zero_mask(ints)].real
+        sing = ints[np.isinf(logabsx_many(ints))].real  # the poles and zeros of X
         degenerate[j, np.clip(np.searchsorted(sigmas, sing, side="right") - 1, 0, n_col - 1)] = True
 
     # subdivide crossed degenerate cells once, and flag them
@@ -891,7 +889,7 @@ def _strip_counts(heights) -> np.ndarray:
     is real on the real axis and f(s) = X(s) f(1 - s), so the winding of
     f around [-1/2, 3/2] x [t0, t1] is twice its phase change along the
     right half, less the phase of X on the line.  With A(t) the change of
-    arg f along 3/2 + it -> 1/2 + it and theta(t) = Im L(1/2 + it), the
+    arg f along 3/2 + it -> 1/2 + it and theta(t) = arg X(1/2 + it), the
     count is
 
         [arg f(3/2 + it1) - arg f(3/2 + it0) + A(t1) - A(t0)
@@ -912,7 +910,7 @@ def _strip_counts(heights) -> np.ndarray:
         raise BoundaryZeroError(f"a zero sits within {_BOUNDARY_GUARD} of a count path")
     along = _phase_changes(points, values, np.arange(len(h)).repeat(_COUNT_SAMPLES + 1))
     right = np.angle(values[:: _COUNT_SAMPLES + 1])
-    theta = _log_form(0.5 + 1j * h).imag
+    _, theta = _log_x(0.5 + 1j * h, True)
     counts = (np.diff(right) + np.diff(along) - 0.5 * np.diff(theta)) / math.pi
     off = np.abs(counts - np.rint(counts))
     if off.max(initial=0.0) > 1e-6:
@@ -1238,7 +1236,7 @@ def _zero_metrics(*names):
 
 def _gamma_rays(rays: list[complex], kap: float) -> list[dict]:
     s = np.array(rays)
-    upper, lower = ([math.exp(v) for v in lgamma(arg).real] for arg in _gamma_args(s))
+    upper, lower = (np.exp(log_abs_gamma(arg)).tolist() for arg in _gamma_args(s))
     columns = {
         "gamma_upper_modulus": upper,
         "gamma_lower_modulus": lower,

@@ -49,7 +49,7 @@ from .specfun import (
     em_split_point,
     lgamma,
 )
-from .xratio import _log_form, _x_many
+from .xratio import _log_x, _x_many
 
 __all__ = [
     "COEFFICIENTS",
@@ -406,7 +406,7 @@ def functional_eq_residual(s):
     and 1 - s).  Raises PoleError at s = 2, 4, 6, ... where X has poles.
     """
     arr, was_scalar = as_points(s)
-    xv, _ = _x_many(arr)
+    xv, _, _ = _x_many(arr)
     vals, _ = f_batch(np.concatenate((arr, 1.0 - arr)))
     here, mirror = vals[: len(arr)], vals[len(arr) :]
     res = np.abs(here - xv * mirror) / (np.abs(here) + np.abs(mirror) + 1e-300)
@@ -426,13 +426,13 @@ def _rotated_line(t: np.ndarray) -> np.ndarray:
     for lo in range(0, len(t), _POINT_BLOCK):
         s = 0.5 + 1j * t[lo : lo + _POINT_BLOCK]
         vals, _, _ = _evaluate(s, False)
-        out[lo : lo + _POINT_BLOCK] = np.exp(-0.5j * _log_form(s).imag) * vals
+        out[lo : lo + _POINT_BLOCK] = np.exp(-0.5j * _log_x(s, True)[1]) * vals
     return out
 
 
 def z_function(t):
     """Real rotated form Z(t) = exp(-i theta(t)/2) f(1/2 + it), with
-    theta(t) = Im L(1/2 + it) (xratio's log form of X).
+    theta(t) = arg X(1/2 + it), continuous and 0 at t = 0 (`xratio._log_x`).
 
     The rotation cancels the phase the reflection identity forces on
     the critical line, so Z is real there; sign changes of Z are line

@@ -9,20 +9,19 @@ carries the reflection identity of the series module: values at s and
 negative odd integers, simple poles at the positive even integers, and
 maps the line Re s = 1/2 onto the unit circle.
 
-Everything here works in log-modulus form: the combination
+Everything here works in log form, and one kernel, `_log_x`, gives it:
+by Legendre's duplication formula and the reflection formula,
 
-    L(s) = (1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1 + s)/2)
+    X(s) = (5/pi)^(1/2 - s) 2^s pi^(-1/2) cos(pi s/2) Gamma(1 - s),
 
-is evaluated once, giving log|X| = Re L and a continuous argument Im L,
-and products like X(s) X(1 - s*) are formed by adding L-values before a
-single exp, which keeps reflection defects at roundoff level even where
-|X| alone would overflow.
-
-The field scans need only log|X|, and `logabsx_many` takes it from one
-Gamma in real arithmetic: by Legendre's duplication formula and the
-reflection formula, X(s) = (5/pi)^(1/2 - s) 2^s pi^(-1/2) cos(pi s/2)
-Gamma(1 - s).  It is exactly 0 on Re s = 1/2 by rule, and takes the
-limit of cos(pi s/2) Gamma(1 - s) at s = 1, 3, 5, ...
+so log|X| and arg X take one Gamma, in real arithmetic
+(`specfun._log_abs_gamma_damped`), and one cosine reduced at the nearest
+odd integer.  The argument is the continuous one of the two-Gamma form,
+L(s) = (1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1 + s)/2) with
+principal lgamma, so arg X = Im L: 0 on (-1, 2) and on the line at
+t = 0, continuous in each half-plane.  Products like X(s) X(1 - s*) are
+formed by adding log forms before a single exp, which keeps reflection
+defects at roundoff level even where |X| alone would overflow.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from .specfun import (
     as_points,
     _log_abs_gamma_damped,
     digamma,
-    lgamma,
+    log_abs_gamma,
 )
 
 __all__ = [
@@ -58,9 +57,11 @@ _LN_5_OVER_PI = math.log(5.0 / math.pi)
 _LN2 = math.log(2.0)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
 _LN_HALF_PI = math.log(0.5 * math.pi)
+# ln 2 - ln(5/pi), the t-coefficient of arg X's elementary factors
+_LN_2PI_OVER_5 = math.log(0.4 * math.pi)
 # ln(pi/2) - ln(pi)/2, the constant of log|X| at s = 1, 3, 5, ...
 _LN_HALF_SQRT_PI = math.log(0.5 * math.sqrt(math.pi))
-# Points per `logabsx_many` block, which bounds its log|Gamma| temporaries.
+# Points per `_log_x` block, which bounds its log|Gamma| temporaries.
 _POINT_BLOCK = ELEMENT_BUDGET // 16
 
 
@@ -84,26 +85,6 @@ class RatioValue:
     zero_flag: bool = False
 
 
-# ----------------------------------------------------------------------
-# pole / zero bookkeeping
-# ----------------------------------------------------------------------
-
-
-def _real_integer_mask(arr: np.ndarray) -> np.ndarray:
-    return (arr.imag == 0.0) & (arr.real == np.floor(arr.real))
-
-def _pole_mask(arr: np.ndarray) -> np.ndarray:
-    """True at s = 2, 4, 6, ... where Gamma((1+s)/2) stays finite but
-    Gamma(1 - s/2) blows up."""
-    ints = _real_integer_mask(arr)
-    return ints & (arr.real >= 2.0) & (np.mod(arr.real, 2.0) == 0.0)
-
-def _zero_mask(arr: np.ndarray) -> np.ndarray:
-    """True at s = -1, -3, -5, ... where Gamma((1+s)/2) blows up."""
-    ints = _real_integer_mask(arr)
-    return ints & (arr.real <= -1.0) & (np.mod(arr.real, 2.0) == 1.0)
-
-
 def trivial_zeros(count: int) -> list[ComplexPoint]:
     """The first `count` zeros of X: -1, -3, -5, ..."""
     if count < 1:
@@ -119,7 +100,7 @@ def poles(count: int) -> list[ComplexPoint]:
 
 
 # ----------------------------------------------------------------------
-# the log form and X itself
+# the one kernel, and X itself
 # ----------------------------------------------------------------------
 
 
@@ -128,44 +109,119 @@ def _gamma_args(s):
     return 1.0 - 0.5 * s, 0.5 * (1.0 + s)
 
 
-def _log_form(arr: np.ndarray) -> np.ndarray:
-    """L(s) = (1/2 - s) ln(5/pi) + lgamma(1 - s/2) - lgamma((1+s)/2).
+def _cos_damped(sigma: np.ndarray, t: np.ndarray, arg: bool):
+    """ln|cos(pi s/2)| - pi |t|/2 at s = sigma + it; with `arg`, (that,
+    rem, half_turns) with arg cos(pi s/2) = rem + pi half_turns for t != 0.
 
-    The one place L is formed; `logabsx_many` takes Re L without it.  On
-    s = 1/2 + it, Im L is the rotation phase of `dhfun.z_function` (both
-    lgamma arguments keep real part 3/4 there, so it is continuous in t
-    and 0 at t = 0).  Callers must keep pole and zero points of X out of
-    `arr`; the lgamma pole check converts stray hits into PoleError.
+    The real part is reduced at the nearest odd integer n, exactly where
+    it matters (sigma - n is exact for sigma within a factor 2 of n):
+    cos(pi s/2) = (-1)^((n+1)/2) sin(a + ib) with a = pi (sigma - n)/2 and
+    b = pi t/2, so the zeros at the odd integers are exact.  Then |sin(a +
+    ib)|^2 e^-2|b| = sin^2 a e^-2|b| + h^2 with h = (1 - e^-2|b|)/2, formed
+    by expm1, so nothing overflows at height.  Where sin a is exactly 0,
+    ln h is ln(pi/2) + ln|t| + ln(h/|b|), which keeps its digits however
+    small (even subnormal) t is.  The argument, continuous in each
+    half-plane and 0 as t -> 0 on (-1, 1), is sign(t) (arctan2(h cos a,
+    (1 - h) sin a) - pi (n + 1)/2), from the same damped sinh and cosh.
     """
-    upper, lower = (lgamma(arg) for arg in _gamma_args(arr))
-    return (0.5 - arr) * _LN_5_OVER_PI + upper - lower
+    n = 2.0 * np.floor(0.5 * sigma) + 1.0
+    a = 0.5 * np.pi * (sigma - n)
+    pt = np.pi * np.abs(t)
+    em1 = np.expm1(-pt)
+    sin_a = np.sin(a)
+    sin2 = np.square(sin_a)
+    out = np.zeros_like(t)
+    np.log(sin2 * (1.0 + em1) + np.square(0.5 * em1), out=out, where=sin2 > 0.0)
+    out *= 0.5
+    zero = sin2 == 0.0
+    if zero.any():
+        out[zero] = _LN_HALF_PI + np.log(np.abs(t[zero])) + np.log(-em1[zero] / pt[zero])
+    if not arg:
+        return out
+    side = np.sign(t)
+    rem = side * np.arctan2(-0.5 * em1 * np.cos(a), (1.0 + 0.5 * em1) * sin_a)
+    return out, rem, -side * (0.5 * (n + 1.0))
+
+
+def _log_x(arr: np.ndarray, arg: bool = False):
+    """(log|X|, arg X) at every point of a 1-D array, the second None
+    unless `arg` is set: the one X kernel, behind `x_of`, `logabsx_many`,
+    the reflection defects and the Z rotation.
+
+        log|X| = (1/2 - sigma) ln(5/pi) + sigma ln 2 - ln(pi)/2
+                 + ln|cos(pi s/2)| + log|Gamma(1 - s)|,
+        arg X  = t ln(2 pi/5) + arg cos(pi s/2) + arg Gamma(1 - s),
+
+    with the cosine's growth e^(pi |t|/2) and the Gamma's decay e^(-pi
+    |t|/2) taken out of both before they are added (`_cos_damped`,
+    `specfun._log_abs_gamma_damped`), so no digits go to cancelling them
+    at height.  By rule:
+      - log|X| = 0 on Re s = 1/2;
+      - at s = 1, 3, 5, ... the cosine's zero cancels the pole of
+        Gamma(1 - s), and |cos(pi s/2) Gamma(1 - s)| takes its limit
+        pi / (2 (2m)!) at s = 2m + 1 (so X(1) = pi/sqrt(5));
+      - on the real axis arg X = pi (N_low - N_up), N_up and N_low the
+        negative factors of lgamma's shifts of 1 - s/2 and (1 + s)/2, as
+        Im L reads there: -pi on (2, 4), pi on (-3, -1);
+      - poles s = 2, 4, ... give +inf, zeros s = -1, -3, ... give -inf,
+        and the argument is NaN at both.
+    Past Re s = 2038 the shift of Gamma(1 - s) exceeds its budget, and
+    DomainError is raised.  The points go in fixed blocks of
+    _POINT_BLOCK, so memory stays bounded for any count, and a point's
+    bits do not depend on its batch or block; conjugate points get equal
+    moduli and opposite arguments, bit for bit.
+    """
+    log_abs = np.empty(len(arr))
+    angle = np.empty(len(arr)) if arg else None
+    for lo in range(0, len(arr), _POINT_BLOCK):
+        block = slice(lo, lo + _POINT_BLOCK)
+        sigma, t, res = arr[block].real, arr[block].imag, log_abs[block]
+        ints = (t == 0.0) & (sigma == np.floor(sigma))
+        odd = np.mod(sigma, 2.0) == 1.0
+        pole, zero = ints & (sigma >= 2.0) & ~odd, ints & (sigma <= -1.0) & odd
+        limit = ints & (sigma >= 1.0) & odd
+        res[pole], res[zero] = math.inf, -math.inf
+        n = sigma[limit]
+        fact = np.array([math.lgamma(v) for v in n.tolist()])  # ln (n - 1)!
+        res[limit] = (0.5 - n) * _LN_5_OVER_PI + n * _LN2 + _LN_HALF_SQRT_PI - fact
+        rest = ~(pole | zero | limit) & (arg | (sigma != 0.5))  # the line needs only arg X
+        if rest.any():
+            sg, ts = sigma[rest], t[rest]
+            cos = _cos_damped(sg, ts, arg)
+            gam = _log_abs_gamma_damped(1.0 - sg, -ts, arg)
+            if arg:
+                (cos, cos_rem, cos_turns), (gam, gam_rem, gam_turns) = cos, gam
+                turns = cos_turns + gam_turns
+                angle[block][rest] = ts * _LN_2PI_OVER_5 + cos_rem + gam_rem + np.pi * turns
+            res[rest] = (0.5 - sg) * _LN_5_OVER_PI + sg * _LN2 - _HALF_LN_PI + cos + gam
+        res[sigma == 0.5] = 0.0
+        if arg:  # on the real axis Im L counts lgamma's negative shift factors
+            axis = t == 0.0
+            low, up = np.ceil(-0.5 * (1.0 + sigma[axis])), np.ceil(0.5 * sigma[axis] - 1.0)
+            angle[block][axis] = np.pi * (np.maximum(low, 0.0) - np.maximum(up, 0.0))
+            angle[block][pole | zero] = math.nan
+    return log_abs, angle
 
 
 def _x_many(arr: np.ndarray):
-    """(X, L) on an array: PoleError at s = 2, 4, ...; X = 0 and L = -inf
-    at s = -1, -3, ...; DomainError where |X| overflows float64 (log|X|
-    = Re L stays finite there, and `logabsx_many` returns it).  The
-    points go in fixed blocks of _POINT_BLOCK, so memory stays bounded
-    for any count."""
-    pole = _pole_mask(arr)
-    if pole.any():
-        raise PoleError(f"X has a pole at s = {complex(arr[pole][0])}")
-    zero = _zero_mask(arr)
-    combos = np.full(len(arr), complex(-math.inf, math.nan))
-    values = np.zeros(len(arr), dtype=np.complex128)
-    for lo in range(0, len(arr), _POINT_BLOCK):
-        part = slice(lo, lo + _POINT_BLOCK)
-        rest = ~zero[part]
-        combos[part][rest] = _log_form(arr[part][rest])
-        with np.errstate(over="ignore", invalid="ignore"):
-            values[part][rest] = np.exp(combos[part][rest])
+    """(X, log|X|, arg X) on an array, from `_log_x`: PoleError at s = 2,
+    4, ...; X = 0 at s = -1, -3, ...; X real on the real axis; DomainError
+    where |X| overflows float64 (log|X| stays finite there, and
+    `logabsx_many` returns it)."""
+    log_abs, angle = _log_x(arr, True)
+    if (log_abs == math.inf).any():
+        raise PoleError(f"X has a pole at s = {complex(arr[log_abs == math.inf][0])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(log_abs + 1j * angle)
+    values[log_abs == -math.inf] = 0.0
+    values.imag[arr.imag == 0.0] = 0.0
     bad = ~np.isfinite(values)
     if bad.any():
         raise DomainError(
             f"|X| overflows float64 at s = {complex(arr[bad][0])} "
-            f"(log|X| = {combos[bad][0].real:.6g}; logabsx_many returns it)"
+            f"(log|X| = {log_abs[bad][0]:.6g}; logabsx_many returns it)"
         )
-    return values, combos
+    return values, log_abs, angle
 
 
 def x_of(s) -> RatioValue:
@@ -174,98 +230,32 @@ def x_of(s) -> RatioValue:
     Raises PoleError at s = 2, 4, 6, ...; returns a zero-flagged
     record (value exactly 0) at s = -1, -3, -5, ...  Raises DomainError
     where |X| overflows float64 (Re s below about -177 at small heights,
-    less far out higher up); `logabsx_many` returns the finite log|X|.
+    less far out higher up; `logabsx_many` returns the finite log|X|) and
+    past Re s = 2038, where |X| has long underflowed to 0.
     """
     arr, _ = as_points(s)
     if len(arr) != 1:
         raise DomainError("x_of takes a single point; use logabsx_many for grids")
-    values, combos = _x_many(arr)
+    values, log_abs, angle = _x_many(arr)
     return RatioValue(
         at=ComplexPoint.from_complex(complex(arr[0])),
         value=ComplexPoint.from_complex(complex(values[0])),
-        log_abs=float(combos[0].real),
-        arg_cont=float(combos[0].imag),
-        zero_flag=bool(_zero_mask(arr)[0]),
+        log_abs=float(log_abs[0]),
+        arg_cont=float(angle[0]),
+        zero_flag=bool(log_abs[0] == -math.inf),
     )
 
 
-def _log_abs_cos_damped(sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """ln|cos(pi s/2)| - pi |t|/2 at s = sigma + it.
-
-    The real part is reduced at the nearest odd integer n, exactly where
-    it matters (sigma - n is exact for sigma within a factor 2 of n):
-    |cos(pi s/2)| = |sin(a + ib)| with a = pi (sigma - n)/2 and b = pi t/2,
-    so the zeros at the odd integers are exact.  Then |sin(a + ib)|^2
-    e^-2|b| = sin^2 a e^-2|b| + h^2 with h = (1 - e^-2|b|)/2, formed by
-    expm1, so nothing overflows at height.  Where sin a is exactly 0, ln h
-    is ln(pi/2) + ln|t| + ln(h/|b|), which keeps its digits however small
-    (even subnormal) t is."""
-    a = 0.5 * np.pi * (sigma - (2.0 * np.floor(0.5 * sigma) + 1.0))
-    pt = np.pi * np.abs(t)
-    em1 = np.expm1(-pt)
-    sin2 = np.square(np.sin(a))
-    out = np.zeros_like(t)
-    np.log(sin2 * (1.0 + em1) + np.square(0.5 * em1), out=out, where=sin2 > 0.0)
-    out *= 0.5
-    zero = sin2 == 0.0
-    if zero.any():
-        out[zero] = _LN_HALF_PI + np.log(np.abs(t[zero])) + np.log(-em1[zero] / pt[zero])
-    return out
-
-
 def logabsx_many(s):
-    """log|X| on arbitrary point collections, for field scans, from one
-    Gamma in real arithmetic.  Legendre's duplication formula and the
-    reflection formula give X(s) = (5/pi)^(1/2 - s) 2^s pi^(-1/2)
-    cos(pi s/2) Gamma(1 - s), so
-
-        log|X| = (1/2 - sigma) ln(5/pi) + sigma ln 2 - ln(pi)/2
-                 + ln|cos(pi s/2)| + log|Gamma(1 - s)|,
-
-    with the cosine reduced at the nearest odd integer, and the cosine's
-    growth e^(pi |t|/2) and the Gamma's decay e^(-pi |t|/2) taken out of
-    both before they are added (`_log_abs_cos_damped`,
-    `specfun._log_abs_gamma_damped`), so no digits go to cancelling them
-    at height.  Exactly 0 on Re s = 1/2, by rule.  At s = 1, 3, 5, ... the
-    cosine's zero cancels the pole of Gamma(1 - s), and |cos(pi s/2)
-    Gamma(1 - s)| takes its limit pi / (2 (2m)!) at s = 2m + 1 (so X(1) =
-    pi/sqrt(5)).  Past Re s = 2038 the shift of Gamma(1 - s) exceeds its
-    budget, and DomainError is raised.
-
-    Exact poles evaluate to +inf and exact zeros to -inf instead of
-    raising, so grid passes over windows containing them classify
-    their neighborhoods by sign like any other cell.  The points go in
-    fixed blocks of _POINT_BLOCK, so memory stays bounded for any count,
-    and a point's bits do not depend on its batch or block.  Scalar in,
-    float out.
+    """log|X| on arbitrary point collections, for field scans: `_log_x`
+    without the argument, so neither the cosine nor the Gamma pays for it.
+    Exactly 0 on Re s = 1/2, by rule.  Exact poles evaluate to +inf and
+    exact zeros to -inf instead of raising, so grid passes over windows
+    containing them classify their neighborhoods by sign like any other
+    cell.  DomainError past Re s = 2038.  Scalar in, float out.
     """
     arr, was_scalar = as_points(s)
-    out = np.empty(len(arr))
-    for lo in range(0, len(arr), _POINT_BLOCK):
-        part, res = arr[lo : lo + _POINT_BLOCK], out[lo : lo + _POINT_BLOCK]
-        sigma, t = part.real, part.imag
-        line = sigma == 0.5
-        res[line] = 0.0
-        rest = ~line
-        ints = _real_integer_mask(part)
-        if ints.any():
-            pole, zero = _pole_mask(part), _zero_mask(part)
-            limit = ints & (sigma >= 1.0) & (np.mod(sigma, 2.0) == 1.0)
-            res[pole] = math.inf
-            res[zero] = -math.inf
-            n = sigma[limit]
-            fact = np.array([math.lgamma(v) for v in n.tolist()])  # ln (n - 1)!
-            res[limit] = (0.5 - n) * _LN_5_OVER_PI + n * _LN2 + _LN_HALF_SQRT_PI - fact
-            rest &= ~(pole | zero | limit)
-        if rest.any():
-            sg, ts = sigma[rest], t[rest]
-            res[rest] = (
-                (0.5 - sg) * _LN_5_OVER_PI
-                + sg * _LN2
-                - _HALF_LN_PI
-                + _log_abs_cos_damped(sg, ts)
-                + _log_abs_gamma_damped(1.0 - sg, -ts)
-            )
+    out, _ = _log_x(arr)
     return float(out[0]) if was_scalar else out
 
 
@@ -276,9 +266,14 @@ def logabsx_many(s):
 
 def _product_defect(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """|X(first) X(second) - 1| pointwise as |exp(L(first) + L(second)) - 1|,
-    the modulus by hypot like a complex scalar's abs (numpy's abs on a
-    complex array can differ from it in the last bit)."""
-    combos = _log_form(np.concatenate((first.ravel(), second.ravel())))
+    L = log|X| + i arg X, the modulus by hypot like a complex scalar's abs
+    (numpy's abs on a complex array can differ from it in the last bit).
+    PoleError if any point is a pole or zero of X."""
+    both = np.concatenate((first.ravel(), second.ravel()))
+    log_abs, angle = _log_x(both, True)
+    if np.isinf(log_abs).any():
+        raise PoleError(f"a pole or zero of X at s = {complex(both[np.isinf(log_abs)][0])}")
+    combos = log_abs + 1j * angle
     defect = np.expm1(combos[: first.size] + combos[first.size :])
     return np.hypot(defect.real, defect.imag).reshape(first.shape)
 
@@ -297,9 +292,6 @@ def reflection_defect(t, epsilon):
     if not (np.isfinite(t).all() and np.isfinite(epsilon).all()):
         raise DomainError("mirror pair parameters must be finite")
     s = (0.5 + np.stack((epsilon, -epsilon))) + 1j * t  # rows s+ and s-
-    hit = _pole_mask(s.ravel()) | _zero_mask(s.ravel())
-    if hit.any():
-        raise PoleError(f"a mirror pair touches a pole or zero of X at {s.ravel()[hit][0]}")
     defect = _product_defect(s, np.conj(s[::-1])).max(axis=0)
     return float(defect) if t.ndim == 0 else defect
 
@@ -417,8 +409,5 @@ def gamma_modulus_dt(s, which: str):
     total = _series_sum(lambda n, c, t: 1.0 / ((2.0 * n - c) ** 2 + t * t), c, t)
     total += _midpoint_tail(c, t)
     upper, lower = _gamma_args(arr)
-    # math.exp per point, as the suites' finite difference takes it: numpy's
-    # exp on an array can differ from math.exp in the last bit
-    log_modulus = lgamma(upper if which == "upper" else lower).real
-    out = -t * np.array([math.exp(v) for v in log_modulus]) * total
+    out = -t * np.exp(log_abs_gamma(upper if which == "upper" else lower)) * total
     return float(out[0]) if was_scalar else out

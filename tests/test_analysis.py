@@ -590,8 +590,13 @@ def test_strip_counts_are_exact(heights, zeros):
 
 
 def test_strip_counts_raise_off_an_integer(monkeypatch):
-    real = analysis._log_form
-    monkeypatch.setattr(analysis, "_log_form", lambda s: real(s) + 0.1j * s.imag / 120.0)
+    real = analysis._log_x
+
+    def skewed(s, arg=False):  # theta off by 0.1 t / 120
+        log_abs, theta = real(s, arg)
+        return log_abs, theta + 0.1 * s.imag / 120.0
+
+    monkeypatch.setattr(analysis, "_log_x", skewed)
     with pytest.raises(UndersampledError):
         analysis._strip_counts([0.0, 120.0])
 

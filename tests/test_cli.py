@@ -123,6 +123,19 @@ def test_ratio_far_up_runs_without_warnings(capsys):
         assert json.loads(out)["records"][0]["log_abs"] == 0.0
 
 
+def test_ratio_far_up_off_the_line_keeps_log_abs(capsys):
+    # log|X| = 71.33445005202037 at 0.3+1e155i (mpmath); past Re s = 2038
+    # the shift of Gamma(1 - s) is out of budget, an input error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, _ = run(["ratio", "0.3+1e155i", "--format", "json"], capsys)
+    assert status == OK
+    assert json.loads(out)["records"][0]["log_abs"] == 71.33445005202034
+    status, _, err = run(["ratio", "2100+1i", "--format", "json"], capsys)
+    assert status == BAD_INPUT
+    assert json.loads(err)["error"] == "DomainError"
+
+
 # ----------------------------------------------------------------------
 # curve / kappa
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dhratio import suites, xratio
@@ -102,21 +102,21 @@ def test_x_many_bits_do_not_depend_on_the_point_block(monkeypatch):
     rng = np.random.default_rng(20261019)
     pts = rng.uniform(-6.0, 7.0, 100) + 1j * rng.uniform(-40.0, 40.0, 100)
     pts = np.concatenate((pts, [-5.0, 0.5 + 3.0j]))  # a zero of X, the line
-    values, combos = xratio._x_many(pts)
+    log_abs, angle = xratio._log_x(pts, True)
     monkeypatch.setattr(xratio, "_POINT_BLOCK", 7)
-    blocked = xratio._x_many(pts)
-    assert np.array_equal(blocked[0], values)
-    assert np.array_equal(blocked[1], combos, equal_nan=True)
-    assert values[-2] == 0.0 and combos[-2].real == -math.inf
+    blocked = xratio._log_x(pts, True)
+    assert np.array_equal(blocked[0], log_abs)
+    assert np.array_equal(blocked[1], angle, equal_nan=True)
+    assert log_abs[-2] == -math.inf and math.isnan(angle[-2])
 
 
 def test_x_many_memory_is_bounded_for_many_points():
-    # 50 000 points go through the complex log-gamma in fixed blocks; what
-    # grows is the two complex results, 32 bytes a point
+    # 50 000 points go through the one-Gamma kernel, argument included, in
+    # fixed blocks; what grows is the two real results, 16 bytes a point
     pts = (np.linspace(0.05, 0.95, 5)[:, None] + 1j * np.linspace(0.0, 200.0, 10000)).ravel()
     tracemalloc.start()
     try:
-        xratio._x_many(pts)
+        xratio._log_x(pts, True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -224,6 +224,158 @@ def test_logabsx_matches_frozen_references():
     assert [logabsx_many(p) for p in s] == logabsx_many(s).tolist()
 
 
+def test_x_of_log_abs_matches_frozen_references():
+    # x_of reads the same one-Gamma kernel, so it meets the same bound
+    s = np.array([complex(p) for p, _ in LOGABSX_REFS])
+    ref = np.array([float(v) for _, v in LOGABSX_REFS])
+    got = np.array([x_of(p).log_abs for p in s])
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    bound = 2e-14 * np.maximum(1.0, np.abs(s.imag) / 300.0)
+    worst = np.argmax(err / bound)
+    assert err[worst] <= bound[worst], f"x_of log|X| off by {err[worst]:.3g} at {s[worst]}"
+
+
+# Im L at 30 digits (mpmath: the imaginary part of (1/2 - s) ln(5/pi) +
+# loggamma(1 - s/2) - loggamma((1 + s)/2), principal loggamma), at the float
+# points as written: out to t = 1e5, and near the real axis left and right.
+ARG_REFS = [
+    (0.5 + 1e3j, "-5680.101564836958488626681"),
+    (2.4 - 1e3j, "5680.09975983789407921568"),
+    (-7.5 + 1e3j, "-5680.069565175616587182155"),
+    (0.9 + 1e4j, "-79819.79757433944038399416"),
+    (-1.5 + 1e4j, "-79819.79738233944155519415"),
+    (0.3 + 1e5j, "-1028449.416497878395227983"),
+    (0.5 - 1e5j, "1028449.416498078395227984"),
+    (4.2 + 1e5j, "-1028449.416429628395243032"),
+    (-2.3 + 11j, "-13.30036236207087837497343"),
+    (3.5 + 0.1j, "3.208660634296547359916294"),
+    (-6.5 + 0.2j, "9.376407586338515344125286"),
+]
+
+
+def test_arg_cont_is_within_four_ulp_of_frozen_references():
+    for p, v in ARG_REFS:
+        ref, got = float(v), x_of(p).arg_cont
+        assert abs(got - ref) <= 4.0 * np.spacing(abs(ref)), f"arg X off by {got - ref:.3g} at {p}"
+
+
+# arg_cont of the two-lgamma log form at sigma = -7.5, -7.25, ..., 9.5 for
+# each t, as the library returned it before the one-Gamma kernel; at t = 0
+# the poles 2, 4, 6, 8 and the zeros -1, -3, -5, -7 are skipped.
+ARG_GRID = {
+    0.0: (
+        12.566370614359172, 12.566370614359172, 9.42477796076938, 9.42477796076938,
+        9.42477796076938, 9.42477796076938, 9.42477796076938, 9.42477796076938,
+        9.42477796076938, 6.283185307179586, 6.283185307179586, 6.283185307179586,
+        6.283185307179586, 6.283185307179586, 6.283185307179586, 6.283185307179586,
+        3.141592653589793, 3.141592653589793, 3.141592653589793, 3.141592653589793,
+        3.141592653589793, 3.141592653589793, 3.141592653589793, 0.0,
+        0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, -3.141592653589793, -3.141592653589793,
+        -3.141592653589793, -3.141592653589793, -3.141592653589793, -3.141592653589793,
+        -3.141592653589793, -6.283185307179586, -6.283185307179586, -6.283185307179586,
+        -6.283185307179586, -6.283185307179586, -6.283185307179586, -6.283185307179586,
+        -9.42477796076938, -9.42477796076938, -9.42477796076938, -9.42477796076938,
+        -9.42477796076938, -9.42477796076938, -9.42477796076938, -12.566370614359172,
+        -12.566370614359172, -12.566370614359172, -12.566370614359172, -12.566370614359172,
+        -12.566370614359172,
+    ),
+    0.1: (
+        12.226645096315186, 12.024607708412018, 10.81685110539376, 9.609205166061807,
+        9.407500501457081, 9.321018128711081, 9.26033952118626, 9.199808052121686,
+        9.113768387800134, 8.912805918535403, 7.706208318105306, 6.499815794873243,
+        6.29947106472086, 6.214469425979647, 6.155409325283558, 6.096654471958271,
+        6.012574114610039, 5.813783651912841, 4.6096077921075835, 3.4059330117950952,
+        3.2086606342965474, 3.127161369445542, 3.0721324611909324, 3.018069787762094,
+        2.9395238059822955, 2.7473657396404305, 1.5512945301179786, 0.35776876163058713,
+        0.17361483160586805, 0.10981391681489634, 0.0801668558142442, 0.06610944887523973,
+        0.061894876018206285, 0.06610944887523973, 0.0801668558142442, 0.10981391681489634,
+        0.17361483160586805, 0.35776876163058713, 1.5512945301179786, 2.7473657396404305,
+        2.9395238059822955, 3.0180697877620934, 3.072132461190932, 3.127161369445542,
+        3.208660634296547, 3.405933011795095, 4.6096077921075835, 5.813783651912842,
+        6.0125741146100395, 6.096654471958271, 6.155409325283559, 6.214469425979647,
+        6.29947106472086, 6.499815794873244, 7.706208318105307, 8.912805918535403,
+        9.113768387800132, 9.199808052121686, 9.26033952118626, 9.321018128711081,
+        9.407500501457081, 9.609205166061805, 10.81685110539376, 12.024607708412018,
+        12.226645096315185, 12.313684464821538, 12.375148083169295, 12.43669793492195,
+        12.523996448602968,
+    ),
+    -0.1: (
+        -12.226645096315186, -12.024607708412018, -10.81685110539376, -9.609205166061807,
+        -9.407500501457081, -9.321018128711081, -9.26033952118626, -9.199808052121686,
+        -9.113768387800134, -8.912805918535403, -7.706208318105306, -6.499815794873243,
+        -6.29947106472086, -6.214469425979647, -6.155409325283558, -6.096654471958271,
+        -6.012574114610039, -5.813783651912841, -4.6096077921075835, -3.4059330117950952,
+        -3.2086606342965474, -3.127161369445542, -3.0721324611909324, -3.018069787762094,
+        -2.9395238059822955, -2.7473657396404305, -1.5512945301179786, -0.35776876163058713,
+        -0.17361483160586805, -0.10981391681489634, -0.0801668558142442, -0.06610944887523973,
+        -0.061894876018206285, -0.06610944887523973, -0.0801668558142442, -0.10981391681489634,
+        -0.17361483160586805, -0.35776876163058713, -1.5512945301179786, -2.7473657396404305,
+        -2.9395238059822955, -3.0180697877620934, -3.072132461190932, -3.127161369445542,
+        -3.208660634296547, -3.405933011795095, -4.6096077921075835, -5.813783651912842,
+        -6.0125741146100395, -6.096654471958271, -6.155409325283559, -6.214469425979647,
+        -6.29947106472086, -6.499815794873244, -7.706208318105307, -8.912805918535403,
+        -9.113768387800132, -9.199808052121686, -9.26033952118626, -9.321018128711081,
+        -9.407500501457081, -9.609205166061805, -10.81685110539376, -12.024607708412018,
+        -12.226645096315185, -12.313684464821538, -12.375148083169295, -12.43669793492195,
+        -12.523996448602968,
+    ),
+    1.0: (
+        9.969925713986827, 9.59708765479501, 9.205437480216618, 8.81487497140078,
+        8.445306822439042, 8.10220579358264, 7.77653820802589, 7.452308708721944,
+        7.113533921088973, 6.751216437701807, 6.370890558645619, 5.9925514877223245,
+        5.63621699703699, 5.307489907484024, 4.9974897917006045, 4.690403096090292,
+        4.370463713165599, 4.028935956612681, 3.671672128032572, 3.319057452315077,
+        2.9915929483262502, 2.6954868526763076, 2.4226263556343177, 2.158183837831746,
+        1.8876770956932827, 1.6040665641882967, 1.3154776378402266, 1.0453819165557152,
+        0.8185092753963896, 0.6468594708892952, 0.5300794744427784, 0.46303251649008775,
+        0.44123576344514764, 0.46303251649008775, 0.5300794744427784, 0.6468594708892952,
+        0.8185092753963896, 1.0453819165557152, 1.3154776378402266, 1.6040665641882967,
+        1.887677095693283, 2.158183837831746, 2.4226263556343177, 2.6954868526763076,
+        2.9915929483262502, 3.319057452315077, 3.6716721280325717, 4.02893595661268,
+        4.370463713165599, 4.690403096090292, 4.9974897917006045, 5.307489907484024,
+        5.63621699703699, 5.9925514877223245, 6.370890558645619, 6.751216437701807,
+        7.113533921088973, 7.452308708721943, 7.77653820802589, 8.10220579358264,
+        8.445306822439042, 8.81487497140078, 9.205437480216618, 9.59708765479501,
+        9.969925713986827, 10.31849977923754, 10.651878812464757, 10.986108604282144,
+        11.337239199165296,
+    ),
+    -1.0: (
+        -9.969925713986827, -9.59708765479501, -9.205437480216618, -8.81487497140078,
+        -8.445306822439042, -8.10220579358264, -7.77653820802589, -7.452308708721944,
+        -7.113533921088973, -6.751216437701807, -6.370890558645619, -5.9925514877223245,
+        -5.63621699703699, -5.307489907484024, -4.9974897917006045, -4.690403096090292,
+        -4.370463713165599, -4.028935956612681, -3.671672128032572, -3.319057452315077,
+        -2.9915929483262502, -2.6954868526763076, -2.4226263556343177, -2.158183837831746,
+        -1.8876770956932827, -1.6040665641882967, -1.3154776378402266, -1.0453819165557152,
+        -0.8185092753963896, -0.6468594708892952, -0.5300794744427784, -0.46303251649008775,
+        -0.44123576344514764, -0.46303251649008775, -0.5300794744427784, -0.6468594708892952,
+        -0.8185092753963896, -1.0453819165557152, -1.3154776378402266, -1.6040665641882967,
+        -1.887677095693283, -2.158183837831746, -2.4226263556343177, -2.6954868526763076,
+        -2.9915929483262502, -3.319057452315077, -3.6716721280325717, -4.02893595661268,
+        -4.370463713165599, -4.690403096090292, -4.9974897917006045, -5.307489907484024,
+        -5.63621699703699, -5.9925514877223245, -6.370890558645619, -6.751216437701807,
+        -7.113533921088973, -7.452308708721943, -7.77653820802589, -8.10220579358264,
+        -8.445306822439042, -8.81487497140078, -9.205437480216618, -9.59708765479501,
+        -9.969925713986827, -10.31849977923754, -10.651878812464757, -10.986108604282144,
+        -11.337239199165296,
+    ),
+}
+
+
+def test_arg_cont_keeps_its_branch_across_the_poles_rows():
+    sigmas = -7.5 + 0.25 * np.arange(69)
+    for t, want in ARG_GRID.items():
+        s = sigmas + 1j * t
+        if t == 0.0:
+            odd = np.mod(sigmas, 2.0) == 1.0
+            s = s[(sigmas != np.floor(sigmas)) | ((sigmas < 2.0) & ~odd) | ((sigmas > -1.0) & odd)]
+        got = np.array([x_of(p).arg_cont for p in s])
+        err = np.abs(got - np.array(want)) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 4e-15, f"arg X off by {err.max():.3g} at {s[err.argmax()]}"
+
+
 def test_logabsx_at_the_odd_integers_is_the_limit():
     # |cos(pi s/2) Gamma(1 - s)| -> pi / (2 (2m)!) at s = 2m + 1, so X(1) = pi/sqrt(5)
     assert abs(math.exp(logabsx_many(1.0)) - math.pi / math.sqrt(5.0)) < 1e-15
@@ -252,6 +404,7 @@ def test_x_product_with_mirror_is_one(re, im):
     re=st.floats(min_value=-6.0, max_value=7.0),
     im=st.floats(min_value=0.05, max_value=60.0),
 )
+@example(re=3.5, im=0.0)  # on the real axis, where X is real
 @settings(max_examples=50, deadline=None)
 def test_x_conjugate_symmetry(re, im):
     s = complex(re, im)
