@@ -43,11 +43,11 @@ from .specfun import (
     _dirichlet_sum,
     _em_tail,
     _hurwitz_batch,
+    _log_abs_gamma_damped,
     _sin_cos_pi,
     as_points,
     digamma,
     em_split_point,
-    lgamma,
 )
 from .xratio import _log_x, _x_many
 
@@ -194,7 +194,9 @@ def _f_reflected(s: np.ndarray, deriv: bool):
 
     Exact integer reduction inside sin(pi z / 2) and cos(pi z / 2) makes
     the trivial zeros land on exact 0.0 and keeps f' exact there; their
-    growth e^(pi |Im z| / 2) is folded into the prefactor's exponent.
+    growth e^(pi |Im z| / 2) cancels the decay of Gamma(z), so the exponent
+    takes log Gamma(z) + pi |Im z| / 2 as it comes from
+    `specfun._log_abs_gamma_damped` (no half turns at Re z >= 2).
     With `deriv`, f' = E [(ln(10 pi) - ln 5 - psi(z)) sin - (pi/2) cos]
     T(z) - E sin T'(z) for f = E sin T(z), T = sum_m S_m zeta(z, m/5).
     """
@@ -209,9 +211,9 @@ def _f_reflected(s: np.ndarray, deriv: bool):
             dtotal += _S_REFLECT[m - 1] * dval
         tot_err += abs(_S_REFLECT[m - 1]) * err
 
-    half = 0.5 * z
-    sine, cosine = _sin_cos_pi(half)
-    expo = 2.0 * np.exp(-s * _LN5 + lgamma(z) - z * _LN10PI + np.pi * np.abs(half.imag))
+    sine, cosine = _sin_cos_pi(0.5 * z)
+    damped, rem, _ = _log_abs_gamma_damped(z.real, z.imag, True)
+    expo = 2.0 * np.exp(-s * _LN5 + (damped + 1j * rem) - z * _LN10PI)
     pref = expo * sine
     values = pref * total
     errs = np.abs(pref) * tot_err + 8.0 * _EPS * np.abs(values)

@@ -4,8 +4,8 @@ Everything downstream (the Dirichlet series, the functional-equation
 ratio, the curve and zero machinery) reduces to these functions over the
 complex plane:
 
-    lgamma(z)        principal-branch log Gamma, shift + Stirling series
-    log_abs_gamma(z) its real part log|Gamma(z)|, in real arithmetic
+    lgamma(z)        principal-branch log Gamma
+    log_abs_gamma(z) its real part log|Gamma(z)|, without the argument
     digamma(z)       psi(z), shift + asymptotic series
     hurwitz_zeta(s,a) Euler-Maclaurin continuation of sum (n+a)^-s, a > 0:
                       one order-64 tail, one split rule for every point
@@ -21,12 +21,11 @@ All four accept Python scalars (complex/float/int), `ComplexPoint`, or
 numpy arrays of points; scalar in, scalar out.  Accuracy is engineered
 for IEEE double precision:
 
-    lgamma   real part within 3.4e-15 of max(1, |lgamma|) against mpmath for
-             Re z in [-199.3, 450], |Im z| in [0.3, 1e8]; log_abs_gamma within
-             6.0e-15 there, and within 7.8e-15 of lgamma's real part (450
-             points; the specfun tests assert 4e-15 on their grid); its
-             argument for xratio within 3.7e-15 of max(1, |Im lgamma|) there,
-             and Im lgamma within 8.9e-15 (1 350 points)
+    lgamma   real part within 1.3e-15 and imaginary part within 4.4e-16 of
+             max(1, |lgamma|) against mpmath for Re z in [-199.3, 450],
+             |Im z| in [0.3, 1e8] (1 350 points); a part that cancels to O(1)
+             keeps that absolute error (9.4e-15 and 5.3e-14 of max(1, |part|)
+             there).  log_abs_gamma is lgamma's real part, bit for bit.
     digamma  ~1e-12 for |z| <= 500
     hurwitz  <= 1.8e-12 of max(1, |zeta|) for -2 <= Re s <= 5, |Im s| <= 1000,
              and 6.8e-14 for |Im s| <= 100; 3.0e-12 at 3000; near the
@@ -36,11 +35,13 @@ for IEEE double precision:
              in {0.1, 0.2, 0.5, 0.8, 1}); below Re s = -2 roundoff in EM
              blocks of size (N+a)^{1+|Re s|} wins (callers reflect instead)
 
-The log-gamma branch is the principal one, continuous on the plane cut
-along the negative real axis; the imaginary part is accumulated by the
-recurrence shift itself (one principal log per shift), not unwound after
-the fact, so vertical-line paths that stay inside a half-plane get a
-continuous argument.
+lgamma and log_abs_gamma are one real-arithmetic pass,
+`_log_abs_gamma_damped`.  Its argument, on the principal branch (cut
+along the negative real axis), is summed from the shift itself (Hare, J.
+Algorithms 25, 1997): one arctan(y / (x + j)) per factor and -sign(y) pi
+per factor x + j < 0, not unwound after the fact, so vertical-line paths
+inside a half-plane get a continuous argument.  On the cut the sign of a
+zero imaginary part picks the side.
 """
 from __future__ import annotations
 
@@ -120,20 +121,28 @@ def _unpack(values: np.ndarray, was_scalar: bool):
     return complex(values[0]) if was_scalar else values
 
 
+def _off_the_poles(z, what: str):
+    """`as_points`, and PoleError at z = 0, -1, -2, ..."""
+    arr, was_scalar = as_points(z)
+    bad = (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real == np.floor(arr.real))
+    if bad.any():
+        raise PoleError(f"{what} pole at z = {arr[bad][0]}")
+    return arr, was_scalar
+
+
 # ----------------------------------------------------------------------
 # Bernoulli machinery
 # ----------------------------------------------------------------------
 
-# Stirling series for log Gamma: sum_n B_2n / (2n (2n-1) w^(2n-1)), and
-# the asymptotic series for psi: ln w - 1/(2w) - sum_n B_2n / (2n w^2n),
-# for n = 1..15.  Literals, like _EM_COEF below, so that the import needs
-# no `fractions`; the specfun tests rebuild both exactly from B_2..B_30.
+# Stirling series for log Gamma: sum_n B_2n / (2n (2n-1) w^(2n-1)) for
+# n = 1..9 (at Re w >= 10 the first one dropped is below 1.4e-19), and the
+# asymptotic series for psi: ln w - 1/(2w) - sum_n B_2n / (2n w^2n) for
+# n = 1..15.  Literals, like _EM_COEF below, so that the import needs no
+# `fractions`; the specfun tests rebuild both exactly from B_2..B_30.
 _STIRLING_COEF = [
     0.08333333333333333, -0.002777777777777778, 0.0007936507936507937,
     -0.0005952380952380953, 0.0008417508417508417, -0.0019175269175269176,
     0.00641025641025641, -0.029550653594771242, 0.17964437236883057,
-    -1.3924322169059011, 13.402864044168393, -156.84828462600203,
-    2193.1033333333335, -36108.77125372499, 691472.268851313,
 ]
 _DIGAMMA_COEF = [
     0.08333333333333333, -0.008333333333333333, 0.003968253968253968,
@@ -166,70 +175,17 @@ _SHIFT_RE = 10.0
 _MAX_SHIFT = 2048
 
 
-def _nonpositive_integer_mask(arr: np.ndarray) -> np.ndarray:
-    return (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real == np.floor(arr.real))
-
-
 # ----------------------------------------------------------------------
 # log Gamma and digamma
 # ----------------------------------------------------------------------
 
 
-def _shifted_series(z, what: str, step, coef):
-    """The part of log Gamma and digamma that they share: the pole check at
-    z = 0, -1, ..., the shift to Re w >= 10 in unit steps from w, each
-    adding -step(w), and the Horner sum of `coef` in 1/w^2.  Returns (w,
-    acc, ser, 1/w^2, was_scalar)."""
-    arr, was_scalar = as_points(z)
-    bad = _nonpositive_integer_mask(arr)
-    if bad.any():
-        raise PoleError(f"{what} pole at z = {arr[bad][0]}")
-
-    w = arr.copy()
-    acc = np.zeros_like(arr)
-    for _ in range(_MAX_SHIFT):
-        mask = w.real < _SHIFT_RE
-        if not mask.any():
-            break
-        acc[mask] -= step(w[mask])
-        w[mask] += 1.0
-    else:
-        raise DomainError("argument real part too negative for the shift budget")
-
-    # w * w overflows only where |w| > 1.3e154, and 1/inf = 0 is the limit there
-    with np.errstate(over="ignore"):
-        winv2 = 1.0 / (w * w)
-    ser = np.full_like(w, coef[-1])
-    for c in coef[-2::-1]:
-        ser = ser * winv2 + c
-    return w, acc, ser, winv2, was_scalar
-
-
-def lgamma(z):
-    """Principal-branch log Gamma.
-
-    Recurrence-shifts the argument to Re w >= 10, accumulating
-    -log(z) - log(z+1) - ... with principal logs, then applies the
-    Stirling series
-
-        lgamma(w) ~ (w - 1/2) ln w - w + ln(2 pi)/2
-                    + sum_k B_2k / (2k (2k-1) w^(2k-1)).
-
-    Raises PoleError at the poles z = 0, -1, -2, ...
-    """
-    w, acc, ser, _, was_scalar = _shifted_series(z, "log Gamma", np.log, _STIRLING_COEF)
-    out = (w - 0.5) * np.log(w) - w + _HALF_LN_2PI + ser / w + acc
-    return _unpack(out, was_scalar)
-
-
 # log|Gamma| shifts in rounds of _SHIFT_ROUND unit steps, one real log per
-# round, and sums the first _LOG_ABS_TERMS Stirling terms: at Re w >= 10 the
-# first one dropped is below 1.4e-19.  Points with |Im z| >= _FAR_UP skip the
-# shift, which |w| alone makes needless, so a round's product stays below
-# 2^962.  One below _TINY_ROUND means a factor may have underflowed (a point
-# within about 1e-135 of a pole), and lgamma takes that point instead.
+# round.  Points with |Im z| >= _FAR_UP skip the shift, which |w| alone
+# makes needless, so a round's product stays below 2^962.  One below
+# _TINY_ROUND means a factor may have underflowed (a point within about
+# 1e-135 of a pole), and that point sums its shift again, one log per factor.
 _SHIFT_ROUND = 8
-_LOG_ABS_TERMS = 9
 _FAR_UP = 2.0**60
 _TINY_ROUND = 2.0**-900
 
@@ -237,12 +193,14 @@ _TINY_ROUND = 2.0**-900
 def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
     """log|Gamma(x + iy)| + pi |y| / 2 in real arithmetic, for points that
     are not poles: |Gamma| decays like e^(-pi |y| / 2), and callers that
-    cancel that decay (as `xratio._log_x` does against a cosine) keep the
-    digits it would cost.  With `arg`, returns (that, rem, half_turns) with
-    arg Gamma(x + iy) = rem + pi half_turns on lgamma's branch: rem is the
-    Stirling part's Im[(w - 1/2) log w - w + series / w] less the shift's
-    arctan(y / (x + j)), and half_turns, -sign(y) per factor x + j < 0,
-    lets callers add their multiples of pi exactly.
+    cancel that decay (as `xratio._log_x` and `dhfun._f_reflected` do) keep
+    the digits it would cost.  The one log-Gamma kernel: `lgamma` and
+    `log_abs_gamma` read it too.  With `arg`, returns (that, rem,
+    half_turns) with arg Gamma(x + iy) = rem + pi half_turns on the
+    principal branch: rem is the Stirling part's Im[(w - 1/2) log w - w +
+    series / w] less the shift's arctan(y / (x + j)), and half_turns,
+    -sign(y) per factor x + j < 0, lets callers add their multiples of pi
+    exactly.
 
     Each point shifts k = ceil(10 - x) unit steps, found in closed form
     (none at |y| >= _FAR_UP).
@@ -265,7 +223,9 @@ def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
     first = np.searchsorted(k[order], np.arange(shift), side="right")  # k > j from here
     logs, atans, prod, factor = np.zeros((4, len(x)))
     low = np.zeros(len(x), dtype=bool)
-    with np.errstate(divide="ignore"):  # log(0) at low points, y / 0 at x + j = 0
+    # log(0) at low points; y / (x + j) is +-inf at x + j = 0 and may
+    # overflow at a tiny x + j, and arctan(+-inf) = +-pi/2 is the limit
+    with np.errstate(divide="ignore", over="ignore"):
         for r in range(0, shift, _SHIFT_ROUND):
             part = prod[first[r] :]
             part.fill(1.0)
@@ -280,14 +240,18 @@ def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
             logs[first[r] :] += np.log(part)
     acc, tiny = np.empty(len(x)), np.empty(len(x), dtype=bool)
     acc[order], tiny[order] = logs, low  # back to input order
+    if tiny.any():  # 2 ln hypot(x + j, y) per factor, which cannot underflow
+        xt, yt, kt = x[tiny], y[tiny], k[tiny]
+        factors = (np.where(j < kt, np.log(np.hypot(xt + j, yt)), 0.0) for j in range(shift))
+        acc[tiny] = 2.0 * sum(factors)
     wx = x + k
     w = np.empty(len(x), dtype=np.complex128)
     w.real, w.imag = wx, y
     log_w = np.log(np.abs(w))
     winv = 1.0 / w
     winv2 = winv * winv
-    ser = np.full(len(x), complex(_STIRLING_COEF[_LOG_ABS_TERMS - 1]))
-    for c in _STIRLING_COEF[_LOG_ABS_TERMS - 2 :: -1]:
+    ser = np.full(len(x), complex(_STIRLING_COEF[-1]))
+    for c in _STIRLING_COEF[-2::-1]:
         ser *= winv2
         ser += c
     ay = np.abs(y)
@@ -296,27 +260,35 @@ def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
     # x + k rounds, so the Stirling part is taken at x + k + (wx - k - x),
     # exactly that far from the shifted x: d log Gamma / dx is log w there
     out -= log_w * ((wx - k) - x)
-    if arg:
-        arg_w, im = np.arctan2(y, wx), np.empty(len(x))
-        im[order] = -atans
-        im += y * (log_w - 1.0) + (wx - 0.5) * arg_w + (ser * winv).imag
-        im -= arg_w * ((wx - k) - x)
-        half_turns = -np.copysign(np.clip(np.ceil(-x), 0.0, k), y)  # the factors x + j < 0
-    if tiny.any():  # the argument needs no fallback: no product is formed for it
-        out[tiny] = lgamma(x[tiny] + 1j * y[tiny]).real + 0.5 * np.pi * ay[tiny]
-    return (out, im, half_turns) if arg else out
+    if not arg:
+        return out
+    arg_w, im = np.arctan2(y, wx), np.empty(len(x))
+    im[order] = -atans
+    im += y * (log_w - 1.0) + (wx - 0.5) * arg_w + (ser * winv).imag
+    im -= arg_w * ((wx - k) - x)
+    half_turns = -np.copysign(np.clip(np.ceil(-x), 0.0, k), y)  # the factors x + j < 0
+    return out, im, half_turns
+
+
+def lgamma(z):
+    """Principal-branch log Gamma, from `_log_abs_gamma_damped`: the real
+    part is its damped value less pi |Im z| / 2, the imaginary part its
+    remainder plus pi times its half turns.  Raises PoleError at the poles
+    z = 0, -1, -2, ...
+    """
+    arr, was_scalar = _off_the_poles(z, "log Gamma")
+    damped, rem, half_turns = _log_abs_gamma_damped(arr.real, arr.imag, True)
+    out = damped - 0.5 * np.pi * np.abs(arr.imag) + 1j * (rem + np.pi * half_turns)
+    return _unpack(out, was_scalar)
 
 
 def log_abs_gamma(z):
-    """log|Gamma(z)| = Re lgamma(z) in real arithmetic: one real log per
+    """log|Gamma(z)| = Re lgamma(z), without the argument: one real log per
     round of eight shift steps, and no complex log (see
     `_log_abs_gamma_damped`).  Scalar in, float out; PoleError at z = 0,
     -1, ...
     """
-    arr, was_scalar = as_points(z)
-    bad = _nonpositive_integer_mask(arr)
-    if bad.any():
-        raise PoleError(f"log Gamma pole at z = {arr[bad][0]}")
+    arr, was_scalar = _off_the_poles(z, "log Gamma")
     out = _log_abs_gamma_damped(arr.real, arr.imag) - 0.5 * np.pi * np.abs(arr.imag)
     return float(out[0]) if was_scalar else out
 
@@ -328,7 +300,22 @@ def digamma(z):
     asymptotic series psi(w) ~ ln w - 1/(2w) - sum_k B_2k / (2k w^2k).
     Raises PoleError at the poles z = 0, -1, -2, ...
     """
-    w, acc, ser, winv2, was_scalar = _shifted_series(z, "digamma", lambda v: 1.0 / v, _DIGAMMA_COEF)
+    arr, was_scalar = _off_the_poles(z, "digamma")
+    w, acc = arr.copy(), np.zeros_like(arr)
+    for _ in range(_MAX_SHIFT):
+        mask = w.real < _SHIFT_RE
+        if not mask.any():
+            break
+        acc[mask] -= 1.0 / w[mask]
+        w[mask] += 1.0
+    else:
+        raise DomainError("argument real part too negative for the shift budget")
+    # w * w overflows only where |w| > 1.3e154, and 1/inf = 0 is the limit there
+    with np.errstate(over="ignore"):
+        winv2 = 1.0 / (w * w)
+    ser = np.full_like(w, _DIGAMMA_COEF[-1])
+    for c in _DIGAMMA_COEF[-2::-1]:
+        ser = ser * winv2 + c
     out = np.log(w) - 0.5 / w - ser * winv2 + acc
     return _unpack(out, was_scalar)
 

@@ -61,6 +61,8 @@ _LN_HALF_PI = math.log(0.5 * math.pi)
 _LN_2PI_OVER_5 = math.log(0.4 * math.pi)
 # ln(pi/2) - ln(pi)/2, the constant of log|X| at s = 1, 3, 5, ...
 _LN_HALF_SQRT_PI = math.log(0.5 * math.sqrt(math.pi))
+# Gamma(1 - s) shifts ceil(9 + Re s) steps, in the kernel's budget up to here
+_MAX_RE = 2038.0
 # Points per `_log_x` block, which bounds its log|Gamma| temporaries.
 _POINT_BLOCK = ELEMENT_BUDGET // 16
 
@@ -166,10 +168,10 @@ def _log_x(arr: np.ndarray, arg: bool = False):
       - poles s = 2, 4, ... give +inf, zeros s = -1, -3, ... give -inf,
         and the argument is NaN at both.
     Past Re s = 2038 the shift of Gamma(1 - s) exceeds its budget, and
-    DomainError is raised.  The points go in fixed blocks of
-    _POINT_BLOCK, so memory stays bounded for any count, and a point's
-    bits do not depend on its batch or block; conjugate points get equal
-    moduli and opposite arguments, bit for bit.
+    such a point is refused with a DomainError that names that limit.  The
+    points go in fixed blocks of _POINT_BLOCK, so memory stays bounded for
+    any count, and a point's bits do not depend on its batch or block;
+    conjugate points get equal moduli and opposite arguments, bit for bit.
     """
     log_abs = np.empty(len(arr))
     angle = np.empty(len(arr)) if arg else None
@@ -187,6 +189,8 @@ def _log_x(arr: np.ndarray, arg: bool = False):
         rest = ~(pole | zero | limit) & (arg | (sigma != 0.5))  # the line needs only arg X
         if rest.any():
             sg, ts = sigma[rest], t[rest]
+            if sg.max() > _MAX_RE:
+                raise DomainError(f"X takes Re s <= {_MAX_RE:g}, not Re s = {float(sg.max())!r}")
             cos = _cos_damped(sg, ts, arg)
             gam = _log_abs_gamma_damped(1.0 - sg, -ts, arg)
             if arg:

@@ -125,7 +125,8 @@ def test_ratio_far_up_runs_without_warnings(capsys):
 
 def test_ratio_far_up_off_the_line_keeps_log_abs(capsys):
     # log|X| = 71.33445005202037 at 0.3+1e155i (mpmath); past Re s = 2038
-    # the shift of Gamma(1 - s) is out of budget, an input error
+    # the shift of Gamma(1 - s) is out of budget, an input error that names
+    # the limit on s itself
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         status, out, _ = run(["ratio", "0.3+1e155i", "--format", "json"], capsys)
@@ -134,6 +135,7 @@ def test_ratio_far_up_off_the_line_keeps_log_abs(capsys):
     status, _, err = run(["ratio", "2100+1i", "--format", "json"], capsys)
     assert status == BAD_INPUT
     assert json.loads(err)["error"] == "DomainError"
+    assert "Re s <= 2038" in json.loads(err)["message"]
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Special-function kernels against frozen high-precision references.
 
 The reference values were computed once with an independent
-arbitrary-precision package at 25 significant digits and frozen here;
+arbitrary-precision package at 25 or 30 significant digits and frozen here;
 the library itself never depends on that package.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dhratio import specfun, suites
@@ -50,6 +50,60 @@ HURWITZ_CASES = [
 ]
 
 GAMMA_1_PLUS_I_ABS = 0.5215640468649398411582
+
+# log Gamma(re + i t) at 30 digits (mpmath's principal loggamma), (real,
+# imaginary) per height t; at re - i t the value is the conjugate
+LOG_GAMMA_HEIGHTS = [0.3, 50.0, 1e3, 1e4, 1e5, 1e8]
+LOG_GAMMA_GRID = {
+    -199.3: [
+        (-858.682291084714406812213304984, -626.238084461732016468867315339),
+        (-1008.57186843966469998727392107, -362.311965854045019931503627741),
+        (-2951.36059793576244774394161346, 5574.08091744307395343496957283),
+        (-17547.2836274349927354741497836, 81787.5627486128093436944322154),
+        (-159378.996381790250521638742844, 1050978.50179127868723734416956),
+        (-157083312.212563770534223081335, 1742067760.54993085381069758289),
+    ],
+    -60.2: [
+        (-188.516186101808743195176810041, -189.613256079798312709109735216),
+        (-325.957716429009381506303698449, 19.375378390818404331653743475),
+        (-1989.2153648037846115266846705, 5810.56686808427342586707891716),
+        (-16266.1123627128766878051043687, 82007.8721635231624932340067514),
+        (-157777.548320407372536289396613, 1051197.18073795418958160420582),
+        (-157080749.895872286630823164044, 1742067979.04788108873083057973),
+    ],
+    -0.4: [
+        (0.941547183454580482041342791259, -2.92080931912792654374294605911),
+        (-81.1417321105116365320278301388, 144.180167097465127906462742442),
+        (-1576.09436809677586427777396928, 5906.34119895471166728256887768),
+        (-15715.3336357513800842378407949, 82101.9899667343786437496915225),
+        (-157089.075373874938856224108037, 1051291.13277669539326869356249),
+        (-157079648.339163798275588769734, 1742068072.98151984946565283823),
+    ],
+    0.75: [
+        (0.0949520054428878552703727873954, -0.303769199675332297428207319824),
+        (-76.6428751803784739355918200938, 145.994057687654676642270157527),
+        (-1568.15044944975891344723161384, 5908.14798848050259478518309664),
+        (-15704.7417443228455988875406655, 82103.7964198851927516930424068),
+        (-157075.835509590215474535366357, 1051292.93919620870739981735375),
+        (-157079627.155380942730368060129, 1742068074.78793562901728398522),
+    ],
+    3.0: [
+        (0.675415082248242952120985283202, 0.277526069919508644795916302763),
+        (-67.8398209722772810917020723766, 149.466498378406674570776809578),
+        (-1552.60799756424085384857312478, 5911.6791864687881758901663343),
+        (-15684.0184784608210631562566613, 82107.3304022454842661565593726),
+        (-157049.931427293781679340206441, 1051296.47345700649592020769453),
+        (-157079585.708849268837545497024, 1742068078.32222733336830137849),
+    ],
+    450.0: [
+        (2297.02581205975565730283026437, 1.83244084031090390570180062227),
+        (2294.25075216390340603839850087, 305.509532045486225355050499192),
+        (1549.45707895250344121662424311, 6515.95668027850590160580773481),
+        (-11566.8450547515365639544816503, 82799.3775595931441637382849361),
+        (-151903.652230770264711657481319, 1051997.60919848580408626935613),
+        (-157071351.664556720616488448696, 1742068780.46717519068709357691),
+    ],
+}
 
 
 # ----------------------------------------------------------------------
@@ -107,13 +161,20 @@ def test_lgamma_vectorized_matches_scalar():
         assert batch[k] == lgamma(complex(zk))
 
 
-@pytest.mark.parametrize("re", [-199.3, -60.2, -0.4, 0.75, 3.0, 450.0])
+@pytest.mark.parametrize("re", list(LOG_GAMMA_GRID))
 def test_log_abs_gamma_matches_lgamma(re):
-    z = re + 1j * np.array([0.3, 50.0, 1e3, 1e4, 1e5, 1e8])
-    z = np.concatenate((z, np.conj(z)))
-    ref = lgamma(z).real
-    gap = np.abs(log_abs_gamma(z) - ref) / np.maximum(1.0, np.abs(ref))
-    assert gap.max() <= 4e-15, f"log|Gamma| off by {gap.max():.3g} at Re z = {re}"
+    # both parts of lgamma, and log_abs_gamma, against the frozen values
+    z = re + 1j * np.array(LOG_GAMMA_HEIGHTS)
+    ref = np.array([complex(*v) for v in LOG_GAMMA_GRID[re]])
+    z, ref = np.concatenate((z, np.conj(z))), np.concatenate((ref, np.conj(ref)))
+    got = lgamma(z)
+    for name, part, want in (
+        ("log|Gamma|", log_abs_gamma(z), ref.real),
+        ("Re lgamma", got.real, ref.real),
+        ("Im lgamma", got.imag, ref.imag),
+    ):
+        gap = np.abs(part - want) / np.maximum(1.0, np.abs(want))
+        assert gap.max() <= 4e-15, f"{name} off by {gap.max():.3g} at Re z = {re}"
 
 
 def test_log_abs_gamma_poles_and_scalars():
@@ -122,17 +183,23 @@ def test_log_abs_gamma_poles_and_scalars():
             log_abs_gamma(bad + 0.0j)
     got = log_abs_gamma(3.0)
     assert type(got) is float and abs(got - math.log(2.0)) < 4e-15
-    # next to a pole the shift's squared factors underflow, and lgamma takes over
+    # next to a pole the shift's squared factors underflow, and the shift is
+    # summed again one factor at a time (mpmath: 690.77552789821370...,
+    # 458.72525912958108...)
     assert log_abs_gamma(1e-300) == pytest.approx(690.7755278982137, rel=1e-15)
-    assert log_abs_gamma(-3.0 + 1e-200j) == pytest.approx(lgamma(-3.0 + 1e-200j).real, rel=1e-15)
+    assert log_abs_gamma(-3.0 + 1e-200j) == pytest.approx(458.7252591295811, rel=1e-15)
 
 
 def test_gamma_kernels_far_up_leak_no_overflow_warning():
-    # w * w overflows past |w| = 1.3e154, where 1/w^2 takes its limit 0
+    # w * w overflows past |w| = 1.3e154, where 1/w^2 takes its limit 0; and
+    # at a subnormal Re z the argument's y / (x + j) overflows, where
+    # arctan(inf) = pi/2 is the limit (mpmath: -79.57688930925423 + 144.81408541911843i)
     z = 0.5 + 1j * np.array([1e155, 1e300, -1e155])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lg, psi, lag = lgamma(z), digamma(z), log_abs_gamma(z)
+        near = lgamma(1e-308 + 50j)
+    assert abs(near - (-79.57688930925423 + 144.81408541911843j)) < 4e-15 * 144.8
     # there Re lgamma = -pi |t|/2 + O(log t) and psi = ln z + O(1/z)
     assert np.allclose(lg.real, -0.5 * np.pi * np.abs(z.imag), rtol=1e-15, atol=0.0)
     assert np.allclose(lag, lg.real, rtol=1e-15, atol=0.0)
@@ -167,6 +234,7 @@ def test_lgamma_recurrence_property(re, im):
     im=st.floats(min_value=0.05, max_value=80.0),
 )
 @settings(max_examples=60, deadline=None)
+@example(re=-2.5, im=0.0)  # its conjugate -2.5 - 0i lies on the cut's lower side
 def test_conjugate_symmetry_property(re, im):
     z = complex(re, im)
     assert lgamma(z.conjugate()) == lgamma(z).conjugate()
@@ -531,8 +599,8 @@ _BERNOULLI = [
 def test_em_coefficients_are_the_exact_bernoulli_ratios():
     # every coefficient list, correctly rounded, from exact Bernoulli
     # numbers (sum_{j <= m} C(m + 1, j) B_j = 0): B_2k / (2k)! for
-    # k = 1..33 in the EM tail, and B_2n / (2n (2n - 1)) and B_2n / 2n for
-    # n = 1..15 in the Stirling and digamma series
+    # k = 1..33 in the EM tail, B_2n / (2n (2n - 1)) for n = 1..9 in the
+    # Stirling series and B_2n / 2n for n = 1..15 in the digamma series
     b = [Fraction(1)]
     for m in range(1, 67):
         b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
@@ -540,5 +608,5 @@ def test_em_coefficients_are_the_exact_bernoulli_ratios():
     assert specfun._EM_COEF == want
     assert b[2:32:2] == _BERNOULLI
     pairs = list(enumerate(_BERNOULLI, start=1))
-    assert specfun._STIRLING_COEF == [float(bn / (2 * n * (2 * n - 1))) for n, bn in pairs]
+    assert specfun._STIRLING_COEF == [float(bn / (2 * n * (2 * n - 1))) for n, bn in pairs[:9]]
     assert specfun._DIGAMMA_COEF == [float(bn / (2 * n)) for n, bn in pairs]
