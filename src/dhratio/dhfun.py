@@ -304,14 +304,21 @@ def _brute_sum(s: np.ndarray, n_terms: int, columns) -> np.ndarray:
     """sum_{n <= n_terms} w_n exp(-s log_n) at every point of s, with
     columns(n) = (log_n, w_n) on a block of n, less n with zero terms.
     Fixed-width blocks (so batching never changes a sum), pairwise np.sum
-    within and across them, point chunks near 2 MB, no `_dirichlet_sum`."""
-    per = ELEMENT_BUDGET // _SERIES_BLOCK
+    within and across them, no `_dirichlet_sum`.  Each point chunk's terms
+    go through one buffer of ELEMENT_BUDGET / 8 elements (256 kB), formed,
+    exponentiated and weighted in place; a row's sum does not depend on
+    the chunk's size."""
+    per = ELEMENT_BUDGET // 8 // _SERIES_BLOCK
     partials = np.empty((len(s), -(-n_terms // _SERIES_BLOCK)), dtype=np.complex128)
     for b, lo in enumerate(range(1, n_terms + 1, _SERIES_BLOCK)):
         logs, weights = columns(np.arange(lo, min(lo + _SERIES_BLOCK, n_terms + 1)))
+        buf = np.empty((min(per, len(s)), len(logs)), dtype=np.complex128)
         for p0 in range(0, len(s), per):
             pts = s[p0 : p0 + per, None]
-            partials[p0 : p0 + per, b] = (weights * np.exp(-pts * logs)).sum(axis=1)
+            terms = np.multiply(-pts, logs, out=buf[: len(pts)])
+            np.exp(terms, out=terms)
+            terms *= weights
+            partials[p0 : p0 + per, b] = terms.sum(axis=1)
     return partials.sum(axis=1)
 
 

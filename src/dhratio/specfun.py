@@ -188,6 +188,8 @@ _MAX_SHIFT = 2048
 _SHIFT_ROUND = 8
 _FAR_UP = 2.0**60
 _TINY_ROUND = 2.0**-900
+# |Im lgamma| ~ |y| (ln|y| - 1) passes the float64 maximum near |y| = 2.56e305
+_MAX_ARG_IM = 2.5e305
 
 
 def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
@@ -200,7 +202,8 @@ def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
     principal branch: rem is the Stirling part's Im[(w - 1/2) log w - w +
     series / w] less the shift's arctan(y / (x + j)), and half_turns,
     -sign(y) per factor x + j < 0, lets callers add their multiples of pi
-    exactly.
+    exactly.  The argument leaves float64 past |y| = _MAX_ARG_IM, and
+    with `arg` such a point is refused with a DomainError naming that limit.
 
     Each point shifts k = ceil(10 - x) unit steps, found in closed form
     (none at |y| >= _FAR_UP).
@@ -215,6 +218,9 @@ def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
     need = np.maximum(np.ceil(_SHIFT_RE - x), 0.0)
     if not need.max(initial=0.0) < _MAX_SHIFT:
         raise DomainError("argument real part too negative for the shift budget")
+    if arg and np.abs(y).max(initial=0.0) > _MAX_ARG_IM:
+        far = float(np.abs(y).max())
+        raise DomainError(f"arg Gamma takes |Im| <= {_MAX_ARG_IM:g}, not |Im| = {far!r}")
     k = np.where(np.abs(y) < _FAR_UP, need, 0.0)
     order = np.argsort(k)  # the points that need factor j are a suffix
     xs, ys = x[order], y[order]
@@ -274,7 +280,8 @@ def lgamma(z):
     """Principal-branch log Gamma, from `_log_abs_gamma_damped`: the real
     part is its damped value less pi |Im z| / 2, the imaginary part its
     remainder plus pi times its half turns.  Raises PoleError at the poles
-    z = 0, -1, -2, ...
+    z = 0, -1, -2, ..., and DomainError past |Im z| = 2.5e305, where the
+    imaginary part leaves float64.
     """
     arr, was_scalar = _off_the_poles(z, "log Gamma")
     damped, rem, half_turns = _log_abs_gamma_damped(arr.real, arr.imag, True)

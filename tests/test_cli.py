@@ -138,6 +138,16 @@ def test_ratio_far_up_off_the_line_keeps_log_abs(capsys):
     assert "Re s <= 2038" in json.loads(err)["message"]
 
 
+def test_ratio_past_the_arg_gamma_limit_is_an_input_error(capsys):
+    # arg X takes arg Gamma(1 - s), which leaves float64 past |Im s| = 2.5e305
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, _, err = run(["ratio", "0.3+1e306i", "--format", "json"], capsys)
+    assert status == BAD_INPUT
+    assert json.loads(err)["error"] == "DomainError"
+    assert "|Im| <= 2.5e+305" in json.loads(err)["message"]
+
+
 # ----------------------------------------------------------------------
 # curve / kappa
 # ----------------------------------------------------------------------
@@ -407,6 +417,20 @@ def test_every_exported_name_resolves():
     assert dhratio.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
         dhratio.nonsense
+
+
+def test_verify_loads_neither_numpy_random_nor_secrets():
+    # the suites draw from the standard library's Mersenne Twister, which
+    # numpy's own import already loads; numpy.random brings eight extension
+    # modules and secrets, so OpenSSL's libcrypto
+    code = (
+        "import contextlib, io, sys\n"
+        "from dhratio.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['verify', '--suite', 'dhfun', '--seed', '42', '--format', 'csv'])\n"
+        "print(status, sorted(m for m in sys.modules if m in ('numpy.random', 'secrets')))\n"
+    )
+    assert fresh_python(code) == ["0 []"]
 
 
 _BLAS_THREADS = """

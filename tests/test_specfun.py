@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -204,6 +205,20 @@ def test_gamma_kernels_far_up_leak_no_overflow_warning():
     assert np.allclose(lg.real, -0.5 * np.pi * np.abs(z.imag), rtol=1e-15, atol=0.0)
     assert np.allclose(lag, lg.real, rtol=1e-15, atol=0.0)
     assert np.allclose(psi, np.log(z), rtol=1e-15, atol=0.0)
+
+
+def test_lgamma_past_its_float64_argument_is_an_input_error():
+    # |Im lgamma| ~ |y| (ln|y| - 1) passes the float64 maximum near
+    # |y| = 2.56e305: refused there, while the modulus alone stays finite
+    # (mpmath: Im lgamma(0.5 + 2.5e305 i) = 1.75551186023764525e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (0.5 + 1e306j, np.array([3.0 + 1j, -7.5 - 3e305j])):
+            with pytest.raises(DomainError, match=r"\|Im\| <= 2\.5e\+305"):
+                lgamma(z)
+        edge = lgamma(0.5 + 2.5e305j)
+        assert log_abs_gamma(0.5 + 1e306j) == -0.5 * np.pi * 1e306
+    assert abs(edge.imag - 1.75551186023764525e308) < 4e-16 * 1.7555e308
 
 
 @pytest.mark.parametrize("z, want", DIGAMMA_CASES)
@@ -465,12 +480,15 @@ def test_hurwitz_conjugate_property(re, im, a):
 
 def test_random_points_keep_the_loop_draws():
     # the masked filter keeps the same draws, in the same order, as a
-    # point-by-point loop over the same batches
+    # point-by-point loop of random.uniform over the same batches; pairs
+    # are drawn real part, then imaginary part, point by point
     def loop(rng, n, re_lo, re_hi, im_lo, im_hi, avoid, radius):
         out = []
         while len(out) < n:
-            batch = rng.uniform(re_lo, re_hi, 4 * n) + 1j * rng.uniform(im_lo, im_hi, 4 * n)
-            out += [complex(z) for z in batch if all(abs(z - a) >= radius for a in avoid)]
+            re = [rng.uniform(re_lo, re_hi) for _ in range(4 * n)]
+            im = [rng.uniform(im_lo, im_hi) for _ in range(4 * n)]
+            batch = [complex(x, y) for x, y in zip(re, im)]
+            out += [z for z in batch if all(abs(z - a) >= radius for a in avoid)]
         return np.array(out[:n])
 
     avoid = [complex(-k, 0.0) for k in range(11)]
@@ -480,9 +498,32 @@ def test_random_points_keep_the_loop_draws():
         (40, -8.0, 8.0, -40.0, 40.0, (), 0.05),
     )
     for args in cases:
-        got = suites._random_points(np.random.default_rng(5), *args)
-        want = loop(np.random.default_rng(5), *args)
+        got = suites._random_points(random.Random(5), *args)
+        want = loop(random.Random(5), *args)
         assert got.tobytes() == want.tobytes()
+    rng = random.Random(5)
+    want = [complex(rng.uniform(2.0, 6.0), rng.uniform(-50.0, 50.0)) for _ in range(50)]
+    assert suites._drawn_pairs(random.Random(5), 50, 2.0, 6.0, -50.0, 50.0).tolist() == want
+
+
+class _FirstDraws(Exception):
+    pass
+
+
+def test_suite_draws_are_frozen_at_one_seed(monkeypatch):
+    # run_suite seeds random.Random(seed); these are the dhfun suite's first
+    # three points at seed 42, so another generator (or draw order) shows
+    def first_points(s):
+        raise _FirstDraws(np.array(s)[:3].tolist())
+
+    monkeypatch.setattr(suites, "f_batch", first_points)
+    with pytest.raises(_FirstDraws) as caught:
+        suites.run_suite("dhfun", 42)
+    assert caught.value.args[0] == [
+        2.23082877532614 - 34.3205531192774j,  # -8 + 16 u_0, -40 + 80 u_160
+        -7.599827916437329 + 10.488236581607914j,
+        -3.599530906094092 - 21.684657295107648j,
+    ]
 
 
 def _sin_pi(w) -> complex:

@@ -8,6 +8,7 @@ evaluation error.
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -133,8 +134,7 @@ def test_reflection_defect_example():
 
 
 def test_reflection_defect_on_seeded_grid():
-    rng = np.random.default_rng(20260822)
-    pairs = suites._drawn_pairs(rng, 40, -50, 50, -5, 5)  # t + i epsilon, drawn pair by pair
+    pairs = suites._drawn_pairs(random.Random(20260822), 40, -50, 50, -5, 5)  # t + i epsilon
     t, epsilon = pairs.real, pairs.imag
     defect = reflection_defect(t, epsilon)
     assert defect.shape == (40,)
@@ -445,9 +445,12 @@ def test_dsigma_logabsx_matches_finite_difference():
 
 
 def test_suite_fd_checks_hold_near_a_pole_and_catch_a_wrong_series(monkeypatch):
-    # seed 7 samples 3.83+0.074i, next to the pole of X at s = 4, where a
-    # plain central difference misread the slope by 2.3e-5; the suite's
-    # Richardson difference passes there and still sees a 1e-5 error
+    # next to the pole of X at s = 4 a plain central difference misreads the
+    # slope by 2.3e-5; the suite's Richardson difference holds there, and
+    # the suite's checks pass at seed 7 and still see a 1e-5 error
+    near = np.array([3.8308111048766946 + 0.0744773516443189j])
+    fd = suites._logabsx_fd(near, 1e-3j)
+    assert abs(dlogabsx_dt(near)[0] - fd[0]) < 1e-9 * abs(fd[0])
     names = ("dlogabsx_dt_vs_fd", "dsigma_logabsx_vs_fd")
     checks = {c.name: c for c in suites.run_suite("xratio", 7).checks}
     assert all(checks[n].passed for n in names)
@@ -455,6 +458,22 @@ def test_suite_fd_checks_hold_near_a_pole_and_catch_a_wrong_series(monkeypatch):
     monkeypatch.setattr(suites, "dsigma_logabsx", lambda s: (1 + 1e-5) * dsigma_logabsx(s))
     checks = {c.name: c for c in suites.run_suite("xratio", 7).checks}
     assert all(not checks[n].passed and checks[n].measured > 5e-6 for n in names)
+
+
+@pytest.mark.parametrize("where", ["upper_half", "everywhere"])
+def test_x_conjugate_check_sees_a_small_error(monkeypatch, where):
+    # conj X(s) is held to the two-Gamma form at conj s, so a 1e-10 relative
+    # error in X shows even where it keeps X(conj s) = conj X(s)
+    real = suites._x_many
+
+    def wrong(s):
+        values, log_abs, angle = real(s)
+        planted = s.imag > 0.0 if where == "upper_half" else np.ones(len(s), dtype=bool)
+        return values * (1.0 + 1e-10 * planted), log_abs, angle
+
+    monkeypatch.setattr(suites, "_x_many", wrong)
+    check = {c.name: c for c in suites.run_suite("xratio", 42).checks}["x_conjugate"]
+    assert not check.passed and check.measured > 1e-11
 
 
 def test_dsigma_logabsx_pole():
