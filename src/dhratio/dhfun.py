@@ -43,6 +43,7 @@ from .specfun import (
     _dirichlet_sum,
     _em_tail,
     _hurwitz_batch,
+    _MAX_GAMMA_RE,
     _log_abs_gamma_damped,
     _sin_cos_pi,
     as_points,
@@ -212,7 +213,10 @@ def _f_reflected(s: np.ndarray, deriv: bool):
         tot_err += abs(_S_REFLECT[m - 1]) * err
 
     sine, cosine = _sin_cos_pi(0.5 * z)
-    damped, rem, _ = _log_abs_gamma_damped(z.real, z.imag, True)
+    # past Re z = 2.5e305 log|Gamma(z)| leaves float64, long after |f| has:
+    # taken at that edge, the exponent still overflows, and `_evaluate`
+    # reports |f| overflowing
+    damped, rem, _ = _log_abs_gamma_damped(np.minimum(z.real, _MAX_GAMMA_RE), z.imag, True)
     expo = 2.0 * np.exp(-s * _LN5 + (damped + 1j * rem) - z * _LN10PI)
     pref = expo * sine
     values = pref * total

@@ -12,10 +12,10 @@ complex plane:
 
 Every direct Dirichlet block, here and in the series evaluator, goes
 through one kernel, `_dirichlet_sum`.  It writes m^-s = m^-sigma *
-e^{-it log m} and builds one real row per distinct sigma and one phase
-row per distinct |t|, so points that share a height (or a sigma column)
-share the transcendental work; a real multiply-reduce combines the rows
-per point.
+e^{-it log m} and builds one real row per distinct sigma and, in groups
+of 64 points, one phase row per run of equal |t|, so points that share a
+height (or a sigma column) share the transcendental work; a real
+multiply-reduce combines the rows per point.
 
 All four accept Python scalars (complex/float/int), `ComplexPoint`, or
 numpy arrays of points; scalar in, scalar out.  Accuracy is engineered
@@ -188,8 +188,10 @@ _MAX_SHIFT = 2048
 _SHIFT_ROUND = 8
 _FAR_UP = 2.0**60
 _TINY_ROUND = 2.0**-900
-# |Im lgamma| ~ |y| (ln|y| - 1) passes the float64 maximum near |y| = 2.56e305
+# |Im lgamma| ~ |y| (ln|y| - 1) passes the float64 maximum near |y| = 2.56e305,
+# and log|Gamma| ~ x (ln x - 1) near x = 2.56e305
 _MAX_ARG_IM = 2.5e305
+_MAX_GAMMA_RE = 2.5e305
 
 
 def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
@@ -203,7 +205,9 @@ def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
     series / w] less the shift's arctan(y / (x + j)), and half_turns,
     -sign(y) per factor x + j < 0, lets callers add their multiples of pi
     exactly.  The argument leaves float64 past |y| = _MAX_ARG_IM, and
-    with `arg` such a point is refused with a DomainError naming that limit.
+    with `arg` such a point is refused with a DomainError naming that limit;
+    log|Gamma| itself leaves it past x = _MAX_GAMMA_RE, and such a point is
+    refused, with or without `arg`.
 
     Each point shifts k = ceil(10 - x) unit steps, found in closed form
     (none at |y| >= _FAR_UP).
@@ -218,6 +222,8 @@ def _log_abs_gamma_damped(x: np.ndarray, y: np.ndarray, arg: bool = False):
     need = np.maximum(np.ceil(_SHIFT_RE - x), 0.0)
     if not need.max(initial=0.0) < _MAX_SHIFT:
         raise DomainError("argument real part too negative for the shift budget")
+    if x.max(initial=0.0) > _MAX_GAMMA_RE:
+        raise DomainError(f"log Gamma takes Re <= {_MAX_GAMMA_RE:g}, not Re = {float(x.max())!r}")
     if arg and np.abs(y).max(initial=0.0) > _MAX_ARG_IM:
         far = float(np.abs(y).max())
         raise DomainError(f"arg Gamma takes |Im| <= {_MAX_ARG_IM:g}, not |Im| = {far!r}")
@@ -281,7 +287,8 @@ def lgamma(z):
     part is its damped value less pi |Im z| / 2, the imaginary part its
     remainder plus pi times its half turns.  Raises PoleError at the poles
     z = 0, -1, -2, ..., and DomainError past |Im z| = 2.5e305, where the
-    imaginary part leaves float64.
+    imaginary part leaves float64, and past Re z = 2.5e305, where the real
+    part does.
     """
     arr, was_scalar = _off_the_poles(z, "log Gamma")
     damped, rem, half_turns = _log_abs_gamma_damped(arr.real, arr.imag, True)
@@ -293,7 +300,7 @@ def log_abs_gamma(z):
     """log|Gamma(z)| = Re lgamma(z), without the argument: one real log per
     round of eight shift steps, and no complex log (see
     `_log_abs_gamma_damped`).  Scalar in, float out; PoleError at z = 0,
-    -1, ...
+    -1, ..., and DomainError past Re z = 2.5e305, where it leaves float64.
     """
     arr, was_scalar = _off_the_poles(z, "log Gamma")
     out = _log_abs_gamma_damped(arr.real, arr.imag) - 0.5 * np.pi * np.abs(arr.imag)
@@ -376,9 +383,10 @@ def em_split_point(abs_t, re, _unused=None):
     return int(n) if n.ndim == 0 else n
 
 
-# Cap on elements per kernel block: the sigma and phase rows of a column
-# block share one, the two gathered per-point blocks share half of another,
-# so the kernel's temporaries stay near 2 MB whatever the height.
+# Cap on elements per kernel block: a chunk's sigma rows of a column block
+# take at most one, and each gather group's (cos, sin) rows and gathered
+# sigma rows three quarters of another, so the kernel's temporaries stay
+# near 1 MB whatever the height (1.03 MB traced on 201 heights at t ~ 1000).
 ELEMENT_BUDGET = 1 << 17
 
 # Width of the kernel's column blocks.  Block boundaries sit at multiples of
@@ -415,14 +423,21 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
 
     Writes m^-s = m^-sigma * e^{-it log m}.  The points, ordered by
     (n_cols, |t|, sigma), go in chunks of at most ELEMENT_BUDGET //
-    _COLUMN_BLOCK rows: a real row w_m m^-sigma per distinct sigma and a
-    (cos, sin) row of |t| log_m per distinct |t| (t and -t differ only in
-    the sign of the sine part).  In each block of _COLUMN_BLOCK columns,
-    the chunk's points whose count reaches into it (a suffix) gather their
-    rows, cut at their own count rounded up to _COLUMN_ALIGN, zero the
-    columns past their count, and reduce them by einsums (never BLAS, so
-    the summation order never depends on threads), with the derivative's
-    -log_m as a third operand.
+    _COLUMN_BLOCK rows, counting a real row w_m m^-sigma per distinct
+    sigma and two per distinct |t|.  In each block of _COLUMN_BLOCK
+    columns, the chunk's points whose count reaches into it (a suffix) go
+    in gather groups of ELEMENT_BUDGET // (4 _COLUMN_BLOCK) = 64 points.
+    A group gathers its sigma rows and forms the (cos, sin) rows of |t|
+    log_m for its own heights alone, one per run of equal |t| (t and -t
+    differ only in the sign of the sine part), so no phase table for the
+    whole chunk is held: on the t ~ 1000 survey's batches the kernel's
+    traced peak is 1.03 MB (2.38 MB with one table per chunk and block).
+    The group cuts its rows at their own count rounded up to
+    _COLUMN_ALIGN, zeroes the columns past their count, and reduces them
+    by einsums (never BLAS, so the summation order never depends on
+    threads), with the derivative's -log_m as a third operand.  Each
+    phase is the same elementwise |t| log_m in any group, so a point keeps
+    its bits alone or in any batch.
 
     Returns (sums, dsums or None, scale), scale = max_{m < n_cols}
     |w_m m^-sigma|, the largest term.
@@ -443,7 +458,6 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
     while lo < len(s):
         hi = min(len(s), max(lo + limit // 3, int(np.searchsorted(level, level[lo] + room))))
         sigmas, i_sigma = np.unique(sigma[lo:hi], return_inverse=True)
-        heights, i_height = np.unique(height[lo:hi], return_inverse=True)
         widest = counts[hi - 1]
         end = -(-widest // _COLUMN_ALIGN) * _COLUMN_ALIGN
         ends = counts[lo:hi].tolist()
@@ -458,11 +472,6 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
             amp[:, :live] *= weights
             amp[:, live:] = 0.0
             peak = np.abs(amp).max(axis=1)
-            low = i_height[first - lo :].min()  # rows of the active points' heights
-            trig = np.empty((2, len(heights) - low, width))  # (cos, sin) rows
-            np.multiply.outer(heights[low:], lg, out=trig[1])  # the phases
-            np.cos(trig[1], out=trig[0])
-            np.sin(trig[1], out=trig[1])
             for g0 in range(first, hi, gather):
                 block = slice(g0, min(g0 + gather, hi))
                 local = slice(g0 - lo, block.stop - lo)
@@ -475,8 +484,18 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
                     peaks[:short] = np.abs(head).max(axis=1)
                 np.maximum(scale[block], peaks, out=scale[block])
                 runs = _row_runs(ends, g0 - lo, block.stop - lo, c0, width)
+                # (cos, sin) rows of the group's own heights, one per run of
+                # equal |t| (ordered by count first, a group's heights can recur)
+                heights, at = height[block], None
+                new = np.concatenate(([True], heights[1:] != heights[:-1]))
+                if not new.all():  # each point takes its run's row
+                    heights, at = heights[new], np.cumsum(new) - 1
+                trig = np.empty((2, len(heights), width))
+                np.multiply.outer(heights, lg, out=trig[1])  # the phases
+                np.cos(trig[1], out=trig[0])
+                np.sin(trig[1], out=trig[1])
                 for k in range(2):
-                    picked = trig[k].take(i_height[local] - low, axis=0)  # one trig row per point
+                    picked = trig[k] if at is None else trig[k].take(at, axis=0)
                     for rows, stop in runs:
                         out = slice(g0 + rows.start, g0 + rows.stop)
                         sign = sine_sign[out] if k else 1.0
@@ -485,6 +504,7 @@ def _dirichlet_sum(s: np.ndarray, n_cols, columns, deriv: bool = False):
                         if deriv:
                             parts[1, k, out] -= sign * np.einsum("pm,pm,m->p", *terms, lg[:stop])
                     del picked, terms
+                del trig
         lo = hi
     back = np.argsort(order)  # to input order
     sums = (parts[:, 0] + 1j * parts[:, 1])[:, back]

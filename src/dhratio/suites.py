@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import Rect, kappa_detail, refine_zero, survey_zeros, trace_unit_curve
 from .dhfun import _brute_sum, _rotated_line, _series_many, f_batch, functional_eq_residual
 from .errors import DomainError
-from .specfun import ELEMENT_BUDGET, digamma, hurwitz_zeta, lgamma, log_abs_gamma
+from .specfun import ELEMENT_BUDGET, _sin_cos_pi, digamma, hurwitz_zeta, lgamma, log_abs_gamma
 from .xratio import (
     _gamma_args,
     _x_many,
@@ -114,20 +114,17 @@ def _suite_specfun(rng) -> SuiteResult:
     gap = lgamma(z + 1.0) - lgamma(z) - np.log(z)
     checks.append(_check("lgamma_recurrence", np.abs(gap).max(), 1e-12))
 
-    checks.append(
-        _check(
-            "lgamma_conjugate",
-            np.abs(lgamma(np.conj(z)) - np.conj(lgamma(z))).max(),
-            1e-12,
-        )
-    )
-    checks.append(
-        _check(
-            "digamma_conjugate",
-            np.abs(digamma(np.conj(z)) - np.conj(digamma(z))).max(),
-            1e-12,
-        )
-    )
+    # the reflection formula at conj z, a second path where lgamma(conj z)
+    # against conj lgamma(z) would match by symmetry: log|Gamma(zb)| +
+    # log|Gamma(1 - zb)| = ln pi - ln|sin(pi zb)| and psi(zb) = psi(1 - zb) -
+    # pi cot(pi zb), the sine's growth e^(pi |Im z|) taken out of both sides
+    zb = np.conj(z)
+    sine, cosine = _sin_cos_pi(zb)
+    both = (lgamma(zb) + lgamma(1.0 - zb)).real + np.pi * np.abs(zb.imag)
+    gap = both - (math.log(math.pi) - np.log(np.abs(sine)))
+    checks.append(_check("lgamma_conjugate", np.abs(gap).max(), 1e-12))
+    gap = digamma(zb) - (digamma(1.0 - zb) - np.pi * cosine / sine)
+    checks.append(_check("digamma_conjugate", np.abs(gap).max(), 1e-12))
 
     s = _random_points(rng, 60, -6.0, 6.0, -40.0, 40.0, avoid=[1.0 + 0.0j], radius=0.05)
     a = _uniform(rng, 0.05, 1.0, 60)

@@ -36,6 +36,7 @@ from .specfun import (
     ComplexPoint,
     as_points,
     _log_abs_gamma_damped,
+    _MAX_GAMMA_RE,
     digamma,
     log_abs_gamma,
 )
@@ -63,6 +64,8 @@ _LN_2PI_OVER_5 = math.log(0.4 * math.pi)
 _LN_HALF_SQRT_PI = math.log(0.5 * math.sqrt(math.pi))
 # Gamma(1 - s) shifts ceil(9 + Re s) steps, in the kernel's budget up to here
 _MAX_RE = 2038.0
+# and log|Gamma(1 - s)| leaves float64 past 1 - Re s = specfun._MAX_GAMMA_RE
+_MIN_RE = 1.0 - _MAX_GAMMA_RE
 # Points per `_log_x` block, which bounds its log|Gamma| temporaries.
 _POINT_BLOCK = ELEMENT_BUDGET // 16
 
@@ -168,7 +171,8 @@ def _log_x(arr: np.ndarray, arg: bool = False):
       - poles s = 2, 4, ... give +inf, zeros s = -1, -3, ... give -inf,
         and the argument is NaN at both.
     Past Re s = 2038 the shift of Gamma(1 - s) exceeds its budget, and
-    such a point is refused with a DomainError that names that limit.  The
+    below Re s = -2.5e305 log|Gamma(1 - s)| leaves float64; such a point
+    is refused with a DomainError that names the limit it passed.  The
     points go in fixed blocks of _POINT_BLOCK, so memory stays bounded for
     any count, and a point's bits do not depend on its batch or block;
     conjugate points get equal moduli and opposite arguments, bit for bit.
@@ -191,6 +195,8 @@ def _log_x(arr: np.ndarray, arg: bool = False):
             sg, ts = sigma[rest], t[rest]
             if sg.max() > _MAX_RE:
                 raise DomainError(f"X takes Re s <= {_MAX_RE:g}, not Re s = {float(sg.max())!r}")
+            if sg.min() < _MIN_RE:
+                raise DomainError(f"X takes Re s >= {_MIN_RE:g}, not Re s = {float(sg.min())!r}")
             cos = _cos_damped(sg, ts, arg)
             gam = _log_abs_gamma_damped(1.0 - sg, -ts, arg)
             if arg:
@@ -234,8 +240,9 @@ def x_of(s) -> RatioValue:
     Raises PoleError at s = 2, 4, 6, ...; returns a zero-flagged
     record (value exactly 0) at s = -1, -3, -5, ...  Raises DomainError
     where |X| overflows float64 (Re s below about -177 at small heights,
-    less far out higher up; `logabsx_many` returns the finite log|X|) and
-    past Re s = 2038, where |X| has long underflowed to 0.
+    less far out higher up; `logabsx_many` returns the finite log|X|, down
+    to Re s = -2.5e305) and past Re s = 2038, where |X| has long
+    underflowed to 0.
     """
     arr, _ = as_points(s)
     if len(arr) != 1:
@@ -256,7 +263,8 @@ def logabsx_many(s):
     Exactly 0 on Re s = 1/2, by rule.  Exact poles evaluate to +inf and
     exact zeros to -inf instead of raising, so grid passes over windows
     containing them classify their neighborhoods by sign like any other
-    cell.  DomainError past Re s = 2038.  Scalar in, float out.
+    cell.  DomainError past Re s = 2038 and below Re s = -2.5e305.  Scalar
+    in, float out.
     """
     arr, was_scalar = as_points(s)
     out, _ = _log_x(arr)

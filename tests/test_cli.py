@@ -148,6 +148,20 @@ def test_ratio_past_the_arg_gamma_limit_is_an_input_error(capsys):
     assert "|Im| <= 2.5e+305" in json.loads(err)["message"]
 
 
+def test_ratio_past_the_log_gamma_limit_is_an_input_error(capsys):
+    # log|X| takes log|Gamma(1 - s)|, which leaves float64 below Re s =
+    # -2.5e305; f there has long overflowed, and eval says so
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, _, err = run(["ratio", "--format", "json", "--", "-3e305+1i"], capsys)
+        assert status == BAD_INPUT
+        assert json.loads(err)["error"] == "DomainError"
+        assert "Re s >= -2.5e+305" in json.loads(err)["message"]
+        status, _, err = run(["eval", "--format", "json", "--", "-3e305+1i"], capsys)
+    assert status == BAD_INPUT
+    assert "|f| overflows float64" in json.loads(err)["message"]
+
+
 # ----------------------------------------------------------------------
 # curve / kappa
 # ----------------------------------------------------------------------

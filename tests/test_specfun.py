@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -219,6 +220,20 @@ def test_lgamma_past_its_float64_argument_is_an_input_error():
         edge = lgamma(0.5 + 2.5e305j)
         assert log_abs_gamma(0.5 + 1e306j) == -0.5 * np.pi * 1e306
     assert abs(edge.imag - 1.75551186023764525e308) < 4e-16 * 1.7555e308
+
+
+def test_log_gamma_past_its_float64_modulus_is_an_input_error():
+    # log|Gamma| ~ x (ln x - 1) passes the float64 maximum near x = 2.56e305:
+    # refused there by both kernels, with no numpy RuntimeWarning (mpmath:
+    # log|Gamma(2.5e305 + i)| = 1.75551186023764522e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (lgamma, log_abs_gamma):
+            for z in (3e305 + 1j, np.array([3.0 + 1j, 1e308 - 2j])):
+                with pytest.raises(DomainError, match=r"Re <= 2\.5e\+305"):
+                    kernel(z)
+        edge = log_abs_gamma(2.5e305 + 1j)
+    assert abs(edge - 1.75551186023764522e308) < 4e-16 * 1.7555e308
 
 
 @pytest.mark.parametrize("z, want", DIGAMMA_CASES)
@@ -432,6 +447,46 @@ def test_dirichlet_kernel_bits_do_not_depend_on_einsums_grouping(monkeypatch):
         assert [v[0] for v in alone] == [v[k] for v in got], f"count {counts[k]}"
 
 
+def test_dirichlet_kernel_bits_with_mixed_counts_and_shared_heights():
+    # points are ordered by count first, so a gather group whose counts
+    # differ runs through its heights more than once, and heights repeat
+    # (several sigmas, t and -t): each point must still meet the phase row
+    # of its own height, and keep the bits it gets alone
+    rng = np.random.default_rng(11)
+    logs = np.log(np.arange(1.0, 1301.0))
+    columns = _columns(logs, np.cos(np.arange(1300.0)))
+    heights = rng.uniform(900.0, 1100.0, 12)
+    pts = rng.uniform(-0.5, 1.5, 200) + 1j * rng.choice([-1.0, 1.0], 200) * rng.choice(heights, 200)
+    counts = rng.choice([5, 512, 513, 700, 1300], 200)
+    got = specfun._dirichlet_sum(pts, counts, columns, deriv=True)
+    for k in range(len(pts)):
+        alone = specfun._dirichlet_sum(pts[k : k + 1], counts[k : k + 1], columns, deriv=True)
+        assert [v[0] for v in alone] == [v[k] for v in got], f"point {k}"
+
+
+@pytest.mark.parametrize("shape", ["line", "grid"])
+def test_dirichlet_kernel_memory_at_height(shape):
+    # the survey's batches at t ~ 1000: 201 line heights, and a grid of 49
+    # sigmas; each gather group forms the phase rows of its own heights only,
+    # which reads 1.03 and 0.77 MB (2.38 and 1.98 MB with one table of
+    # phase rows for every height of the chunk)
+    if shape == "line":
+        pts = 0.5 + 1j * np.linspace(1000.0, 1020.0, 201)
+    else:
+        pts = (np.linspace(0.0, 1.0, 49)[:, None] + 1j * np.linspace(1000.0, 1020.0, 97)).ravel()
+        pts = pts[:881]
+    counts = 4 * em_split_point(np.abs(pts.imag), pts.real)
+    logs = np.log(np.arange(1.0, counts.max() + 1.0))
+    columns = _columns(logs, np.cos(np.arange(float(len(logs)))))
+    tracemalloc.start()
+    try:
+        specfun._dirichlet_sum(pts, counts, columns, deriv=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3e6, f"peak {peak / 1e6:.2f} MB"
+
+
 @given(
     re=st.floats(min_value=-2.0, max_value=6.0),
     im=st.floats(min_value=-40.0, max_value=40.0),
@@ -446,6 +501,21 @@ def test_hurwitz_recurrence_property(re, im, a):
     # a^{-s} can reach ~1e6 for small a and large re, so scale the budget
     scale = max(1.0, abs(rhs))
     assert abs(lhs - rhs) < 1e-10 * scale, f"recurrence defect at s={s}, a={a}"
+
+
+@pytest.mark.parametrize(
+    "name, kernel", [("lgamma_conjugate", "lgamma"), ("digamma_conjugate", "digamma")]
+)
+def test_conjugation_checks_see_a_small_error(monkeypatch, name, kernel):
+    # each check holds the kernel at conj z to the reflection formula, a
+    # second path: a 1e-10 relative error, the same at z and conj z (where
+    # comparing f(conj z) with conj f(z) reads exactly 0), must show
+    real = getattr(suites, kernel)
+    checks = {c.name: c for c in suites.run_suite("specfun", 42).checks}
+    assert checks[name].passed and checks[name].measured > 0.0
+    monkeypatch.setattr(suites, kernel, lambda z: (1.0 + 1e-10) * real(z))
+    check = {c.name: c for c in suites.run_suite("specfun", 42).checks}[name]
+    assert not check.passed and check.measured > 1e-11
 
 
 def test_hurwitz_recurrence_check_catches_a_broken_recurrence(monkeypatch):

@@ -83,6 +83,19 @@ def test_x_overflow_is_a_typed_error_and_log_modulus_stays_finite():
         assert abs(logabsx_many(-200.0 + 5.0j) - 824.3026425215692) < 1e-9
 
 
+def test_x_past_the_log_gamma_limit_is_an_input_error():
+    # log|Gamma(1 - s)| leaves float64 past 1 - Re s = 2.5e305: refused with
+    # the limit on s itself, not a pole (mpmath: log|X(-2.5e305 + i)| =
+    # 1.75494076235270711e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (logabsx_many, x_of):
+            with pytest.raises(DomainError, match=r"Re s >= -2\.5e\+305"):
+                call(-3e305 + 1j)
+        edge = logabsx_many(-2.5e305 + 1j)
+    assert abs(edge - 1.75494076235270711e308) < 4e-16 * 1.755e308
+
+
 def test_logabsx_many_signals_by_infinity():
     out = logabsx_many(np.array([-5.0 + 0.0j, 6.0 + 0.0j, 0.5 + 3.0j]))
     assert out[0] == -math.inf
