@@ -518,10 +518,37 @@ def _kappa_root() -> float:
     return float(root[0])
 
 
+def _parabola_vertex(x: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+    """Vertex (x, t) of the least-squares parabola t(x) through the points.
+
+    The parabola comes from the polynomials p0 = 1, p1 = x - a1 and
+    p2 = (x - a2) p1 - b1, orthogonal over the points by Forsythe's
+    three-term recurrence (J. SIAM 5, 1957): a(j+1) = <x pj, pj> / <pj, pj>,
+    b1 = <p1, p1> / <p0, p0>, and t = sum_j cj pj with cj = <t, pj> / <pj, pj>.
+    Every inner product is an elementwise product and a sum, so no BLAS or
+    LAPACK routine (nor the library pages it would fault in) is touched.
+    The vertex is read from the monomial coefficients the recurrence
+    expands to.  ConvergenceError unless the parabola opens downward.
+    """
+    a1 = np.sum(x) / len(x)
+    p1 = x - a1
+    n1 = np.sum(p1 * p1)
+    a2 = np.sum(x * p1 * p1) / n1
+    b1 = n1 / len(x)
+    p2 = (x - a2) * p1 - b1
+    c0, c1, c2 = np.sum(t) / len(x), np.sum(t * p1) / n1, np.sum(t * p2) / np.sum(p2 * p2)
+    # c0 + c1 p1 + c2 p2 = c2 x^2 + (c1 - c2 (a1 + a2)) x + c0 - c1 a1 + c2 (a1 a2 - b1)
+    coef = (c2, c1 - c2 * (a1 + a2), c0 - c1 * a1 + c2 * (a1 * a2 - b1))
+    if not coef[0] < 0.0:
+        raise ConvergenceError("apex fit did not produce a downward parabola")
+    x_star = -coef[1] / (2.0 * coef[0])
+    return float(x_star), float(np.polyval(coef, x_star))
+
+
 def _apex_fit(apex: ComplexPoint, step: float) -> float:
     """Height of the vertex of a parabola t(sigma) fitted through the level
     curve's vertices within 0.06 of the apex, traced at `step` in a window
-    around it."""
+    around it (`_parabola_vertex`, in sigma - apex.sigma)."""
     zoom = Rect(
         max(0.0, apex.sigma - 0.08),
         min(1.0, apex.sigma + 0.08),
@@ -539,11 +566,7 @@ def _apex_fit(apex: ComplexPoint, step: float) -> float:
     )
     if len(pts) < 12:
         raise ConvergenceError("too few apex vertices for the parabola fit")
-    coef = np.polyfit(pts[:, 0], pts[:, 1], 2)
-    if not coef[0] < 0.0:
-        raise ConvergenceError("apex fit did not produce a downward parabola")
-    sigma_star = -coef[1] / (2.0 * coef[0])
-    return float(np.polyval(coef, sigma_star))
+    return _parabola_vertex(pts[:, 0] - apex.sigma, pts[:, 1])[1]
 
 
 def kappa_detail() -> KappaResult:

@@ -44,6 +44,7 @@ from .specfun import (
     _em_tail,
     _hurwitz_batch,
     _MAX_GAMMA_RE,
+    _check_height,
     _log_abs_gamma_damped,
     _sin_cos_pi,
     as_points,
@@ -242,8 +243,10 @@ def _evaluate(arr: np.ndarray, deriv: bool, warn: bool = False):
     AccuracyWarning.
 
     Returns (values, derivs or None, errs) in input order; DomainError
-    where |f| overflows float64.
+    past |Im s| = `specfun._MAX_HEIGHT` (1e8), before any column count is
+    formed, and where |f| overflows float64.
     """
+    _check_height(arr, "f")
     values = np.empty_like(arr)
     derivs = np.empty_like(arr) if deriv else None
     errs = np.empty(len(arr))
@@ -287,7 +290,7 @@ def f(s) -> FnValue:
 
     A warning is attached when the internal cancellation estimate
     exceeds 1e-6 of |f| + 1.
-    Raises DomainError where |f| overflows float64.
+    Raises DomainError where |f| overflows float64 and past |Im s| = 1e8.
     """
     arr, _ = as_points(s)
     if len(arr) != 1:

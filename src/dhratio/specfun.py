@@ -365,6 +365,20 @@ _SPLIT_OFFSET = 8
 _SPLIT_REAL_CAP = 20.0
 
 
+# Height limit of the series kernels: `hurwitz_zeta` and f (`dhfun._evaluate`)
+# refuse |Im s| above it before they form any column count.  Past t = 8.3e18
+# f's 4 N columns wrap int64 and nothing would be summed; at the limit f
+# sums about 1.1e8 columns.  The accuracy envelope may move it.
+_MAX_HEIGHT = 1e8
+
+
+def _check_height(arr: np.ndarray, name: str) -> None:
+    """DomainError, naming the limit, if any point lies above _MAX_HEIGHT."""
+    top = float(np.abs(arr.imag).max(initial=0.0))
+    if top > _MAX_HEIGHT:
+        raise DomainError(f"{name} takes |Im s| <= {_MAX_HEIGHT:g}, not |Im s| = {top!r}")
+
+
 def em_split_point(abs_t, re, _unused=None):
     """Euler-Maclaurin split point N for a point of height |Im s| = abs_t
     and real part re; arrays give one split per point.
@@ -587,11 +601,13 @@ def hurwitz_zeta(s, a: float):
     point's own split N = ceil(0.2771 max(|Im s|, min(max(Re s, 0), 20)))
     + 8 (see em_split_point), so a point gets the same value alone or in
     any array.  Raises PoleError at s = 1, DomainError where |zeta|
-    overflows float64 and DomainError unless a is finite and positive.
+    overflows float64, past |Im s| = _MAX_HEIGHT (1e8) and unless a is
+    finite and positive.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"parameter a = {a} must be positive")
     arr, was_scalar = as_points(s)
+    _check_height(arr, "zeta")
     if np.any(arr == 1.0):
         raise PoleError("Hurwitz zeta pole at s = 1")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -186,15 +186,24 @@ def _peak_bytes(func, *args):
 
 
 def test_trace_memory_is_bounded_at_a_fine_step():
-    # 626 x 301 grid points, traced in bands of at most _BAND_POINTS
+    # 626 x 301 grid points, traced in bands of at most _BAND_POINTS, each
+    # band's |X| kernel in blocks of a quarter band (1.08 MB here)
     peak = _peak_bytes(trace_unit_curve, Rect(-2.0, 3.0, -1.2, 1.2), 0.008)
-    assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 1.6e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_trace_memory_is_bounded_on_the_curve_window():
+    # the CLI's curve window at step 0.02: 1.01 MB here, where whole-band
+    # kernel blocks read 2.52 MB
+    peak = _peak_bytes(trace_unit_curve, Rect(-2.0, 3.0, -2.2, 2.2), 0.02)
+    assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_kappa_memory_is_bounded():
     # the 51 x 41 strip grid and the 321 x 10 apex zoom grid go in bands too
+    # (0.70 MB here)
     peak = _peak_bytes(kappa_detail)
-    assert peak <= 5e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 1.1e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_trace_subdivides_every_singular_cell():
@@ -274,6 +283,42 @@ def test_kappa_trace_steps_are_sized_to_their_stage():
     kd = kappa_detail()
     assert kd.root_value == 1.2116357919123533
     assert abs(kd.trace_value - analysis._apex_fit(apex, 1e-4)) < 1e-10
+
+
+def test_kappa_touches_no_linear_algebra_routine(monkeypatch):
+    # the apex parabola is fitted by orthogonal polynomials, not by
+    # polyfit's LAPACK least squares
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg routine or polyfit was called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in np.linalg.__all__:
+        routine = getattr(np.linalg, name)
+        if callable(routine) and not isinstance(routine, type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    assert abs(kappa_detail().trace_value - 1.2116358106975236) < 1e-15
+
+
+def test_apex_vertex_agrees_with_polyfit(monkeypatch):
+    # on the zoom vertices kappa fits, the recurrence's vertex is
+    # polyfit's (LAPACK least squares) to 1e-13 in both coordinates
+    seen = []
+    fit = analysis._parabola_vertex
+
+    def record(x, t):
+        seen.append((x, t))
+        return fit(x, t)
+
+    monkeypatch.setattr(analysis, "_parabola_vertex", record)
+    kappa_detail()
+    (x, t), = seen
+    coef = np.polyfit(x, t, 2)
+    x_star = -coef[1] / (2.0 * coef[0])
+    got = fit(x, t)
+    assert len(x) == 240
+    assert abs(got[0] - x_star) < 1e-13 and abs(got[1] - np.polyval(coef, x_star)) < 1e-13
+    with pytest.raises(ConvergenceError, match="downward parabola"):
+        fit(x, -t)
 
 
 # ----------------------------------------------------------------------

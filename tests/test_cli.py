@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import dhratio
-from dhratio import cli
+from dhratio import cli, suites
 from dhratio.cli import main
 from dhratio.dhfun import f
 
@@ -160,6 +160,18 @@ def test_ratio_past_the_log_gamma_limit_is_an_input_error(capsys):
         status, _, err = run(["eval", "--format", "json", "--", "-3e305+1i"], capsys)
     assert status == BAD_INPUT
     assert "|f| overflows float64" in json.loads(err)["message"]
+
+
+def test_eval_past_the_height_limit_is_an_input_error(capsys):
+    # past t = 8.3e18 f's column count wrapped int64 and 0.5+1e19i printed
+    # a wrong |f| with exit 0; past 1e8 the point is refused, naming the limit
+    for point in ("0.5+1e19i", "0.5+1e20i"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run(["eval", point, "--format", "json"], capsys)
+        assert status == BAD_INPUT and out == "", point
+        assert json.loads(err)["error"] == "DomainError"
+        assert "|Im s| <= 1e+08" in json.loads(err)["message"]
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +457,20 @@ def test_verify_loads_neither_numpy_random_nor_secrets():
         "print(status, sorted(m for m in sys.modules if m in ('numpy.random', 'secrets')))\n"
     )
     assert fresh_python(code) == ["0 []"]
+
+
+def test_other_commands_do_not_load_the_suites():
+    # verify's parser takes its names and default seed from cli's copies
+    assert cli._SUITE_NAMES == suites.SUITE_NAMES
+    assert cli._DEFAULT_SEED == suites.DEFAULT_SEED
+    code = (
+        "import contextlib, io, sys\n"
+        "from dhratio.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['zeros', '--rect', '0,1,10,20', '--format', 'csv'])\n"
+        "print(status, 'dhratio.suites' in sys.modules)\n"
+    )
+    assert fresh_python(code) == ["0 False"]
 
 
 _BLAS_THREADS = """

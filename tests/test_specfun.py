@@ -252,10 +252,13 @@ def test_digamma_pole_raises():
     im=st.floats(min_value=-80.0, max_value=80.0),
 )
 @settings(max_examples=60, deadline=None)
+@example(re=-1.5, im=-0.0)  # on the cut's lower side, where z + 1.0 would leave it
 def test_lgamma_recurrence_property(re, im):
     z = complex(re, im)
     assume(min(abs(z + k) for k in range(0, 11)) > 0.05)
-    gap = lgamma(z + 1.0) - lgamma(z) - np.log(np.complex128(z))
+    # complex(re + 1, im), not z + 1.0: adding 1.0 turns an imaginary part
+    # -0.0 into +0.0, which moves z + 1 to the other side of the cut
+    gap = lgamma(complex(re + 1.0, im)) - lgamma(z) - np.log(np.complex128(z))
     assert abs(gap) < 1e-12, f"recurrence defect {abs(gap):.3g} at {z}"
 
 
@@ -314,6 +317,13 @@ def test_hurwitz_pole_and_domain():
     # any positive offset: zeta(2, 1.5) = zeta(2, 0.5) - 0.5^-2 by one
     # recurrence step
     assert abs(hurwitz_zeta(2.0 + 0.0j, 1.5) - (4.934802200544679309417 - 4.0)) < 1e-12
+
+
+def test_hurwitz_refuses_points_past_the_height_limit():
+    # past |Im s| = 1e8 no column count is formed, at any a and in any array
+    for sv in (0.5 + 1e20j, np.array([0.5 + 3.0j, 2.0 - 1.5e8j])):
+        with pytest.raises(DomainError, match=r"\|Im s\| <= 1e\+08"):
+            hurwitz_zeta(sv, 0.5)
 
 
 def test_hurwitz_overflow_raises_and_far_right_is_one():
