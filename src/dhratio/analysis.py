@@ -20,12 +20,10 @@ Four instruments:
   * audits that attach measured numbers to a fixed list of externally
     numbered claims, reporting values only and never a verdict.
 
-Everything is a pure function of its inputs.  Survey
-winding counts (over bands of cell rows) and band traces expose
-`worker_map` hooks so a caller may run disjoint pieces in parallel; the
-localization batches depend on the window alone and merges are
-deterministic (sorted by t, then sigma), so the output is identical for
-any worker count.
+Everything is a pure function of its inputs, computed in one process:
+the bands of a survey or a trace, and the localization batches, depend
+on the window alone, and merges are deterministic (sorted by t, then
+sigma).
 """
 from __future__ import annotations
 
@@ -33,7 +31,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -300,8 +297,8 @@ def _bracket_roots(func, a, b, fa, fb) -> np.ndarray:
 # a cell's block, id 0..8 are its horizontal sub-edges and 9..17 its
 # vertical ones, each row-major on the 3x3 lattice of the subdivision.
 _SUB_EDGES = 18
-# Grid points per trace band (at least one cell row): the window and the
-# step alone fix the bands, never the worker count.
+# Grid points per trace band (at least one cell row), which bounds the
+# band's temporaries: the window and the step alone fix the bands.
 _BAND_POINTS = ELEMENT_BUDGET // 16
 
 
@@ -371,18 +368,16 @@ def _chain_segments(segments, vertex_of, excludes_line: bool) -> list[CurvePolyl
     return chains
 
 
-def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int):
-    """Segments and crossing edges for grid rows row_lo..row_hi.
+def _trace_band(sigmas: np.ndarray, ts_all: np.ndarray, row_lo: int, row_hi: int):
+    """Segments and crossing edges for rows row_lo..row_hi of the grid on
+    the axes `sigmas` and `ts_all`.
 
-    Returns (segments, ids, a, b, fa, fb, flagged): an (m, 2) array of
-    edge-id pairs, the sorted ids of the edges they join, each edge's end
-    points a, b and the values of h there, and the bounds (sigma0,
-    sigma1, t0, t1) of every crossed cell that holds a zero or pole of X,
-    one row each.  The caller refines the edges and warns about the
-    flagged cells, so a warning reaches it even from a pool worker.
+    Returns (segments, ids, a, b, fa, fb): an (m, 2) array of edge-id
+    pairs, the sorted ids of the edges they join, and each edge's end
+    points a, b and the values of h there; the caller refines the edges.
+    Warns DegenerateCellWarning, naming the caller of `trace_unit_curve`,
+    for every crossed cell that holds a zero or pole of X.
     """
-    sigmas = _axis(window.sigma_min, window.sigma_max, step, snap_line=True)
-    ts_all = _axis(window.t_min, window.t_max, step, snap_line=False)
     ts = ts_all[row_lo : row_hi + 1]
     n_col = len(sigmas) - 1
     sub_base = len(ts_all) * n_col
@@ -404,7 +399,13 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int):
 
     # subdivide crossed degenerate cells once, and flag them
     dj, di = np.nonzero(hot & degenerate)
-    flagged = np.stack((sigmas[di], sigmas[di + 1], ts[dj], ts[dj + 1]), axis=-1)
+    for s0, s1, t0, t1 in zip(sigmas[di], sigmas[di + 1], ts[dj], ts[dj + 1]):
+        warnings.warn(
+            f"grid cell [{s0:.6g},{s1:.6g}]x[{t0:.6g},{t1:.6g}] "
+            "contains a zero or pole of the traced ratio",
+            DegenerateCellWarning,
+            stacklevel=3,
+        )
     sub_s = np.stack((sigmas[di], 0.5 * (sigmas[di] + sigmas[di + 1]), sigmas[di + 1]), axis=-1)
     sub_t = np.stack((ts[dj], 0.5 * (ts[dj] + ts[dj + 1]), ts[dj + 1]), axis=-1)
     sub = sub_s[:, None, :] + 1j * sub_t[:, :, None]
@@ -447,10 +448,10 @@ def _trace_band(window: Rect, step: float, row_lo: int, row_hi: int):
     b[inner] = a[inner] + np.where(pos < 9, 1, 3)
     pts = np.concatenate((grid.ravel(), sub.ravel()))
     vals = np.concatenate((h.ravel(), h_sub.ravel()))
-    return segments, ids, pts[a], pts[b], vals[a], vals[b], flagged
+    return segments, ids, pts[a], pts[b], vals[a], vals[b]
 
 
-def trace_unit_curve(window, step: float, worker_map=None):
+def trace_unit_curve(window, step: float):
     """Marching-squares extraction of the off-line part of |X| = 1.
 
     Classifies cells on the deflated field h = log|X| / (sigma - 1/2),
@@ -459,8 +460,8 @@ def trace_unit_curve(window, step: float, worker_map=None):
     only the bounded branches remain.  Each crossing edge is refined by
     bracketed false position to within 4 ulp, which puts every vertex v
     at |log|X(v)|| < 1e-10.  Cells containing a zero or pole of X are
-    subdivided once and flagged with DegenerateCellWarning, raised here
-    in band order after every band is traced.  Every edge
+    subdivided once and flagged with DegenerateCellWarning, raised in
+    band order as each band is traced.  Every edge
     of the window's grid, and of each subdivision, has one integer id
     (see _SUB_EDGES), and segments are pairs of ids; every crossed cell
     of a band is classified in one array pass.
@@ -469,26 +470,20 @@ def trace_unit_curve(window, step: float, worker_map=None):
     hand back their crossing edges, so memory does not grow with the
     window; one lockstep `_bracket_roots` pass refines every band's
     edges, and chaining is one deterministic pass over the sorted
-    segments.  `worker_map` (a map-like callable) lets the caller run
-    the bands in parallel; the output does not depend on it.
+    segments.
     """
     win = _as_rect(window)
     if not 0.0 < step < math.inf:
         raise DomainError("step must be positive and finite")
-    n_rows = len(_axis(win.t_min, win.t_max, step, snap_line=False)) - 1
-    n_cols = len(_axis(win.sigma_min, win.sigma_max, step, snap_line=True))
-    rows = max(1, _BAND_POINTS // n_cols - 1)  # cell rows per band
-    cuts = [*range(0, n_rows, rows), n_rows]
-    mapper = map if worker_map is None else worker_map
-    parts = mapper(_trace_band, repeat(win), repeat(step), cuts[:-1], cuts[1:])
-    segments, ids, a, b, fa, fb, flagged = (np.concatenate(p) for p in zip(*parts))
-    for s0, s1, t0, t1 in flagged:
-        warnings.warn(
-            f"grid cell [{s0:.6g},{s1:.6g}]x[{t0:.6g},{t1:.6g}] "
-            "contains a zero or pole of the traced ratio",
-            DegenerateCellWarning,
-            stacklevel=2,
-        )
+    sigmas = _axis(win.sigma_min, win.sigma_max, step, snap_line=True)
+    ts = _axis(win.t_min, win.t_max, step, snap_line=False)
+    n_rows = len(ts) - 1
+    rows = max(1, _BAND_POINTS // len(sigmas) - 1)  # cell rows per band
+    # a loop: a comprehension's frame (before Python 3.12) would shift stacklevel 3
+    parts = []
+    for lo in range(0, n_rows, rows):
+        parts.append(_trace_band(sigmas, ts, lo, min(lo + rows, n_rows)))
+    segments, ids, a, b, fa, fb = (np.concatenate(p) for p in zip(*parts))
     # an edge on a band boundary comes from both bands, with the same ends
     first = np.argsort(ids, kind="stable")
     first = first[np.diff(ids[first], prepend=-1) > 0]
@@ -1083,7 +1078,7 @@ def _by_height(records: list[ZeroRecord]) -> list[ZeroRecord]:
     return [rec for run in runs for rec in sorted(run, key=lambda r: r.location.sigma)]
 
 
-def survey_zeros(rect, worker_map=None) -> list[ZeroRecord]:
+def survey_zeros(rect) -> list[ZeroRecord]:
     """Every zero in a rectangle: count, then line, then grid.
 
     The rectangle is tiled into cells of side about _CELL_SIZE, grouped
@@ -1102,8 +1097,7 @@ def survey_zeros(rect, worker_map=None) -> list[ZeroRecord]:
          (the count leaves them out), or any band of a rectangle off the
          line --
          gets its cells' winding counts from `_grid_counts`, sampling
-         every cell edge once in one f_batch call; `worker_map`
-         (parallelism hook) maps over these bands.  In a rectangle
+         every cell edge once in one f_batch call.  In a rectangle
          symmetric about 1/2 that ends left of 3/2, a grid band's total
          must equal its count less twice the zeros of the strip right of
          the rectangle, or ConvergenceError is raised (`_grid_band`).
@@ -1117,10 +1111,9 @@ def survey_zeros(rect, worker_map=None) -> list[ZeroRecord]:
     (two cells' Newton runs landed on one zero), the whole t-partition is
     shifted and the survey retried, so a survey never double-counts and
     never returns short.  The records are sorted by t, then sigma where t
-    agrees to 1e-9 relative, and are identical for any `worker_map`.
+    agrees to 1e-9 relative.
     """
     r = _as_rect(rect)
-    mapper = map if worker_map is None else worker_map
     has_line = r.sigma_min < 0.5 < r.sigma_max
     checked = abs(r.sigma_min + r.sigma_max - 1.0) < 1e-12 and r.sigma_max < _ZERO_FREE_SIGMA
     last_error: Exception | None = None
@@ -1141,13 +1134,9 @@ def survey_zeros(rect, worker_map=None) -> list[ZeroRecord]:
                         for tc, found in zip(bands, roots)
                     ]
             grid = [k for k, found in enumerate(roots) if found is None]
-            counted = list(
-                mapper(
-                    partial(_grid_band, s_cuts),
-                    [bands[k] for k in grid],
-                    [expected[k] if checked else None for k in grid],
-                )
-            )
+            counted = [
+                _grid_band(s_cuts, bands[k], expected[k] if checked else None) for k in grid
+            ]
         except BoundaryZeroError as exc:
             last_error = exc
             continue

@@ -346,6 +346,7 @@ def reciprocity_defect(n, delta):
 # points per block of their sums, which bounds the block to ELEMENT_BUDGET terms.
 _N_TERMS = 10_000
 _SERIES_BLOCK = ELEMENT_BUDGET // _N_TERMS
+_LOG_MAX = math.log(np.finfo(float).max)  # exp stays in float64 up to here
 
 
 def _series_sum(term, c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -359,14 +360,25 @@ def _series_sum(term, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _midpoint_tail(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_{n > _N_TERMS} 1/((2n - c)^2 + t^2) by the midpoint rule: the
-    integral from _N_TERMS + 1/2 on, (pi/2 - arctan((2 _N_TERMS + 1 - c)/|t|))/(2|t|),
-    which leaves O(_N_TERMS^-3).  0 where t = 0, where every caller
-    multiplies it by t."""
+def _midpoint_tail(c: np.ndarray, t: np.ndarray, c2=None) -> np.ndarray:
+    """sum_{n > _N_TERMS} g(2n - c), g(u) = 1/(u^2 + t^2), less the same sum
+    at c2 if given: the midpoint rule's integral from _N_TERMS + 1/2 on,
+    arctan(|t| / x) / (2 |t|) with x = 2 _N_TERMS + 1 - c, plus its first
+    correction, 1/24 of d/dn g(2n - c) = -4x / (x^2 + t^2)^2 there, which
+    leaves O(_N_TERMS^-5).  A difference takes its two arctangents, both
+    near pi/2 at height, as one arctan(|t| (c - c2) / (t^2 + x x2)), for x
+    and x2 > 0.  The integral's share is 0 where t = 0, where every caller
+    multiplies the sum by t."""
     a = np.abs(t)
-    angle = np.arctan2(a, 2.0 * _N_TERMS + 1.0 - c)
-    return np.divide(angle, 2.0 * a, out=np.zeros_like(a), where=a > 0.0)
+    x = 2.0 * _N_TERMS + 1.0 - c
+    slope = -4.0 * x / (x * x + a * a) / (x * x + a * a)
+    if c2 is None:
+        angle = np.arctan2(a, x)
+    else:
+        x2 = 2.0 * _N_TERMS + 1.0 - c2
+        angle = np.arctan(a * (c - c2) / (a * a + x * x2))
+        slope += 4.0 * x2 / (x2 * x2 + a * a) / (x2 * x2 + a * a)
+    return np.divide(angle, 2.0 * a, out=np.zeros_like(a), where=a > 0.0) + slope / 24.0
 
 
 def dlogabsx_dt(s):
@@ -377,22 +389,20 @@ def dlogabsx_dt(s):
 
     plus its tail.  The term is exactly t (1/d1 - 1/d2), d1 and d2 the
     two squared moduli, so the tail is t times the difference of the
-    midpoint tails of sum 1/d1 and sum 1/d2 (`_midpoint_tail`, c = 1 -
-    sigma and sigma), which leaves O(_N_TERMS^-3).  Terms decay like
-    n^-3; the sum vanishes identically on the line sigma = 1/2 (every
-    term carries the factor 1/2 - sigma) and its sign elsewhere is the
-    sign of t (1/2 - sigma).  Finite at the zeros of X, where the
-    modulus-weighted form would vanish.  Scalar in, float out; arrays
-    in, arrays out.
+    corrected midpoint tails of sum 1/d1 and sum 1/d2 (`_midpoint_tail`,
+    c = 1 - sigma less c2 = sigma), which leaves O(_N_TERMS^-5).  Terms
+    decay like n^-3; the sum vanishes identically on the line sigma =
+    1/2 (every term carries the factor 1/2 - sigma) and its sign
+    elsewhere is the sign of t (1/2 - sigma).  Finite at the zeros of X,
+    where the modulus-weighted form would vanish.  Scalar in, float out;
+    arrays in, arrays out.
 
     The domain is X's right limit and its mirror, 1 - 2038 <= Re s <=
     2038 (the series is odd under s -> 1 - conj(s)), and |Im s| <= 1e8,
     the library's height limit; past either a DomainError names it.
-    Inside, no term overflows.  The tail loses digits as |sigma| nears
-    2 _N_TERMS, where the peaks of 1/d1 and 1/d2 enter it, and as t
-    grows, where its two arctangents cancel to about (1 - 2 sigma) / t:
-    against mpmath the relative error is 9e-13 at sigma = -2037.3 + 100i
-    and 6e-8 at 0.3 + 1e8i.
+    Inside, no term overflows.  Against mpmath the relative error is at
+    most 2e-16 at 0.3 + {2, 30, 1e3, 1e4, 3e4, 1e6, 1e8}i, 1.7 + 30i,
+    -2036.5 + 100i, 2038 + 5i and 1500 + 1e4i.
     """
 
     def term(n, sigma, t):
@@ -408,7 +418,7 @@ def dlogabsx_dt(s):
         raise DomainError(f"dlogabsx_dt takes {1.0 - _MAX_RE:g} <= Re s <= {_MAX_RE:g}, not Re s = {far!r}")
     _check_height(arr, "dlogabsx_dt")
     total = _series_sum(term, sigma, t)
-    tail = _midpoint_tail(1.0 - sigma, t) - _midpoint_tail(sigma, t)
+    tail = _midpoint_tail(1.0 - sigma, t, sigma)
     out = np.where(sigma == 0.5, 0.0, 8.0 * t * (0.5 - sigma) * total + t * tail)
     return float(out[0]) if was_scalar else out
 
@@ -453,20 +463,34 @@ def gamma_modulus_dt(s, which: str):
     which = "lower":  d/dt |Gamma((1+s)/2)|
                         = -t |Gamma((1+s)/2)| sum_n 1/|sigma + it + 2n - 1|^2
 
-    with n running 1.._N_TERMS, plus the midpoint tail of the sum
+    with n running 1.._N_TERMS, plus the corrected midpoint tail of the sum
     (`_midpoint_tail`, c = sigma upper or 1 - sigma lower), which leaves
-    O(_N_TERMS^-3) of a series whose plain tail is 1/(4 _N_TERMS).
+    O(_N_TERMS^-5) of a series whose plain tail is 1/(4 _N_TERMS).
     Negative for t > 0 and positive for t < 0: both moduli decrease
     monotonically away from the real axis.  Scalar in, float out; arrays
     in, arrays out.
+
+    Where the modulus or a term would leave float64 a DomainError names
+    the limit: |s| <= 1e154 (past it (2n - c)^2 + t^2 overflows), log|Gamma|
+    <= 709.783, 1e-153 or more from a pole of the factor (the nearest term
+    passes 1e306 there; PoleError at one), and log Gamma's shift budget.
+    Inside, the result is finite and no numpy warning is raised.
     """
     if which not in ("upper", "lower"):
         raise DomainError(f"which must be 'upper' or 'lower', got {which!r}")
     arr, was_scalar = as_points(s)
     sigma, t = arr.real, arr.imag
     c = sigma if which == "upper" else 1.0 - sigma
+    log_mod = log_abs_gamma(_gamma_args(arr)[which == "lower"])
+    pole_gap = np.hypot(2.0 * np.clip(np.rint(0.5 * c), 1.0, _N_TERMS) - c, t)
+    for bad, limit in (
+        (np.abs(arr) > 1e154, "|s| <= 1e+154"),
+        (log_mod > _LOG_MAX, f"log|Gamma| <= {_LOG_MAX:.6g} for the {which} factor"),
+        (pole_gap < 1e-153, "points 1e-153 or more from its poles"),
+    ):
+        if bad.any():
+            raise DomainError(f"gamma_modulus_dt takes {limit}, not s = {complex(arr[bad][0])}")
     total = _series_sum(lambda n, c, t: 1.0 / ((2.0 * n - c) ** 2 + t * t), c, t)
     total += _midpoint_tail(c, t)
-    upper, lower = _gamma_args(arr)
-    out = -t * np.exp(log_abs_gamma(upper if which == "upper" else lower)) * total
+    out = -t * np.exp(log_mod) * total
     return float(out[0]) if was_scalar else out

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -141,21 +140,6 @@ def test_trace_warning_names_the_caller():
     with pytest.warns(DegenerateCellWarning) as caught:
         trace_unit_curve(Rect(1.2, 3.2, -1.0, 1.0), 1.0)
     assert [w.filename for w in caught] == [__file__]
-
-
-def test_trace_warning_reaches_the_caller_from_a_worker_process():
-    # the band is traced in a pool worker, which hands its flagged cell back
-    with ProcessPoolExecutor(2) as pool:
-        with pytest.warns(DegenerateCellWarning) as caught:
-            trace_unit_curve(Rect(1.2, 3.2, -1.0, 1.0), 1.0, worker_map=pool.map)
-    assert [w.filename for w in caught] == [__file__]
-
-
-def test_trace_does_not_depend_on_worker_map():
-    rect = Rect(-2.0, 3.0, -2.2, 2.2)  # 220 cell rows: eight bands of up to 31
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = trace_unit_curve(rect, 0.02, worker_map=pool.map)
-    assert threaded == trace_unit_curve(rect, 0.02)
 
 
 @pytest.mark.parametrize(
@@ -552,13 +536,6 @@ def test_band_counts_match_single_cell_counts():
         cell = Rect(s_cuts[i], s_cuts[i + 1], t_cuts[j], t_cuts[j + 1])
         assert c == count_zeros_rect(cell, samples, max_retries=0), f"cell {cell}"
     assert counts.sum() == count_zeros_rect(rect, 64) > 0
-
-
-def test_survey_records_do_not_depend_on_worker_map():
-    rect = Rect(0.0, 1.0, 84.0, 87.0)  # 12 cell rows: two bands
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = survey_zeros(rect, worker_map=pool.map)
-    assert threaded == survey_zeros(rect)
 
 
 def test_records_with_equal_heights_are_ordered_by_sigma():

@@ -28,27 +28,6 @@ def run(args, capsys):
     return status, out.out, out.err
 
 
-def fake_pool(monkeypatch, cores, map_=map):
-    """Swap ProcessPoolExecutor for an in-process stand-in whose map is
-    `map_`, on a machine of `cores` cores; returns the list of the pool
-    sizes asked for, one per pool opened."""
-    sizes = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def map(self, fn, *iterables):
-            return map_(fn, *iterables)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    return sizes
-
-
 def test_parser_subcommands_are_the_command_table():
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -372,23 +351,22 @@ def test_jobs_below_one_is_an_input_error(capsys):
     assert "rectangle must be sigma0,sigma1,t0,t1" in err
 
 
-def test_jobs_are_capped_at_the_core_count(monkeypatch, capsys):
-    args = ["zeros", "--rect", "0,1,4,10", "--format", "csv"]
-    _, serial, _ = run(args, capsys)
-    for cores, opened in ((3, [3]), (1, []), (None, [])):
-        sizes = fake_pool(monkeypatch, cores)
-        assert run(args + ["--jobs", "100000"], capsys) == (OK, serial, "")
-        assert sizes == opened
+def test_every_command_runs_in_one_process(monkeypatch, capsys):
+    # --jobs is accepted but opens no pool, even where there are cores for one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was opened")
 
-
-def test_verify_sends_no_work_to_the_pool(monkeypatch, capsys):
-    def refuse(fn, *iterables):
-        raise AssertionError("verify sent work to the pool")
-
-    fake_pool(monkeypatch, 2, refuse)
-    status, out, _ = run(["verify", "--suite", "analysis", "--jobs", "2"], capsys)
-    assert status == OK
-    assert json.loads(out)["all_passed"] is True
+    commands = (
+        ["zeros", "--rect", "0,1,4,10"],
+        ["audit", "--rect", "0,1,4,10"],
+        ["curve", "--window=-2,3,-2.2,2.2", "--step", "0.1"],
+    )
+    serial = [run(args + ["--format", "csv", "--jobs", "1"], capsys) for args in commands]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for args, expected in zip(commands, serial):
+        assert expected[0] == OK
+        assert run(args + ["--format", "csv", "--jobs", "2"], capsys) == expected
 
 
 # ----------------------------------------------------------------------

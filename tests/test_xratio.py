@@ -539,6 +539,56 @@ def test_dlogabsx_dt_far_out_is_refused_or_finite():
     assert np.all(np.abs(got - want) <= np.array([1e-14, 1e-14, 1e-7]) * np.abs(want))
 
 
+def test_dlogabsx_dt_matches_mpmath_at_every_height():
+    # (1/2) Im[psi(1 - s/2) + psi((1 + s)/2)] by mpmath at 60 digits: the
+    # tail's arctangent difference and its midpoint correction hold the
+    # partial sum to roundoff from t = 2 to the height limit and across Re s
+    s, want = np.array([
+        (0.3 + 2j, 0.098488903463990080034),
+        (0.3 + 30j, 0.006667185373165532636),
+        (0.3 + 1e3j, 0.00020000001400000457511),
+        (0.3 + 1e4j, 0.000020000000014000001156),
+        (0.3 + 3e4j, 6.6666666671851855554e-6),
+        (0.3 + 1e6j, 2.000000000000140111e-7),
+        (0.3 + 1e8j, 2.000000000000000125e-9),
+        (1.7 + 30j, -0.039982380433632609823),
+        (-2036.5 + 100j, 1.5217439063410461564),
+        (2038 + 5j, -1.5683428174836055093),
+        (1500 + 1e4j, -0.14884104761487741884),
+    ]).T
+    got = dlogabsx_dt(s)
+    assert np.all(np.abs(got - want.real) <= 1e-15 * np.abs(want.real))
+
+
+def test_gamma_modulus_dt_far_out_is_refused_or_finite():
+    # past |s| = 1e154 a series term overflows, next to a pole the nearest
+    # term does, and far enough right (upper: left) the modulus does; each is
+    # a typed error naming its limit, and inside no numpy warning (mpmath refs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, which, limit in (
+            (0.3 + 1e155j, "upper", r"\|s\| <= 1e\+154"),
+            (0.3 + 1e155j, "lower", r"\|s\| <= 1e\+154"),
+            (1e155 + 1j, "lower", r"\|s\| <= 1e\+154"),
+            (-1e155 + 1j, "upper", r"\|s\| <= 1e\+154"),
+            (1e154 + 1j, "upper", "shift budget"),
+            (1e154 + 1j, "lower", r"log\|Gamma\| <= 709.783 for the lower factor"),
+            (-400 + 1j, "upper", r"log\|Gamma\| <= 709.783 for the upper factor"),
+            (2 + 1e-200j, "upper", "1e-153 or more from its poles"),
+            (-1 - 1e-160j, "lower", "1e-153 or more from its poles"),
+        ):
+            with pytest.raises(DomainError, match=limit):
+                gamma_modulus_dt(s, which)
+        upper = np.array([2 + 1e-152j, 0.3 + 2j, -300.5 + 100j, 0.3 + 1e78j])
+        lower = np.array([-1 + 1e-152j, 0.3 + 2j, 300 + 5j, 0.3 - 1e150j])
+        got = np.append(gamma_modulus_dt(upper, "upper"), gamma_modulus_dt(lower, "lower"))
+    want = np.array([
+        -1.9999999999999997374e304, -0.31123835912670864112, -9.2899357859926023432e258, 0.0,
+        -1.9999999999999997374e304, -0.36240168976823518847, -3.8037806010330986723e259, 0.0,
+    ])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def test_dsigma_logabsx_on_an_array_is_the_scalar_result_bit_for_bit():
     rng = np.random.default_rng(11)
     s = rng.uniform(-4.0, 5.0, 300) + 1j * rng.uniform(-300.0, 300.0, 300)
